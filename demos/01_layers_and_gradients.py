@@ -31,7 +31,7 @@ print(f"\nparameters: {sum(p.value.size for p in params)} elements in "
       f"{len(params)} tensors")
 
 res = distributed_forward_backward(
-    layers, [params], init_bn_moving(layers, ds.images.shape[1:]),
+    layers, params, init_bn_moving(layers, ds.images.shape[1:]),
     [ds.images], [ds.labels], assign_groups_1d(1, 1))
 print(f"loss on random init: {res.mean_loss:.4f} (uniform would be "
       f"{np.log(4):.4f})")

@@ -24,7 +24,8 @@ for gid, members in enumerate(assign_groups_2d(topo, (2, 2)).members):
 
 print("\nall-reduce is exact and order-fixed (ascending replica index):")
 vals = [np.array([float(r + 1)], np.float32) for r in range(4)]
-out = all_reduce(vals, "mean", assign_groups_1d(4, 2))
+out = [all_reduce([vals[r] for r in members], "mean")
+       for members in assign_groups_1d(4, 2).members]
 print("  per-group mean of [1,2,3,4] in groups of 2:",
       [float(t[0]) for t in out])
 

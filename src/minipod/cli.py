@@ -38,8 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--config", required=True, type=Path)
     tr.add_argument("--out", required=True, type=Path, help="metrics CSV path")
     tr.add_argument("--weights-out", type=Path, help="final weights (.npz)")
-    tr.add_argument("--workers", type=int, default=1,
-                    help="host threads for replica work (results are identical)")
 
     ev = sub.add_parser("eval", help="distributed evaluation of saved weights")
     ev.add_argument("--weights", required=True, type=Path)
@@ -68,8 +66,6 @@ def _read_config(path: Path) -> trainer.TrainConfig:
 
 def _cmd_train(args) -> int:
     config = _read_config(args.config)
-    config.workers = args.workers
-    config.validate()
     records, state = trainer.run_with_state(config)
     trainer.write_metrics_csv(records, args.out)
     if args.weights_out:
@@ -87,9 +83,10 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _read_config(args.config)
-    params, bn_moving = trainer.load_weights(args.weights)
     _, eval_ds = trainer.build_datasets(config)
     layers = build_model(config.model, eval_ds.num_classes)
+    params, bn_moving = trainer.load_weights(
+        args.weights, layers, eval_ds.images.shape[1:])
     top1 = trainer.distributed_eval(
         layers, params, bn_moving, eval_ds, config.num_replicas,
         config.eval_batch or config.per_core_batch, config.policy, config.bn_eps)

@@ -127,21 +127,16 @@ def assign_groups_2d(
     return GroupAssignment(topology.num_replicas, tr * tc, tuple(group_of))
 
 
-def all_reduce(
-    per_replica: list[np.ndarray],
-    op: str = "sum",
-    groups: GroupAssignment | None = None,
-) -> list[np.ndarray]:
-    """Reduce tensors across replicas; every participant receives the result.
+def all_reduce(per_replica: list[np.ndarray], op: str = "sum") -> np.ndarray:
+    """Reduce tensors across the replicas of one scope; returns the result once.
 
-    Reduction accumulates in ascending replica-index order, so the result is
-    bit-deterministic regardless of how replica work was scheduled. With
-    ``groups`` given, each group reduces independently over its own members;
-    otherwise all replicas form one scope.
+    Every participant would receive the same tensor, so it is handed back a
+    single time. Reduction accumulates in ascending replica-index order, so the
+    result is bit-deterministic. A BN group reduces by passing only its own
+    members' tensors.
     """
     if op not in ("sum", "mean"):
         raise ValueError(f"unsupported reduce op {op!r}")
-    n = len(per_replica)
     shape = per_replica[0].shape
     for i, t in enumerate(per_replica):
         if t.shape != shape:
@@ -149,22 +144,12 @@ def all_reduce(
                 f"all_reduce shape mismatch: replica 0 has {shape}, "
                 f"replica {i} has {t.shape}"
             )
-    if groups is not None and groups.num_replicas != n:
-        raise ValueError(
-            f"group assignment covers {groups.num_replicas} replicas, got {n} tensors"
-        )
-
-    scopes = groups.members if groups is not None else (tuple(range(n)),)
-    out: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    for scope in scopes:
-        acc = per_replica[scope[0]].copy()
-        for rep in scope[1:]:
-            acc += per_replica[rep]
-        if op == "mean":
-            acc /= acc.dtype.type(len(scope))
-        for rep in scope:
-            out[rep] = acc.copy()
-    return out
+    acc = per_replica[0].copy()
+    for t in per_replica[1:]:
+        acc += t
+    if op == "mean":
+        acc /= acc.dtype.type(len(per_replica))
+    return acc
 
 
 def padded_batch_utilization(per_core_batch: int) -> tuple[int, float]:

@@ -9,6 +9,7 @@ rejected so typos never pass silently.
 from __future__ import annotations
 
 import dataclasses
+import typing
 from dataclasses import dataclass
 
 from .trainer import TrainConfig
@@ -76,38 +77,15 @@ PRESETS: tuple[Preset, ...] = (
 
 PRESETS_BY_NAME = {p.name: p for p in PRESETS}
 
-_KEY_TYPES = {
-    "preset": str,
-    "model": str,
-    "dataset": str,
-    "num_replicas": int,
-    "global_batch": int,
-    "bn_group_size": int,
-    "bn_grouping": str,
-    "grid_rows": int,
-    "grid_cols": int,
-    "tile_rows": int,
-    "tile_cols": int,
-    "bn_momentum": float,
-    "bn_eps": float,
-    "optimizer": str,
-    "lr_per_256": float,
-    "warmup_epochs": float,
-    "decay": str,
-    "decay_rate": float,
-    "epochs_per_decay": float,
-    "poly_power": float,
-    "end_lr": float,
-    "momentum": float,
-    "rmsprop_decay": float,
-    "rmsprop_eps": float,
-    "lars_eta": float,
-    "lars_weight_decay": float,
-    "precision": str,
-    "total_epochs": float,
-    "eval_every_epochs": float,
-    "eval_batch": int,
-    "seed": int,
+def _key_type(hint) -> type:
+    # An optional key (`int | None`) parses as its non-None member.
+    members = [t for t in typing.get_args(hint) if t is not type(None)]
+    return members[0] if members else hint
+
+
+# Config-file keys are the TrainConfig fields plus `preset`.
+_KEY_TYPES = {"preset": str} | {
+    name: _key_type(hint) for name, hint in typing.get_type_hints(TrainConfig).items()
 }
 
 _REQUIRED_WITHOUT_PRESET = (
@@ -179,15 +157,10 @@ def preset_config(name: str, dataset: str = "synthetic", **overrides) -> TrainCo
     return TrainConfig(**merged)
 
 
-_SERIALIZE_SKIP = ("workers",)  # runtime knob, not part of the file surface
-
-
 def serialize_config(config: TrainConfig) -> str:
     """Emit config text that parses back to an identical TrainConfig."""
     lines = []
     for f in dataclasses.fields(config):
-        if f.name in _SERIALIZE_SKIP:
-            continue
         value = getattr(config, f.name)
         if value is None:
             continue

@@ -90,8 +90,8 @@ def group_bn_forward(x_per_replica: list[np.ndarray], state: BnState):
     b, h, w, c = _check_group(x_per_replica)
     sums = [x.sum(axis=(0, 1, 2)) for x in x_per_replica]
     sqsums = [(x * x).sum(axis=(0, 1, 2)) for x in x_per_replica]
-    total = all_reduce(sums, "sum")[0]
-    sqtotal = all_reduce(sqsums, "sum")[0]
+    total = all_reduce(sums, "sum")
+    sqtotal = all_reduce(sqsums, "sum")
     count = total.dtype.type(len(x_per_replica) * b * h * w)
     mean = total / count
     var = np.maximum(sqtotal / count - mean * mean, 0)
@@ -127,8 +127,8 @@ def group_bn_backward(
     dgamma_parts = [
         (g * xh).sum(axis=(0, 1, 2)) for g, xh in zip(grad_y_per_replica, xhats)
     ]
-    dbeta = all_reduce(dbeta_parts, "sum")[0]
-    dgamma = all_reduce(dgamma_parts, "sum")[0]
+    dbeta = all_reduce(dbeta_parts, "sum")
+    dgamma = all_reduce(dgamma_parts, "sum")
     coef = (state.gamma * inv).astype(saved_mean.dtype)
     grad_x = [
         coef * (g - dbeta / count - xh * (dgamma / count))

@@ -3,14 +3,14 @@
 A model is an ordered list of LayerSpec ending in a softmax cross-entropy
 head. The engine walks the layers with all replicas advancing together, so
 batch-normalization layers can share statistics across their replica group;
-every other layer runs independently per replica (optionally on a thread
-pool -- results are gathered in replica order, so scheduling never changes
-values).
+every other layer runs on each replica's batch in ascending replica order.
+All replicas read one parameter list: synchronous replicas apply the same
+update to the same all-reduced gradient, so their weights are equal by
+construction.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -218,12 +218,6 @@ class EngineResult:
         return sum(self.losses) / len(self.losses)
 
 
-def _pmap(fn: Callable[[int], object], count: int, pool) -> list:
-    if pool is None or count == 1:
-        return [fn(i) for i in range(count)]
-    return list(pool.map(fn, range(count)))
-
-
 def _bn_state_for(pmap, layer_name: str, moving, bn_eps: float) -> distbn.BnState:
     gamma = pmap[f"{layer_name}/gamma"].value
     beta = pmap[f"{layer_name}/beta"].value
@@ -233,21 +227,21 @@ def _bn_state_for(pmap, layer_name: str, moving, bn_eps: float) -> distbn.BnStat
 
 def distributed_forward_backward(
     layers: list[LayerSpec],
-    params_per_replica: list[list[Parameter]],
+    params: list[Parameter],
     bn_moving: dict[str, tuple[np.ndarray, np.ndarray]],
     x_per_replica: list[np.ndarray],
     labels_per_replica: list[np.ndarray],
     assignment: GroupAssignment,
     policy: precision.PrecisionPolicy = precision.FP32_ONLY,
     bn_eps: float = distbn.DEFAULT_EPS,
-    workers: int = 1,
     forward_only: bool = False,
 ) -> EngineResult:
     """One synchronized forward (and optionally backward) pass.
 
-    Each replica consumes its own batch; BN layers normalize over their
-    replica group. Returned gradients are per-replica local contributions:
-    their all-reduce mean is the gradient of the mean per-replica loss.
+    Each replica consumes its own batch with the shared parameters; BN layers
+    normalize over their replica group. Returned gradients are per-replica
+    local contributions: their all-reduce mean is the gradient of the mean
+    per-replica loss.
     """
     n = len(x_per_replica)
     if assignment.num_replicas != n:
@@ -256,153 +250,112 @@ def distributed_forward_backward(
             f"engine got {n}"
         )
     validate_model(layers)
-    pmaps = [{p.name: p for p in plist} for plist in params_per_replica]
+    pmap = {p.name: p for p in params}
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        acts = list(x_per_replica)
-        stash: list = []
-        losses: list[float] = [0.0] * n
-        grad_acts: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-        bn_saved: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
+    acts = list(x_per_replica)
+    stash: list = []
+    losses: list[float] = [0.0] * n
+    grad_acts: list[np.ndarray] = [None] * n  # type: ignore[list-item]
+    bn_saved: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
 
-        for layer in layers:
-            kind = layer.kind
-            if kind == "conv2d":
-                def fwd(r, layer=layer):
-                    k = pmaps[r][f"{layer.name}/kernel"].value
-                    y = precision.conv2d_mixed(
-                        acts[r], k, layer.stride, layer.padding, policy)
-                    if layer.use_bias:
-                        y = y + pmaps[r][f"{layer.name}/bias"].value
-                    return y
-                outs = _pmap(fwd, n, pool)
-            elif kind == "depthwise_conv2d":
-                def fwd(r, layer=layer):
-                    k = pmaps[r][f"{layer.name}/kernel"].value
-                    return precision.depthwise_conv2d_mixed(
-                        acts[r], k, layer.stride, layer.padding, policy)
-                outs = _pmap(fwd, n, pool)
-            elif kind == "dense":
-                def fwd(r, layer=layer):
-                    return nn.dense_forward(
-                        acts[r],
-                        pmaps[r][f"{layer.name}/kernel"].value,
-                        pmaps[r][f"{layer.name}/bias"].value)
-                outs = _pmap(fwd, n, pool)
-            elif kind == "swish":
-                outs = _pmap(lambda r: nn.swish_forward(acts[r]), n, pool)
-            elif kind == "relu":
-                outs = _pmap(lambda r: nn.relu_forward(acts[r]), n, pool)
-            elif kind == "global_avg_pool":
-                outs = _pmap(lambda r: nn.global_avg_pool_forward(acts[r]), n, pool)
-            elif kind == "batchnorm":
-                outs = [None] * n
-                saved_groups = []
-                for members in assignment.members:
-                    state = _bn_state_for(pmaps[members[0]], layer.name,
-                                          bn_moving, bn_eps)
-                    xs = [acts[r] for r in members]
-                    ys, mean, var = distbn.group_bn_forward(xs, state)
-                    for r, y in zip(members, ys):
-                        outs[r] = y
-                    saved_groups.append((mean, var))
-                bn_saved[layer.name] = saved_groups
-            else:  # softmax_xent_head
-                def fwd(r, layer=layer):
-                    return nn.softmax_xent(acts[r], labels_per_replica[r])
-                head_out = _pmap(fwd, n, pool)
-                losses = [float(lo) for lo, _ in head_out]
-                grad_acts = [g for _, g in head_out]
-                outs = acts  # head emits no activation
-            stash.append(acts)
-            acts = outs
+    for layer in layers:
+        kind = layer.kind
+        if kind == "conv2d":
+            k = pmap[f"{layer.name}/kernel"].value
+            outs = [precision.conv2d_mixed(a, k, layer.stride, layer.padding, policy)
+                    for a in acts]
+            if layer.use_bias:
+                bias = pmap[f"{layer.name}/bias"].value
+                outs = [y + bias for y in outs]
+        elif kind == "depthwise_conv2d":
+            k = pmap[f"{layer.name}/kernel"].value
+            outs = [precision.depthwise_conv2d_mixed(
+                a, k, layer.stride, layer.padding, policy) for a in acts]
+        elif kind == "dense":
+            w = pmap[f"{layer.name}/kernel"].value
+            bias = pmap[f"{layer.name}/bias"].value
+            outs = [nn.dense_forward(a, w, bias) for a in acts]
+        elif kind == "swish":
+            outs = [nn.swish_forward(a) for a in acts]
+        elif kind == "relu":
+            outs = [nn.relu_forward(a) for a in acts]
+        elif kind == "global_avg_pool":
+            outs = [nn.global_avg_pool_forward(a) for a in acts]
+        elif kind == "batchnorm":
+            outs = [None] * n
+            saved_groups = []
+            state = _bn_state_for(pmap, layer.name, bn_moving, bn_eps)
+            for members in assignment.members:
+                ys, mean, var = distbn.group_bn_forward(
+                    [acts[r] for r in members], state)
+                for r, y in zip(members, ys):
+                    outs[r] = y
+                saved_groups.append((mean, var))
+            bn_saved[layer.name] = saved_groups
+        else:  # softmax_xent_head
+            head_out = [nn.softmax_xent(a, y) for a, y in zip(acts, labels_per_replica)]
+            losses = [float(lo) for lo, _ in head_out]
+            grad_acts = [g for _, g in head_out]
+            outs = acts  # head emits no activation
+        stash.append(acts)
+        acts = outs
 
-        if forward_only:
-            return EngineResult(losses, None, bn_saved)
+    if forward_only:
+        return EngineResult(losses, None, bn_saved)
 
-        grads_by_name: list[dict[str, np.ndarray]] = [{} for _ in range(n)]
-        for idx in range(len(layers) - 2, -1, -1):
-            layer = layers[idx]
-            kind = layer.kind
-            layer_in = stash[idx]
-            if kind == "conv2d":
-                def bwd(r, layer=layer, layer_in=layer_in):
-                    k = pmaps[r][f"{layer.name}/kernel"].value
-                    gx, gk = precision.conv2d_mixed_backward(
-                        layer_in[r], k, grad_acts[r],
-                        layer.stride, layer.padding, policy)
-                    gb = (grad_acts[r].sum(axis=(0, 1, 2))
-                          if layer.use_bias else None)
-                    return gx, gk, gb
-                res = _pmap(bwd, n, pool)
-                for r, (gx, gk, gb) in enumerate(res):
-                    grads_by_name[r][f"{layer.name}/kernel"] = gk
-                    if gb is not None:
-                        grads_by_name[r][f"{layer.name}/bias"] = gb
+    grads_by_name: list[dict[str, np.ndarray]] = [{} for _ in range(n)]
+    for idx in range(len(layers) - 2, -1, -1):
+        layer = layers[idx]
+        kind = layer.kind
+        layer_in = stash[idx]
+        if kind == "conv2d":
+            k = pmap[f"{layer.name}/kernel"].value
+            for r in range(n):
+                gx, gk = precision.conv2d_mixed_backward(
+                    layer_in[r], k, grad_acts[r], layer.stride, layer.padding, policy)
+                grads_by_name[r][f"{layer.name}/kernel"] = gk
+                if layer.use_bias:
+                    grads_by_name[r][f"{layer.name}/bias"] = grad_acts[r].sum(
+                        axis=(0, 1, 2))
+                grad_acts[r] = gx
+        elif kind == "depthwise_conv2d":
+            k = pmap[f"{layer.name}/kernel"].value
+            for r in range(n):
+                gx, gk = precision.depthwise_conv2d_mixed_backward(
+                    layer_in[r], k, grad_acts[r], layer.stride, layer.padding, policy)
+                grads_by_name[r][f"{layer.name}/kernel"] = gk
+                grad_acts[r] = gx
+        elif kind == "dense":
+            w = pmap[f"{layer.name}/kernel"].value
+            for r in range(n):
+                gx, gw, gb = nn.dense_backward(layer_in[r], w, grad_acts[r])
+                grads_by_name[r][f"{layer.name}/kernel"] = gw
+                grads_by_name[r][f"{layer.name}/bias"] = gb
+                grad_acts[r] = gx
+        elif kind == "swish":
+            grad_acts = [nn.swish_backward(a, g) for a, g in zip(layer_in, grad_acts)]
+        elif kind == "relu":
+            grad_acts = [nn.relu_backward(a, g) for a, g in zip(layer_in, grad_acts)]
+        elif kind == "global_avg_pool":
+            grad_acts = [nn.global_avg_pool_backward(a, g)
+                         for a, g in zip(layer_in, grad_acts)]
+        elif kind == "batchnorm":
+            state = _bn_state_for(pmap, layer.name, bn_moving, bn_eps)
+            for gi, members in enumerate(assignment.members):
+                mean, var = bn_saved[layer.name][gi]
+                gxs, dgamma, dbeta = distbn.group_bn_backward(
+                    [layer_in[r] for r in members], [grad_acts[r] for r in members],
+                    mean, var, state)
+                # Group-reduced affine grads split evenly so the later
+                # all-replica mean recovers the full-group sum exactly once.
+                gsize = dgamma.dtype.type(len(members))
+                for r, gx in zip(members, gxs):
+                    grads_by_name[r][f"{layer.name}/gamma"] = dgamma / gsize
+                    grads_by_name[r][f"{layer.name}/beta"] = dbeta / gsize
                     grad_acts[r] = gx
-            elif kind == "depthwise_conv2d":
-                def bwd(r, layer=layer, layer_in=layer_in):
-                    k = pmaps[r][f"{layer.name}/kernel"].value
-                    return precision.depthwise_conv2d_mixed_backward(
-                        layer_in[r], k, grad_acts[r],
-                        layer.stride, layer.padding, policy)
-                res = _pmap(bwd, n, pool)
-                for r, (gx, gk) in enumerate(res):
-                    grads_by_name[r][f"{layer.name}/kernel"] = gk
-                    grad_acts[r] = gx
-            elif kind == "dense":
-                def bwd(r, layer=layer, layer_in=layer_in):
-                    return nn.dense_backward(
-                        layer_in[r],
-                        pmaps[r][f"{layer.name}/kernel"].value,
-                        grad_acts[r])
-                res = _pmap(bwd, n, pool)
-                for r, (gx, gw, gb) in enumerate(res):
-                    grads_by_name[r][f"{layer.name}/kernel"] = gw
-                    grads_by_name[r][f"{layer.name}/bias"] = gb
-                    grad_acts[r] = gx
-            elif kind == "swish":
-                res = _pmap(
-                    lambda r, li=layer_in: nn.swish_backward(li[r], grad_acts[r]),
-                    n, pool)
-                grad_acts = list(res)
-            elif kind == "relu":
-                res = _pmap(
-                    lambda r, li=layer_in: nn.relu_backward(li[r], grad_acts[r]),
-                    n, pool)
-                grad_acts = list(res)
-            elif kind == "global_avg_pool":
-                res = _pmap(
-                    lambda r, li=layer_in: nn.global_avg_pool_backward(
-                        li[r], grad_acts[r]),
-                    n, pool)
-                grad_acts = list(res)
-            elif kind == "batchnorm":
-                for gi, members in enumerate(assignment.members):
-                    state = _bn_state_for(pmaps[members[0]], layer.name,
-                                          bn_moving, bn_eps)
-                    xs = [layer_in[r] for r in members]
-                    gys = [grad_acts[r] for r in members]
-                    mean, var = bn_saved[layer.name][gi]
-                    gxs, dgamma, dbeta = distbn.group_bn_backward(
-                        xs, gys, mean, var, state)
-                    # Group-reduced affine grads split evenly so the later
-                    # all-replica mean recovers the full-group sum exactly once.
-                    gsize = dgamma.dtype.type(len(members))
-                    for r, gx in zip(members, gxs):
-                        grads_by_name[r][f"{layer.name}/gamma"] = dgamma / gsize
-                        grads_by_name[r][f"{layer.name}/beta"] = dbeta / gsize
-                        grad_acts[r] = gx
 
-        grads_per_replica = [
-            [grads_by_name[r][p.name] for p in params_per_replica[r]]
-            for r in range(n)
-        ]
-        return EngineResult(losses, grads_per_replica, bn_saved)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    grads_per_replica = [[g[p.name] for p in params] for g in grads_by_name]
+    return EngineResult(losses, grads_per_replica, bn_saved)
 
 
 def eval_forward(
@@ -479,7 +432,7 @@ def grad_check(
 
     def run(forward_only: bool) -> EngineResult:
         return distributed_forward_backward(
-            layers, [params64] * num_replicas, moving, shards, label_shards,
+            layers, params64, moving, shards, label_shards,
             assignment, bn_eps=bn_eps, forward_only=forward_only)
 
     base = run(forward_only=False)

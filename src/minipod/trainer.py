@@ -1,8 +1,9 @@
 """Synchronized data-parallel training and evaluation loop.
 
 Every step: per-replica forward/backward (group BN, optional bf16 convs),
-all-reduce mean of gradients, then one optimizer step applied identically on
-every replica. Replica parameter copies are audited for bitwise equality.
+all-reduce mean of gradients, then one optimizer step. Synchronous replicas
+apply the same update to the same reduced gradient, so the state holds a
+single copy of the parameters, optimizer slots and BN moving statistics.
 Evaluation shards a zero-weight-padded eval set across all replicas and
 all-reduces weighted correctness counts, so the result is independent of the
 replica count.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +56,6 @@ from .rng import stream
 
 SYNTHETIC_DEFAULTS = dict(num_classes=10, n=8192, height=16, width=16, channels=1)
 SYNTHETIC_EVAL_N = 2048
-AUDIT_EVERY = 25
-
-
-class ReplicaDivergenceError(RuntimeError):
-    """Replicas no longer hold bitwise-identical parameters or state."""
 
 
 class NonFiniteLossError(RuntimeError):
@@ -101,7 +98,6 @@ class TrainConfig:
     eval_every_epochs: float = 1.0
     eval_batch: int | None = None
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
         self.validate()
@@ -131,6 +127,10 @@ class TrainConfig:
                     f"bn_group_size {self.bn_group_size} contradicts the "
                     f"{self.tile_rows}x{self.tile_cols} tile ({tile_area} replicas)"
                 )
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ValueError(f"bn_momentum must lie in [0, 1], got {self.bn_momentum}")
+        if not self.bn_eps > 0:
+            raise ValueError(f"bn_eps must be > 0, got {self.bn_eps}")
         if self.optimizer not in ("rmsprop", "lars"):
             raise ValueError(f"optimizer must be rmsprop or lars, got {self.optimizer!r}")
         if self.decay not in ("exponential", "polynomial"):
@@ -145,8 +145,6 @@ class TrainConfig:
             raise ValueError("eval_every_epochs must be > 0")
         if self.total_epochs < 0:
             raise ValueError("total_epochs must be >= 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     @property
     def per_core_batch(self) -> int:
@@ -266,96 +264,57 @@ def shard_train_data(
 @dataclass
 class TrainState:
     layers: list[LayerSpec]
-    params_per_replica: list[list[Parameter]]
-    bn_moving_per_replica: list[dict]
-    opt_state_per_replica: list[OptimizerState]
+    params: list[Parameter]
+    bn_moving: dict
+    opt_state: OptimizerState
     assignment: GroupAssignment
     config: TrainConfig
     step_count: int = 0
 
-    @property
-    def num_replicas(self) -> int:
-        return len(self.params_per_replica)
-
     def param_count(self) -> int:
-        return int(sum(p.value.size for p in self.params_per_replica[0]))
+        return int(sum(p.value.size for p in self.params))
 
 
 def init_train_state(
     config: TrainConfig, input_shape: tuple[int, ...], num_classes: int
 ) -> TrainState:
     layers = build_model(config.model, num_classes)
-    base = init_params(layers, input_shape, config.seed)
-    n = config.num_replicas
-    params = [[p.copy() for p in base] for _ in range(n)]
-    moving = [init_bn_moving(layers, input_shape) for _ in range(n)]
-    opt = [OptimizerState.for_params(config.optimizer, base) for _ in range(n)]
-    return TrainState(layers, params, moving, opt, config.group_assignment(), config)
-
-
-def audit_replicas(state: TrainState) -> None:
-    """Bitwise comparison of parameters and optimizer slots across replicas."""
-    ref_params = state.params_per_replica[0]
-    ref_slots = state.opt_state_per_replica[0].slots
-    for r in range(1, state.num_replicas):
-        for p0, pr in zip(ref_params, state.params_per_replica[r]):
-            if p0.value.tobytes() != pr.value.tobytes():
-                raise ReplicaDivergenceError(
-                    f"parameter {p0.name} diverged on replica {r} "
-                    f"at step {state.step_count}"
-                )
-        for name, slots in ref_slots.items():
-            for sname, arr in slots.items():
-                other = state.opt_state_per_replica[r].slots[name][sname]
-                if arr.tobytes() != other.tobytes():
-                    raise ReplicaDivergenceError(
-                        f"optimizer slot {name}/{sname} diverged on replica {r} "
-                        f"at step {state.step_count}"
-                    )
+    params = init_params(layers, input_shape, config.seed)
+    return TrainState(
+        layers, params, init_bn_moving(layers, input_shape),
+        OptimizerState.for_params(config.optimizer, params),
+        config.group_assignment(), config)
 
 
 def train_step(state: TrainState, batches, lr: float) -> float:
     """One synchronized step over per-replica (images, labels) batches."""
     cfg = state.config
-    xs = [b[0] for b in batches]
-    ys = [b[1] for b in batches]
     res = distributed_forward_backward(
         state.layers,
-        state.params_per_replica,
-        state.bn_moving_per_replica[0],
-        xs,
-        ys,
+        state.params,
+        state.bn_moving,
+        [b[0] for b in batches],
+        [b[1] for b in batches],
         state.assignment,
         policy=cfg.policy,
         bn_eps=cfg.bn_eps,
-        workers=cfg.workers,
     )
-
-    num_params = len(state.params_per_replica[0])
-    reduced_by_param = [
-        all_reduce([res.grads_per_replica[r][i] for r in range(state.num_replicas)],
-                   "mean")
-        for i in range(num_params)
+    grads = [
+        all_reduce([g[i] for g in res.grads_per_replica], "mean")
+        for i in range(len(state.params))
     ]
-    opt_cfg = cfg.optimizer_config()
     step_fn = rmsprop_step if cfg.optimizer == "rmsprop" else lars_step
-    for r in range(state.num_replicas):
-        grads_r = [reduced_by_param[i][r] for i in range(num_params)]
-        step_fn(state.params_per_replica[r], grads_r, lr, opt_cfg,
-                state.opt_state_per_replica[r])
-
+    step_fn(state.params, grads, lr, cfg.optimizer_config(), state.opt_state)
     _update_bn_moving(state, res.bn_saved)
-
     state.step_count += 1
-    if state.step_count % AUDIT_EVERY == 0:
-        audit_replicas(state)
     return res.mean_loss
 
 
 def _update_bn_moving(state: TrainState, bn_saved) -> None:
-    # Group statistics are averaged across groups (ascending group id) so all
-    # replicas carry identical inference statistics.
+    # Group statistics are averaged across groups (ascending group id) so the
+    # inference statistics are those of the whole replica set.
     cfg = state.config
+    pmap = {p.name: p for p in state.params}
     for lname, saved_groups in bn_saved.items():
         mean = saved_groups[0][0].copy()
         var = saved_groups[0][1].copy()
@@ -365,14 +324,12 @@ def _update_bn_moving(state: TrainState, bn_saved) -> None:
         k = mean.dtype.type(len(saved_groups))
         mean /= k
         var /= k
-        for r in range(state.num_replicas):
-            pmap = {p.name: p for p in state.params_per_replica[r]}
-            mm, mv = state.bn_moving_per_replica[r][lname]
-            st = distbn.BnState(
-                pmap[f"{lname}/gamma"].value, pmap[f"{lname}/beta"].value,
-                mm, mv, momentum=cfg.bn_momentum, eps=cfg.bn_eps)
-            new = distbn.update_moving_stats(st, mean, var)
-            state.bn_moving_per_replica[r][lname] = (new.moving_mean, new.moving_var)
+        mm, mv = state.bn_moving[lname]
+        st = distbn.BnState(
+            pmap[f"{lname}/gamma"].value, pmap[f"{lname}/beta"].value,
+            mm, mv, momentum=cfg.bn_momentum, eps=cfg.bn_eps)
+        new = distbn.update_moving_stats(st, mean, var)
+        state.bn_moving[lname] = (new.moving_mean, new.moving_var)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +374,7 @@ def distributed_eval(
         pred = logits.argmax(axis=1)
         hit = (pred == labels[sl]).astype(np.float32) * weights[sl]
         counts[r] += np.array([hit.sum(), weights[sl].sum()], dtype=np.float32)
-    total = all_reduce(counts, "sum")[0]
+    total = all_reduce(counts, "sum")
     return float(total[0] / total[1])
 
 
@@ -478,9 +435,8 @@ def run_with_state(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState
 
     def evaluate() -> float:
         return distributed_eval(
-            state.layers, state.params_per_replica[0],
-            state.bn_moving_per_replica[0], eval_ds, config.num_replicas,
-            eval_batch, config.policy, config.bn_eps)
+            state.layers, state.params, state.bn_moving, eval_ds,
+            config.num_replicas, eval_batch, config.policy, config.bn_eps)
 
     records: list[MetricsRecord] = []
     total_steps = int(round(config.total_epochs * steps_per_epoch))
@@ -519,36 +475,55 @@ def run_with_state(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState
             records[-1].eval_top1 = evaluate()
             while next_eval <= epoch + 1e-9:
                 next_eval += config.eval_every_epochs
-    audit_replicas(state)
     return records, state
+
+
+def _weights_arrays(params: list[Parameter], bn_moving: dict) -> dict:
+    arrays = {f"param/{p.tag}/{p.name}": p.value for p in params}
+    for lname, (mm, mv) in bn_moving.items():
+        arrays[f"bn_mean/{lname}"] = mm
+        arrays[f"bn_var/{lname}"] = mv
+    return arrays
 
 
 def save_weights(state: TrainState, path) -> None:
     """Final-weights dump: parameters plus BN moving statistics (npz)."""
-    arrays = {}
-    for p in state.params_per_replica[0]:
-        arrays[f"param/{p.tag}/{p.name}"] = p.value
-    for lname, (mm, mv) in state.bn_moving_per_replica[0].items():
-        arrays[f"bn_mean/{lname}"] = mm
-        arrays[f"bn_var/{lname}"] = mv
-    np.savez(path, **arrays)
+    np.savez(path, **_weights_arrays(state.params, state.bn_moving))
 
 
-def load_weights(path) -> tuple[list[Parameter], dict]:
-    """Inverse of save_weights; parameter order follows the archive."""
-    with np.load(path) as z:
-        params: list[Parameter] = []
-        moving: dict[str, list] = {}
-        for key in z.files:
-            head, rest = key.split("/", 1)
-            if head == "param":
-                tag, name = rest.split("/", 1)
-                params.append(Parameter(name, z[key], tag=tag))
-            elif head == "bn_mean":
-                moving.setdefault(rest, [None, None])[0] = z[key]
-            elif head == "bn_var":
-                moving.setdefault(rest, [None, None])[1] = z[key]
-    return params, {k: (v[0], v[1]) for k, v in moving.items()}
+def load_weights(
+    path, layers: list[LayerSpec], input_shape: tuple[int, ...]
+) -> tuple[list[Parameter], dict]:
+    """Inverse of save_weights for the model `layers` on `input_shape` inputs.
+
+    Raises ValueError naming the first array the model needs that the archive
+    lacks or holds in another shape, or the first array it does not need.
+    """
+    params = init_params(layers, input_shape, seed=0)
+    bn_moving = init_bn_moving(layers, input_shape)
+    want = _weights_arrays(params, bn_moving)
+    try:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise ValueError("a lone .npy array")
+        with archive:
+            got = {key: archive[key] for key in archive.files}
+    except (ValueError, EOFError, zipfile.BadZipFile) as e:
+        raise ValueError(f"weights file {path} is not an npz archive") from e
+    for key, ref in want.items():
+        if key not in got:
+            raise ValueError(f"weights {path} lack {key}, which the model needs")
+        if got[key].shape != ref.shape:
+            raise ValueError(
+                f"weights {path} hold {key} with shape {got[key].shape}; "
+                f"the model needs {ref.shape}")
+    for key in got:
+        if key not in want:
+            raise ValueError(f"weights {path} hold {key}, which the model lacks")
+    params = [Parameter(p.name, got[f"param/{p.tag}/{p.name}"], tag=p.tag)
+              for p in params]
+    return params, {lname: (got[f"bn_mean/{lname}"], got[f"bn_var/{lname}"])
+                    for lname in bn_moving}
 
 
 def time_to_peak(records: list[MetricsRecord]) -> tuple[float, float]:

@@ -76,21 +76,21 @@ def test_2d_rowtile_on_flat_grid_equals_1d(n, g):
 def test_all_reduce_sum_hand_case():
     a = [np.array([1.0, 2.0], np.float32), np.array([3.0, 4.0], np.float32)]
     out = all_reduce(a, "sum")
-    for t in out:
-        assert np.array_equal(t, np.array([4.0, 6.0], np.float32))
+    assert np.array_equal(out, np.array([4.0, 6.0], np.float32))
 
 
 def test_all_reduce_group_mean_hand_case():
     vals = [np.array([float(v)], np.float32) for v in (1, 2, 3, 4)]
-    out = all_reduce(vals, "mean", assign_groups_1d(4, 2))
-    assert [float(t[0]) for t in out] == [1.5, 1.5, 3.5, 3.5]
+    out = [all_reduce([vals[r] for r in members], "mean")
+           for members in assign_groups_1d(4, 2).members]
+    assert [float(t[0]) for t in out] == [1.5, 3.5]
 
 
 def test_all_reduce_single_replica_identity():
     x = np.array([5.0, -1.0], np.float32)
     out = all_reduce([x], "sum")
-    assert np.array_equal(out[0], x)
-    assert out[0] is not x  # reduced value delivered as a fresh tensor
+    assert np.array_equal(out, x)
+    assert out is not x  # reduced value delivered as a fresh tensor
 
 
 def test_all_reduce_equals_sequential_sum():
@@ -100,7 +100,7 @@ def test_all_reduce_equals_sequential_sum():
     for v in vals[1:]:
         acc += v
     out = all_reduce(vals, "sum")
-    assert all(t.tobytes() == acc.tobytes() for t in out)
+    assert out.tobytes() == acc.tobytes()
 
 
 def test_all_reduce_shape_mismatch():

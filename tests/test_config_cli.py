@@ -1,8 +1,11 @@
 """Config parsing, preset catalog, and command-line surface tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from minipod import config
 from minipod.cli import main
 from minipod.config import (
     PRESETS,
@@ -12,6 +15,7 @@ from minipod.config import (
     serialize_config,
 )
 from minipod.data import gen_synthetic, write_idx
+from minipod.trainer import TrainConfig
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +64,24 @@ def test_parse_duplicate_key():
 def test_parse_bad_value_type():
     with pytest.raises(ConfigError, match="num_replicas"):
         parse_config("num_replicas = eight\n")
+
+
+def test_config_keys_are_train_config_fields():
+    fields = {f.name for f in dataclasses.fields(TrainConfig)}
+    assert set(config._KEY_TYPES) == fields | {"preset"}
+    assert config._KEY_TYPES["eval_batch"] is int  # `int | None` parses as int
+
+
+@pytest.mark.parametrize("line,key", [
+    ("bn_momentum = 3", "bn_momentum"),
+    ("bn_momentum = -0.1", "bn_momentum"),
+    ("bn_momentum = nan", "bn_momentum"),
+    ("bn_eps = 0", "bn_eps"),
+    ("bn_eps = -1e-3", "bn_eps"),
+])
+def test_parse_bn_hyperparameter_out_of_range(line, key):
+    with pytest.raises(ConfigError, match=key):
+        parse_config(f"preset = toy-rmsprop-512\ndataset = synthetic\n{line}\n")
 
 
 def test_parse_invariant_violation():
@@ -219,3 +241,26 @@ def test_cli_eval_on_idx_dataset(tmp_path, capsys):
     assert main(["train", "--config", str(cfg), "--out", str(out_csv),
                  "--weights-out", str(weights)]) == 0
     assert main(["eval", "--weights", str(weights), "--config", str(cfg)]) == 0
+
+
+def test_cli_eval_weights_of_another_model(tmp_path, capsys):
+    toy = write_config(tmp_path, "preset = toy-rmsprop-512\ndataset = synthetic\n"
+                                 "total_epochs = 0\n")
+    weights = tmp_path / "w.npz"
+    assert main(["train", "--config", str(toy), "--out", str(tmp_path / "m.csv"),
+                 "--weights-out", str(weights)]) == 0
+    capsys.readouterr()
+    b2 = tmp_path / "b2.cfg"
+    b2.write_text("preset = toy-rmsprop-512\ndataset = synthetic\nmodel = b2\n")
+    assert main(["eval", "--weights", str(weights), "--config", str(b2)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "conv2/kernel" in err
+
+
+def test_cli_eval_weights_not_npz(tmp_path, capsys):
+    cfg = write_config(tmp_path, "preset = toy-rmsprop-512\ndataset = synthetic\n")
+    weights = tmp_path / "w.npz"
+    weights.write_text("not an archive\n")
+    assert main(["eval", "--weights", str(weights), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert str(weights) in err and "allow_pickle" not in err

@@ -13,7 +13,6 @@ from minipod.trainer import (
     MetricsRecord,
     NonFiniteLossError,
     TrainConfig,
-    audit_replicas,
     build_datasets,
     distributed_eval,
     format_metrics_csv,
@@ -104,31 +103,8 @@ def test_train_step_single_vs_two_replicas():
     l1 = train_step(s1, b1, lr=0.05)
     l2 = train_step(s2, b2, lr=0.05)
     assert abs(l1 - l2) < 1e-6
-    for p1, p2 in zip(s1.params_per_replica[0], s2.params_per_replica[0]):
+    for p1, p2 in zip(s1.params, s2.params):
         assert float(np.abs(p1.value - p2.value).max()) < 1e-6, p1.name
-
-
-def test_train_step_replicas_stay_bitwise_identical():
-    cfg = tiny_config(num_replicas=4, global_batch=16, bn_group_size=2)
-    ds = toy_dataset(n=32)
-    state = init_train_state(cfg, ds.images.shape[1:], ds.num_classes)
-    for batches in shard_train_data(ds, 4, 4, seed=1):
-        train_step(state, batches, lr=0.05)
-    audit_replicas(state)  # raises on divergence
-    for r in (1, 2, 3):
-        for p0, pr in zip(state.params_per_replica[0],
-                          state.params_per_replica[r]):
-            assert p0.value.tobytes() == pr.value.tobytes()
-
-
-def test_audit_detects_divergence():
-    cfg = tiny_config(num_replicas=2, global_batch=8, bn_group_size=2)
-    ds = toy_dataset(n=16)
-    state = init_train_state(cfg, ds.images.shape[1:], ds.num_classes)
-    state.params_per_replica[1][0].value[0, 0, 0, 0] += 1.0
-    from minipod.trainer import ReplicaDivergenceError
-    with pytest.raises(ReplicaDivergenceError, match="diverged"):
-        audit_replicas(state)
 
 
 def test_mixed_precision_training_runs_and_is_deterministic():
@@ -151,15 +127,15 @@ def test_train_step_zero_gradient_fixed_point():
     labels = np.full(len(ds), 2, dtype=np.int64)
     ds = Dataset(ds.images, labels, ds.num_classes)
     state = init_train_state(cfg, ds.images.shape[1:], ds.num_classes)
-    pmap = {p.name: p for p in state.params_per_replica[0]}
+    pmap = {p.name: p for p in state.params}
     pmap["fc/kernel"].value[:] = 0.0
     pmap["fc/bias"].value[:] = -200.0
     pmap["fc/bias"].value[2] = 200.0
-    before = {p.name: p.value.copy() for p in state.params_per_replica[0]}
+    before = {p.name: p.value.copy() for p in state.params}
     batches = shard_train_data(ds, 1, 4, seed=0)[0]
     loss = train_step(state, batches, lr=0.05)
     assert loss == 0.0
-    for p in state.params_per_replica[0]:
+    for p in state.params:
         assert p.value.tobytes() == before[p.name].tobytes(), p.name
 
 
@@ -204,8 +180,8 @@ def test_distributed_eval_replica_count_invariance():
     state = init_train_state(cfg, train.images.shape[1:], train.num_classes)
     small = Dataset(evalset.images[:400], evalset.labels[:400],
                     evalset.num_classes)
-    results = [distributed_eval(state.layers, state.params_per_replica[0],
-                                state.bn_moving_per_replica[0], small, n, 25)
+    results = [distributed_eval(state.layers, state.params,
+                                state.bn_moving, small, n, 25)
                for n in (1, 2, 4, 8)]
     assert all(r == results[0] for r in results)  # identical to 0 ulps
 
@@ -229,12 +205,10 @@ def test_run_zero_epochs_single_eval_record():
     assert math.isnan(records[0].train_loss)
 
 
-def test_run_metrics_deterministic_and_worker_invariant():
-    cfg = tiny_config()
-    csv_a = format_metrics_csv(run(cfg))
+def test_run_metrics_deterministic():
+    csv_a = format_metrics_csv(run(tiny_config()))
     csv_b = format_metrics_csv(run(tiny_config()))
-    csv_c = format_metrics_csv(run(tiny_config(workers=3)))
-    assert csv_a == csv_b == csv_c
+    assert csv_a == csv_b
 
 
 def test_run_records_structure(tmp_path):
@@ -286,13 +260,13 @@ def test_save_load_weights_roundtrip(tmp_path):
     records, state = run_with_state(cfg)
     path = tmp_path / "w.npz"
     save_weights(state, path)
-    params, moving = load_weights(path)
-    want = {p.name: p for p in state.params_per_replica[0]}
+    params, moving = load_weights(path, state.layers, (16, 16, 1))
+    want = {p.name: p for p in state.params}
     assert {p.name for p in params} == set(want)
     for p in params:
         assert p.value.tobytes() == want[p.name].value.tobytes()
         assert p.tag == want[p.name].tag
-    for lname, (mm, mv) in state.bn_moving_per_replica[0].items():
+    for lname, (mm, mv) in state.bn_moving.items():
         assert moving[lname][0].tobytes() == mm.tobytes()
         assert moving[lname][1].tobytes() == mv.tobytes()
 
