@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """bfloat16 rounding up close: nearest-even behavior, the error bound of a
-mixed-precision convolution, and why fp32 accumulation keeps it tame.
+mixed-precision convolution run through the model engine, and why fp32
+accumulation keeps it tame.
 """
 
 import numpy as np
 
 from minipod import nn
-from minipod.precision import FP32_ONLY, MIXED_BF16_CONV, conv2d_mixed, to_bf16
+from minipod.model import conv2d, eval_forward, global_avg_pool, softmax_xent_head
+from minipod.nn import Parameter
+from minipod.precision import FP32_ONLY, MIXED_BF16_CONV, to_bf16
 
 
 def bits(x):
@@ -25,13 +28,18 @@ print(f"  1 + 2^-7 + 2^-8   -> {float(to_bf16(np.float32(1 + 2**-7 + 2**-8)))!r}
 rng = np.random.default_rng(0)
 x = rng.random((4, 16, 16, 8)).astype(np.float32)
 k = rng.random((3, 3, 8, 8)).astype(np.float32)
-exact = nn.conv2d_forward(x, k)
-mixed = conv2d_mixed(x, k, policy=MIXED_BF16_CONV)
+# conv -> pool -> head: the logits are the per-channel means of the conv output
+layers = [conv2d("conv", 8, 3, use_bias=False), global_avg_pool("pool"),
+          softmax_xent_head("head", 8)]
+params = [Parameter("conv/kernel", k)]
+exact = eval_forward(layers, params, {}, x, FP32_ONLY)
+mixed = eval_forward(layers, params, {}, x, MIXED_BF16_CONV)
 rel = np.abs(mixed - exact) / np.abs(exact)
 acc_len = 3 * 3 * 8
-print(f"\nmixed conv vs fp32 conv on positive inputs:")
+print("\nmixed vs fp32 conv on positive inputs (pooled logits):")
 print(f"  max relative error {rel.max():.2e}")
 print(f"  bound 2^-7 * accumulation length = {2**-7 * acc_len:.2e}")
 
-same = conv2d_mixed(x, k, policy=FP32_ONLY)
-print(f"  fp32_only policy bitwise identical: {same.tobytes() == exact.tobytes()}")
+plain = nn.global_avg_pool_forward(nn.conv2d_forward(x, k))
+same = exact.tobytes() == plain.tobytes()
+print(f"  fp32_only policy bitwise identical to nn: {same}")

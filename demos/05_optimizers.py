@@ -44,7 +44,7 @@ for w_norm, g_norm in [(10.0, 1.0), (10.0, 100.0), (0.1, 1.0), (0.0, 1.0)]:
 
 print("\ngradient-scale invariance (wd=0, m=0): the applied step only "
       "depends on the gradient direction")
-w0 = rng.standard_normal(32)
+w0 = rng.standard_normal(target.size)
 for scale in (1.0, 1e-6, 1e6):
     p = Parameter("w", w0.copy())
     st = OptimizerState.for_params("lars", [p])

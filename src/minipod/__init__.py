@@ -62,7 +62,7 @@ from .perfmodel import (
     step_time,
     throughput,
 )
-from .precision import FP32_ONLY, MIXED_BF16_CONV, PrecisionPolicy, conv2d_mixed, to_bf16
+from .precision import FP32_ONLY, MIXED_BF16_CONV, PrecisionPolicy, to_bf16
 from .trainer import (
     MetricsRecord,
     TrainConfig,

@@ -1,18 +1,29 @@
-"""Model definitions and the lockstep multi-replica execution engine.
+"""Model definitions, the layer-op table and the lockstep multi-replica engine.
 
 A model is an ordered list of LayerSpec ending in a softmax cross-entropy
-head. The engine walks the layers with all replicas advancing together, so
+head. LAYER_OPS maps each layer kind to its output-shape rule, its parameter
+and moving-statistic init, its forward and its backward; shape inference,
+initialization, training and evaluation all dispatch through it.
+
+The engine walks the layers with all replicas advancing together, so
 batch-normalization layers can share statistics across their replica group;
 every other layer runs on each replica's batch in ascending replica order.
 All replicas read one parameter list: synchronous replicas apply the same
 update to the same all-reduced gradient, so their weights are equal by
-construction.
+construction. Evaluation is the same forward walk on one replica, with BN
+normalizing by the moving statistics.
+
+Under the mixed-precision policy the conv and depthwise entries round their
+operands to bfloat16: the shared kernel once per engine call and each
+replica's input once in forward; backward reuses the rounded tensors.
+Entries look nn, distbn and precision functions up on their modules at call
+time, so a wrapper installed on a module attribute sees every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,17 +31,6 @@ from . import distbn, nn, precision
 from .collectives import GroupAssignment, assign_groups_1d
 from .nn import Parameter
 from .rng import stream, truncated_normal
-
-LAYER_KINDS = (
-    "conv2d",
-    "depthwise_conv2d",
-    "dense",
-    "batchnorm",
-    "swish",
-    "relu",
-    "global_avg_pool",
-    "softmax_xent_head",
-)
 
 
 @dataclass(frozen=True)
@@ -78,10 +78,6 @@ def swish(name) -> LayerSpec:
     return LayerSpec("swish", name)
 
 
-def relu(name) -> LayerSpec:
-    return LayerSpec("relu", name)
-
-
 def global_avg_pool(name) -> LayerSpec:
     return LayerSpec("global_avg_pool", name)
 
@@ -107,30 +103,14 @@ def infer_shapes(layers: list[LayerSpec], input_shape: tuple[int, ...]):
     shapes = []
     shape = tuple(input_shape)
     for l in layers:
-        if l.kind in ("conv2d", "depthwise_conv2d"):
-            if len(shape) != 3:
-                raise ValueError(f"{l.name}: conv needs HWC input, has {shape}")
-            h, w, c = shape
-            kh, kw = l.kernel_hw
-            ho, wo, _ = nn._conv_geometry(h, w, kh, kw, l.stride, l.padding)
-            co = l.out_channels if l.kind == "conv2d" else c
-            shape = (ho, wo, co)
-        elif l.kind == "dense":
-            shape = (l.out_features,)
-        elif l.kind == "batchnorm":
-            if len(shape) != 3:
-                raise ValueError(f"{l.name}: batchnorm needs HWC input, has {shape}")
-        elif l.kind == "global_avg_pool":
-            if len(shape) != 3:
-                raise ValueError(f"{l.name}: pooling needs HWC input, has {shape}")
-            shape = (shape[2],)
-        elif l.kind == "softmax_xent_head":
-            if shape != (l.num_classes,):
-                raise ValueError(
-                    f"{l.name}: head expects {l.num_classes} features, has {shape}"
-                )
+        shape = LAYER_OPS[l.kind].shape(l, shape)
         shapes.append(shape)
     return shapes
+
+
+def _layer_inputs(layers, input_shape):
+    """(layer, its input shape) for every layer."""
+    return zip(layers, [tuple(input_shape)] + infer_shapes(layers, input_shape))
 
 
 def init_params(
@@ -141,65 +121,232 @@ def init_params(
     Each parameter draws from its own (seed, "init", name) stream, so the
     result does not depend on replica count or parameter order.
     """
-    validate_model(layers)
-    params: list[Parameter] = []
-    shape = tuple(input_shape)
-    for l, out_shape in zip(layers, infer_shapes(layers, input_shape)):
-        if l.kind == "conv2d":
-            kh, kw = l.kernel_hw
-            cin = shape[2]
-            kshape = (kh, kw, cin, l.out_channels)
-            std = float(np.sqrt(2.0 / (kh * kw * cin)))
-            pname = f"{l.name}/kernel"
-            params.append(Parameter(
-                pname, truncated_normal(stream(seed, "init", pname), kshape, std),
-                tag="kernel"))
-            if l.use_bias:
-                params.append(Parameter(
-                    f"{l.name}/bias", np.zeros(l.out_channels, dtype=nn.DTYPE),
-                    tag="bias"))
-        elif l.kind == "depthwise_conv2d":
-            kh, kw = l.kernel_hw
-            c = shape[2]
-            std = float(np.sqrt(2.0 / (kh * kw)))
-            pname = f"{l.name}/kernel"
-            params.append(Parameter(
-                pname, truncated_normal(stream(seed, "init", pname), (kh, kw, c), std),
-                tag="kernel"))
-        elif l.kind == "dense":
-            fan_in = int(np.prod(shape))
-            std = float(np.sqrt(1.0 / fan_in))
-            pname = f"{l.name}/kernel"
-            params.append(Parameter(
-                pname,
-                truncated_normal(stream(seed, "init", pname),
-                                 (fan_in, l.out_features), std),
-                tag="kernel"))
-            params.append(Parameter(
-                f"{l.name}/bias", np.zeros(l.out_features, dtype=nn.DTYPE),
-                tag="bias"))
-        elif l.kind == "batchnorm":
-            c = shape[2]
-            params.append(Parameter(
-                f"{l.name}/gamma", np.ones(c, dtype=nn.DTYPE), tag="bn_gamma"))
-            params.append(Parameter(
-                f"{l.name}/beta", np.zeros(c, dtype=nn.DTYPE), tag="bn_beta"))
-        shape = out_shape
-    return params
+    return [p for l, shape in _layer_inputs(layers, input_shape)
+            for p in LAYER_OPS[l.kind].params(l, shape, seed)]
 
 
 def init_bn_moving(
     layers: list[LayerSpec], input_shape: tuple[int, ...], dtype=nn.DTYPE
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Fresh moving statistics (mean 0, var 1) for every BN layer."""
-    moving = {}
-    shape = tuple(input_shape)
-    for l, out_shape in zip(layers, infer_shapes(layers, input_shape)):
-        if l.kind == "batchnorm":
-            c = shape[2]
-            moving[l.name] = (np.zeros(c, dtype=dtype), np.ones(c, dtype=dtype))
-        shape = out_shape
-    return moving
+    return {l.name: LAYER_OPS[l.kind].moving(l, shape, dtype)
+            for l, shape in _layer_inputs(layers, input_shape)
+            if LAYER_OPS[l.kind].moving is not None}
+
+
+# ---------------------------------------------------------------------------
+# the layer-op table
+
+
+@dataclass
+class _Pass:
+    """What one engine or eval call shares across its layers."""
+
+    params: dict[str, Parameter]
+    bn_moving: dict[str, tuple[np.ndarray, np.ndarray]]
+    policy: precision.PrecisionPolicy
+    bn_eps: float
+    assignment: GroupAssignment | None  # None: inference, BN uses moving stats
+    labels: list[np.ndarray] | None = None
+    losses: list[float] = field(default_factory=list)
+    grads: list[dict[str, np.ndarray]] = field(default_factory=list)
+    bn_saved: dict[str, list[tuple[np.ndarray, np.ndarray]]] = field(
+        default_factory=dict)
+
+    def value(self, layer: LayerSpec, suffix: str) -> np.ndarray:
+        return self.params[f"{layer.name}/{suffix}"].value
+
+
+def _conv_operand(run: _Pass, x: np.ndarray) -> np.ndarray:
+    # The one place operands are rounded to bfloat16.
+    return precision.to_bf16(x) if run.policy.rounds_conv else x
+
+
+def _hwc(l, shape, what):
+    if len(shape) != 3:
+        raise ValueError(f"{l.name}: {what} needs HWC input, has {shape}")
+    return shape
+
+
+def _conv_shape(l, shape):
+    h, w, c = _hwc(l, shape, "conv")
+    ho, wo, _ = nn._conv_geometry(h, w, *l.kernel_hw, l.stride, l.padding)
+    return (ho, wo, c if l.out_channels is None else l.out_channels)
+
+
+def _head_shape(l, shape):
+    if shape != (l.num_classes,):
+        raise ValueError(f"{l.name}: head expects {l.num_classes} features, has {shape}")
+    return shape
+
+
+def _kernel(l, seed, shape, gain, fan_in) -> Parameter:
+    pname = f"{l.name}/kernel"
+    std = float(np.sqrt(gain / fan_in))
+    return Parameter(pname, truncated_normal(stream(seed, "init", pname), shape, std),
+                     tag="kernel")
+
+
+def _bias(l, n) -> Parameter:
+    return Parameter(f"{l.name}/bias", np.zeros(n, dtype=nn.DTYPE), tag="bias")
+
+
+def _conv2d_params(l, shape, seed):
+    kh, kw = l.kernel_hw
+    cin = shape[2]
+    kernel = _kernel(l, seed, (kh, kw, cin, l.out_channels), 2.0, kh * kw * cin)
+    return [kernel, _bias(l, l.out_channels)] if l.use_bias else [kernel]
+
+
+def _depthwise_params(l, shape, seed):
+    kh, kw = l.kernel_hw
+    return [_kernel(l, seed, (kh, kw, shape[2]), 2.0, kh * kw)]
+
+
+def _dense_params(l, shape, seed):
+    fan_in = int(np.prod(shape))
+    return [_kernel(l, seed, (fan_in, l.out_features), 1.0, fan_in),
+            _bias(l, l.out_features)]
+
+
+def _bn_params(l, shape, seed):
+    c = shape[2]
+    return [Parameter(f"{l.name}/gamma", np.ones(c, dtype=nn.DTYPE), tag="bn_gamma"),
+            Parameter(f"{l.name}/beta", np.zeros(c, dtype=nn.DTYPE), tag="bn_beta")]
+
+
+# Forward: (layer, pass, per-replica inputs) -> (per-replica outputs, what
+# backward needs). Backward: (layer, pass, that, per-replica output grads)
+# -> per-replica input grads; parameter grads go into pass.grads.
+
+
+def _conv_forward(l, run, xs):
+    # conv2d and depthwise_conv2d: nn.<kind>_forward, looked up per call.
+    k = _conv_operand(run, run.value(l, "kernel"))
+    xs = [_conv_operand(run, x) for x in xs]
+    conv = getattr(nn, f"{l.kind}_forward")
+    ys = [conv(x, k, l.stride, l.padding) for x in xs]
+    bias = run.params.get(f"{l.name}/bias")  # depthwise and use_bias=False have none
+    if bias is not None:
+        ys = [y + bias.value for y in ys]
+    return ys, (xs, k)
+
+
+def _conv_backward(l, run, saved, gys):
+    xs, k = saved
+    conv_backward = getattr(nn, f"{l.kind}_backward")
+    has_bias = f"{l.name}/bias" in run.params
+    gxs = []
+    for grads, x, gy in zip(run.grads, xs, gys):
+        gx, grads[f"{l.name}/kernel"] = conv_backward(x, k, gy, l.stride, l.padding)
+        if has_bias:
+            grads[f"{l.name}/bias"] = gy.sum(axis=(0, 1, 2))
+        gxs.append(gx)
+    return gxs
+
+
+def _dense_forward(l, run, xs):
+    w, b = run.value(l, "kernel"), run.value(l, "bias")
+    return [nn.dense_forward(x, w, b) for x in xs], xs
+
+
+def _dense_backward(l, run, xs, gys):
+    w = run.value(l, "kernel")
+    gxs = []
+    for grads, x, gy in zip(run.grads, xs, gys):
+        gx, grads[f"{l.name}/kernel"], grads[f"{l.name}/bias"] = nn.dense_backward(
+            x, w, gy)
+        gxs.append(gx)
+    return gxs
+
+
+def _elementwise_forward(l, run, xs):
+    # swish and global_avg_pool: nn.<kind>_forward, looked up per call.
+    fn = getattr(nn, f"{l.kind}_forward")
+    return [fn(x) for x in xs], xs
+
+
+def _elementwise_backward(l, run, xs, gys):
+    fn = getattr(nn, f"{l.kind}_backward")
+    return [fn(x, gy) for x, gy in zip(xs, gys)]
+
+
+def _bn_forward(l, run, xs):
+    mm, mv = run.bn_moving[l.name]
+    state = distbn.BnState(run.value(l, "gamma"), run.value(l, "beta"), mm, mv,
+                           momentum=1.0, eps=run.bn_eps)
+    if run.assignment is None:
+        return [distbn.bn_inference(x, state) for x in xs], None
+    ys = [None] * len(xs)
+    stats = []
+    for members in run.assignment.members:
+        out, mean, var = distbn.group_bn_forward([xs[r] for r in members], state)
+        for r, y in zip(members, out):
+            ys[r] = y
+        stats.append((mean, var))
+    run.bn_saved[l.name] = stats
+    return ys, (xs, state)
+
+
+def _bn_backward(l, run, saved, gys):
+    xs, state = saved
+    gxs = [None] * len(xs)
+    for members, (mean, var) in zip(run.assignment.members, run.bn_saved[l.name]):
+        out, dgamma, dbeta = distbn.group_bn_backward(
+            [xs[r] for r in members], [gys[r] for r in members], mean, var, state)
+        # Group-reduced affine grads split evenly so the later all-replica
+        # mean recovers the full-group sum exactly once.
+        gsize = dgamma.dtype.type(len(members))
+        for r, gx in zip(members, out):
+            run.grads[r][f"{l.name}/gamma"] = dgamma / gsize
+            run.grads[r][f"{l.name}/beta"] = dbeta / gsize
+            gxs[r] = gx
+    return gxs
+
+
+def _head_forward(l, run, xs):
+    out = [nn.softmax_xent(x, y) for x, y in zip(xs, run.labels)]
+    run.losses = [float(loss) for loss, _ in out]
+    return xs, [g for _, g in out]  # the head emits no activation
+
+
+class LayerOps(NamedTuple):
+    """Everything minipod does with one layer kind."""
+
+    shape: Callable  # (layer, input shape) -> output shape
+    params: Callable  # (layer, input shape, seed) -> [Parameter]
+    moving: Callable | None  # (layer, input shape, dtype) -> (mean, var)
+    forward: Callable
+    backward: Callable
+
+
+def _no_params(l, shape, seed):
+    return []
+
+
+LAYER_OPS: dict[str, LayerOps] = {
+    "conv2d": LayerOps(
+        _conv_shape, _conv2d_params, None, _conv_forward, _conv_backward),
+    "depthwise_conv2d": LayerOps(
+        _conv_shape, _depthwise_params, None, _conv_forward, _conv_backward),
+    "dense": LayerOps(
+        lambda l, shape: (l.out_features,), _dense_params, None,
+        _dense_forward, _dense_backward),
+    "batchnorm": LayerOps(
+        lambda l, shape: _hwc(l, shape, "batchnorm"), _bn_params,
+        lambda l, shape, dtype: (np.zeros(shape[2], dtype), np.ones(shape[2], dtype)),
+        _bn_forward, _bn_backward),
+    "swish": LayerOps(
+        lambda l, shape: shape, _no_params, None,
+        _elementwise_forward, _elementwise_backward),
+    "global_avg_pool": LayerOps(
+        lambda l, shape: (_hwc(l, shape, "pooling")[2],), _no_params, None,
+        _elementwise_forward, _elementwise_backward),
+    "softmax_xent_head": LayerOps(
+        _head_shape, _no_params, None, _head_forward,
+        lambda l, run, grad_logits, gys: grad_logits),
+}
+LAYER_KINDS = tuple(LAYER_OPS)
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +363,6 @@ class EngineResult:
     def mean_loss(self) -> float:
         # Ascending-index sum: the scalar equivalent of an all-reduce mean.
         return sum(self.losses) / len(self.losses)
-
-
-def _bn_state_for(pmap, layer_name: str, moving, bn_eps: float) -> distbn.BnState:
-    gamma = pmap[f"{layer_name}/gamma"].value
-    beta = pmap[f"{layer_name}/beta"].value
-    mm, mv = moving[layer_name]
-    return distbn.BnState(gamma, beta, mm, mv, momentum=1.0, eps=bn_eps)
 
 
 def distributed_forward_backward(
@@ -250,112 +390,19 @@ def distributed_forward_backward(
             f"engine got {n}"
         )
     validate_model(layers)
-    pmap = {p.name: p for p in params}
-
-    acts = list(x_per_replica)
-    stash: list = []
-    losses: list[float] = [0.0] * n
-    grad_acts: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    bn_saved: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {}
-
+    run = _Pass({p.name: p for p in params}, bn_moving, policy, bn_eps, assignment,
+                labels_per_replica, grads=[{} for _ in range(n)])
+    acts, saved = list(x_per_replica), []
     for layer in layers:
-        kind = layer.kind
-        if kind == "conv2d":
-            k = pmap[f"{layer.name}/kernel"].value
-            outs = [precision.conv2d_mixed(a, k, layer.stride, layer.padding, policy)
-                    for a in acts]
-            if layer.use_bias:
-                bias = pmap[f"{layer.name}/bias"].value
-                outs = [y + bias for y in outs]
-        elif kind == "depthwise_conv2d":
-            k = pmap[f"{layer.name}/kernel"].value
-            outs = [precision.depthwise_conv2d_mixed(
-                a, k, layer.stride, layer.padding, policy) for a in acts]
-        elif kind == "dense":
-            w = pmap[f"{layer.name}/kernel"].value
-            bias = pmap[f"{layer.name}/bias"].value
-            outs = [nn.dense_forward(a, w, bias) for a in acts]
-        elif kind == "swish":
-            outs = [nn.swish_forward(a) for a in acts]
-        elif kind == "relu":
-            outs = [nn.relu_forward(a) for a in acts]
-        elif kind == "global_avg_pool":
-            outs = [nn.global_avg_pool_forward(a) for a in acts]
-        elif kind == "batchnorm":
-            outs = [None] * n
-            saved_groups = []
-            state = _bn_state_for(pmap, layer.name, bn_moving, bn_eps)
-            for members in assignment.members:
-                ys, mean, var = distbn.group_bn_forward(
-                    [acts[r] for r in members], state)
-                for r, y in zip(members, ys):
-                    outs[r] = y
-                saved_groups.append((mean, var))
-            bn_saved[layer.name] = saved_groups
-        else:  # softmax_xent_head
-            head_out = [nn.softmax_xent(a, y) for a, y in zip(acts, labels_per_replica)]
-            losses = [float(lo) for lo, _ in head_out]
-            grad_acts = [g for _, g in head_out]
-            outs = acts  # head emits no activation
-        stash.append(acts)
-        acts = outs
-
+        acts, s = LAYER_OPS[layer.kind].forward(layer, run, acts)
+        saved.append(s)
     if forward_only:
-        return EngineResult(losses, None, bn_saved)
-
-    grads_by_name: list[dict[str, np.ndarray]] = [{} for _ in range(n)]
-    for idx in range(len(layers) - 2, -1, -1):
-        layer = layers[idx]
-        kind = layer.kind
-        layer_in = stash[idx]
-        if kind == "conv2d":
-            k = pmap[f"{layer.name}/kernel"].value
-            for r in range(n):
-                gx, gk = precision.conv2d_mixed_backward(
-                    layer_in[r], k, grad_acts[r], layer.stride, layer.padding, policy)
-                grads_by_name[r][f"{layer.name}/kernel"] = gk
-                if layer.use_bias:
-                    grads_by_name[r][f"{layer.name}/bias"] = grad_acts[r].sum(
-                        axis=(0, 1, 2))
-                grad_acts[r] = gx
-        elif kind == "depthwise_conv2d":
-            k = pmap[f"{layer.name}/kernel"].value
-            for r in range(n):
-                gx, gk = precision.depthwise_conv2d_mixed_backward(
-                    layer_in[r], k, grad_acts[r], layer.stride, layer.padding, policy)
-                grads_by_name[r][f"{layer.name}/kernel"] = gk
-                grad_acts[r] = gx
-        elif kind == "dense":
-            w = pmap[f"{layer.name}/kernel"].value
-            for r in range(n):
-                gx, gw, gb = nn.dense_backward(layer_in[r], w, grad_acts[r])
-                grads_by_name[r][f"{layer.name}/kernel"] = gw
-                grads_by_name[r][f"{layer.name}/bias"] = gb
-                grad_acts[r] = gx
-        elif kind == "swish":
-            grad_acts = [nn.swish_backward(a, g) for a, g in zip(layer_in, grad_acts)]
-        elif kind == "relu":
-            grad_acts = [nn.relu_backward(a, g) for a, g in zip(layer_in, grad_acts)]
-        elif kind == "global_avg_pool":
-            grad_acts = [nn.global_avg_pool_backward(a, g)
-                         for a, g in zip(layer_in, grad_acts)]
-        elif kind == "batchnorm":
-            state = _bn_state_for(pmap, layer.name, bn_moving, bn_eps)
-            for gi, members in enumerate(assignment.members):
-                mean, var = bn_saved[layer.name][gi]
-                gxs, dgamma, dbeta = distbn.group_bn_backward(
-                    [layer_in[r] for r in members], [grad_acts[r] for r in members],
-                    mean, var, state)
-                # Group-reduced affine grads split evenly so the later
-                # all-replica mean recovers the full-group sum exactly once.
-                gsize = dgamma.dtype.type(len(members))
-                for r, gx in zip(members, gxs):
-                    grads_by_name[r][f"{layer.name}/gamma"] = dgamma / gsize
-                    grads_by_name[r][f"{layer.name}/beta"] = dbeta / gsize
-                    grad_acts[r] = gx
-
-    grads_per_replica = [[g[p.name] for p in params] for g in grads_by_name]
-    return EngineResult(losses, grads_per_replica, bn_saved)
+        return EngineResult(run.losses, None, run.bn_saved)
+    grads = None
+    for layer, s in zip(reversed(layers), reversed(saved)):
+        grads = LAYER_OPS[layer.kind].backward(layer, run, s, grads)
+    grads_per_replica = [[g[p.name] for p in params] for g in run.grads]
+    return EngineResult(run.losses, grads_per_replica, run.bn_saved)
 
 
 def eval_forward(
@@ -368,34 +415,11 @@ def eval_forward(
 ) -> np.ndarray:
     """Single-replica inference pass; BN uses moving statistics. Returns logits."""
     validate_model(layers)
-    pmap = {p.name: p for p in params}
-    act = x
-    for layer in layers[:-1]:
-        kind = layer.kind
-        if kind == "conv2d":
-            act = precision.conv2d_mixed(
-                act, pmap[f"{layer.name}/kernel"].value,
-                layer.stride, layer.padding, policy)
-            if layer.use_bias:
-                act = act + pmap[f"{layer.name}/bias"].value
-        elif kind == "depthwise_conv2d":
-            act = precision.depthwise_conv2d_mixed(
-                act, pmap[f"{layer.name}/kernel"].value,
-                layer.stride, layer.padding, policy)
-        elif kind == "dense":
-            act = nn.dense_forward(
-                act, pmap[f"{layer.name}/kernel"].value,
-                pmap[f"{layer.name}/bias"].value)
-        elif kind == "swish":
-            act = nn.swish_forward(act)
-        elif kind == "relu":
-            act = nn.relu_forward(act)
-        elif kind == "global_avg_pool":
-            act = nn.global_avg_pool_forward(act)
-        else:  # batchnorm
-            act = distbn.bn_inference(
-                act, _bn_state_for(pmap, layer.name, bn_moving, bn_eps))
-    return act
+    run = _Pass({p.name: p for p in params}, bn_moving, policy, bn_eps, None)
+    acts = [x]
+    for layer in layers[:-1]:  # what a layer saves for backward is dropped at once
+        acts = LAYER_OPS[layer.kind].forward(layer, run, acts)[0]
+    return acts[0]
 
 
 # ---------------------------------------------------------------------------

@@ -82,14 +82,6 @@ def swish_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (s * (1.0 + x * (1.0 - s)))
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
-
-
-def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return grad_out * (x > 0)
-
-
 # ---------------------------------------------------------------------------
 # convolution
 

@@ -3,8 +3,10 @@
 Mixed precision rounds convolution operands (inputs and kernels) to the
 nearest bfloat16-representable value and accumulates in fp32; every non-conv
 operation stays fp32. Values are stored as fp32 throughout -- the emulation is
-numerical, not a memory-layout change. Backward convolutions reuse the same
-rounded operands as the forward pass.
+numerical, not a memory-layout change. The conv and depthwise entries of
+``model.LAYER_OPS`` apply the policy: they round the shared kernel once per
+engine call and each replica's input once in forward, and backward reuses
+those rounded operands.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import nn
 
 _HI_MASK = np.uint32(0xFFFF0000)
 _HALF_ULP = np.uint32(0x7FFF)
@@ -51,55 +51,3 @@ def to_bf16(x) -> np.ndarray:
     rounded = (bits + _HALF_ULP + ((bits >> _SIXTEEN) & _ONE)) & _HI_MASK
     out = np.where(np.isnan(flat), flat, rounded.view(np.float32))
     return out.reshape(arr.shape)
-
-
-def conv2d_mixed(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    stride: int = 1,
-    padding: str = "same",
-    policy: PrecisionPolicy = FP32_ONLY,
-) -> np.ndarray:
-    if policy.rounds_conv:
-        return nn.conv2d_forward(to_bf16(x), to_bf16(kernel), stride, padding)
-    return nn.conv2d_forward(x, kernel, stride, padding)
-
-
-def conv2d_mixed_backward(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    grad_out: np.ndarray,
-    stride: int = 1,
-    padding: str = "same",
-    policy: PrecisionPolicy = FP32_ONLY,
-):
-    if policy.rounds_conv:
-        return nn.conv2d_backward(to_bf16(x), to_bf16(kernel), grad_out, stride, padding)
-    return nn.conv2d_backward(x, kernel, grad_out, stride, padding)
-
-
-def depthwise_conv2d_mixed(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    stride: int = 1,
-    padding: str = "same",
-    policy: PrecisionPolicy = FP32_ONLY,
-) -> np.ndarray:
-    if policy.rounds_conv:
-        return nn.depthwise_conv2d_forward(to_bf16(x), to_bf16(kernel), stride, padding)
-    return nn.depthwise_conv2d_forward(x, kernel, stride, padding)
-
-
-def depthwise_conv2d_mixed_backward(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    grad_out: np.ndarray,
-    stride: int = 1,
-    padding: str = "same",
-    policy: PrecisionPolicy = FP32_ONLY,
-):
-    if policy.rounds_conv:
-        return nn.depthwise_conv2d_backward(
-            to_bf16(x), to_bf16(kernel), grad_out, stride, padding
-        )
-    return nn.depthwise_conv2d_backward(x, kernel, grad_out, stride, padding)

@@ -141,8 +141,11 @@ class TrainConfig:
             raise ValueError(
                 f"precision must be fp32 or mixed_bf16, got {self.precision!r}"
             )
-        if self.eval_every_epochs <= 0:
-            raise ValueError("eval_every_epochs must be > 0")
+        # Evaluation runs only at epoch ends, so a fractional period cannot be met.
+        every = self.eval_every_epochs
+        if not (every >= 1 and float(every).is_integer()):
+            raise ValueError(
+                f"eval_every_epochs must be a whole number >= 1, got {every}")
         if self.total_epochs < 0:
             raise ValueError("total_epochs must be >= 0")
 

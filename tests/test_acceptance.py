@@ -15,7 +15,15 @@ from minipod.collectives import ReplicaTopology, assign_groups_2d
 from minipod.config import preset_config
 from minipod.data import gen_synthetic
 from minipod.distbn import group_bn_forward, init_bn_state
-from minipod.model import build_model, grad_check, init_params
+from minipod.model import (
+    build_model,
+    conv2d,
+    eval_forward,
+    global_avg_pool,
+    grad_check,
+    init_params,
+    softmax_xent_head,
+)
 from minipod.nn import Parameter
 from minipod.optim import (
     LarsConfig,
@@ -26,7 +34,7 @@ from minipod.optim import (
     lr_at,
     rmsprop_step,
 )
-from minipod.precision import FP32_ONLY, conv2d_mixed, to_bf16
+from minipod.precision import FP32_ONLY, to_bf16
 from minipod.trainer import (
     TrainConfig,
     build_datasets,
@@ -242,8 +250,11 @@ def test_criterion_6_bf16():
 
     xi = rng.standard_normal((2, 8, 8, 3)).astype(np.float32)
     k = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-    bitwise_ok = (conv2d_mixed(xi, k, 2, "same", FP32_ONLY).tobytes()
-                  == nn.conv2d_forward(xi, k, 2, "same").tobytes())
+    layers = [conv2d("c", 4, 3, stride=2, padding="same", use_bias=False),
+              global_avg_pool("p"), softmax_xent_head("h", 4)]
+    engine = eval_forward(layers, [Parameter("c/kernel", k)], {}, xi, FP32_ONLY)
+    bitwise_ok = (engine.tobytes() == nn.global_avg_pool_forward(
+        nn.conv2d_forward(xi, k, 2, "same")).tobytes())
 
     report(6, roundtrip_ok and idem_ok and mono_ok and bitwise_ok,
            f"bf16: 2^16 round-trip {roundtrip_ok}, idempotent {idem_ok}, "

@@ -84,6 +84,18 @@ def test_parse_bn_hyperparameter_out_of_range(line, key):
         parse_config(f"preset = toy-rmsprop-512\ndataset = synthetic\n{line}\n")
 
 
+@pytest.mark.parametrize("every", ["0.5", "1.5"])
+def test_cli_train_fractional_eval_every_epochs(tmp_path, capsys, every):
+    cfg = write_config(
+        tmp_path,
+        "preset = toy-rmsprop-512\ndataset = synthetic\ntotal_epochs = 1\n"
+        f"eval_every_epochs = {every}\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "eval_every_epochs" in err
+    assert "Traceback" not in err
+
+
 def test_parse_invariant_violation():
     text = ("model = toy_cnn\ndataset = synthetic\noptimizer = rmsprop\n"
             "lr_per_256 = 0.1\nnum_replicas = 8\nglobal_batch = 64\n"

@@ -1,0 +1,25 @@
+"""Every quick demo runs to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+# 07_train_toy_pod.py is left out: it trains for about 21 s, and acceptance
+# criterion 7 already runs the same preset training.
+DEMOS = sorted(p.name for p in (ROOT / "demos").glob("0[1-6]_*.py"))
+
+
+def test_demo_set():
+    assert len(DEMOS) == 6
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -137,7 +137,6 @@ def test_conv_backward_matches_finite_differences(stride, padding):
 
 _KINDS = {
     "swish": (nn.swish_forward, nn.swish_backward),
-    "relu": (nn.relu_forward, nn.relu_backward),
 }
 
 
@@ -146,8 +145,7 @@ def test_activation_backward_many_seeds(kind):
     fwd, bwd = _KINDS[kind]
     for seed in range(20):
         rng = np.random.default_rng(seed)
-        # keep relu inputs away from the kink, where fd is undefined
-        x = rng.standard_normal((3, 4)) + (0.5 if kind == "relu" else 0.0)
+        x = rng.standard_normal((3, 4))
         x[np.abs(x) < 1e-2] = 0.1
         w = rng.standard_normal((3, 4))
         g = bwd(x, w)

@@ -1,15 +1,26 @@
-"""bfloat16 rounding and mixed-precision convolution tests."""
+"""bfloat16 rounding, and mixed-precision convolution through the engine."""
 
 import numpy as np
 import pytest
 
-from minipod import nn
+from minipod import nn, precision
+from minipod.collectives import assign_groups_1d
+from minipod.data import gen_synthetic
+from minipod.model import (
+    build_model,
+    conv2d,
+    distributed_forward_backward,
+    eval_forward,
+    global_avg_pool,
+    init_bn_moving,
+    init_params,
+    softmax_xent_head,
+)
+from minipod.nn import Parameter
 from minipod.precision import (
     FP32_ONLY,
     MIXED_BF16_CONV,
     PrecisionPolicy,
-    conv2d_mixed,
-    conv2d_mixed_backward,
     to_bf16,
 )
 
@@ -69,13 +80,37 @@ def test_policy_validation():
         PrecisionPolicy("fp16")
 
 
+# ---------------------------------------------------------------------------
+# mixed-precision convolution, through the engine
+
+
+def conv_model(kernel, stride=1, padding="valid"):
+    """[conv, global_avg_pool, head] with one class per conv output channel."""
+    co = kernel.shape[-1]
+    layers = [conv2d("c", co, kernel.shape[:2], stride, padding, use_bias=False),
+              global_avg_pool("p"), softmax_xent_head("h", co)]
+    return layers, [Parameter("c/kernel", kernel.copy())]
+
+
+def engine(layers, params, x, labels, policy):
+    return distributed_forward_backward(
+        layers, params, {}, [x], [labels], assign_groups_1d(1, 1), policy=policy)
+
+
 def test_fp32_policy_is_bitwise_identity():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 6, 6, 3)).astype(np.float32)
     k = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-    a = conv2d_mixed(x, k, 2, "same", FP32_ONLY)
-    b = nn.conv2d_forward(x, k, 2, "same")
-    assert a.tobytes() == b.tobytes()
+    labels = np.array([0, 3])
+    layers, params = conv_model(k, 2, "same")
+    res = engine(layers, params, x, labels, FP32_ONLY)
+    y = nn.conv2d_forward(x, k, 2, "same")
+    logits = nn.global_avg_pool_forward(y)
+    loss, g = nn.softmax_xent(logits, labels)
+    _, gk = nn.conv2d_backward(x, k, nn.global_avg_pool_backward(y, g), 2, "same")
+    assert eval_forward(layers, params, {}, x).tobytes() == logits.tobytes()
+    assert res.losses == [float(loss)]
+    assert res.grads_per_replica[0][0].tobytes() == gk.tobytes()
 
 
 def test_bf16_representable_inputs_identical_paths():
@@ -83,9 +118,13 @@ def test_bf16_representable_inputs_identical_paths():
     # small integers are exactly representable in bf16
     x = rng.integers(-8, 9, size=(1, 5, 5, 2)).astype(np.float32)
     k = rng.integers(-4, 5, size=(3, 3, 2, 2)).astype(np.float32)
-    a = conv2d_mixed(x, k, 1, "valid", MIXED_BF16_CONV)
-    b = nn.conv2d_forward(x, k, 1, "valid")
-    assert a.tobytes() == b.tobytes()
+    layers, params = conv_model(k)
+    a = engine(layers, params, x, np.array([1]), MIXED_BF16_CONV)
+    b = engine(layers, params, x, np.array([1]), FP32_ONLY)
+    assert a.losses == b.losses
+    assert a.grads_per_replica[0][0].tobytes() == b.grads_per_replica[0][0].tobytes()
+    assert (eval_forward(layers, params, {}, x, MIXED_BF16_CONV).tobytes()
+            == eval_forward(layers, params, {}, x, FP32_ONLY).tobytes())
 
 
 def test_mixed_error_bound_scales_with_accumulation_length():
@@ -93,37 +132,71 @@ def test_mixed_error_bound_scales_with_accumulation_length():
     # positive operands: no cancellation, so the elementwise bound is tight
     x = rng.random((2, 8, 8, 4)).astype(np.float32)
     k = rng.random((3, 3, 4, 4)).astype(np.float32)
-    exact = nn.conv2d_forward(x, k, 1, "valid")
-    mixed = conv2d_mixed(x, k, 1, "valid", MIXED_BF16_CONV)
+    # Every 3x3 window as its own example: the valid conv output is then 1x1,
+    # which the pool passes on unchanged, so the logits are the conv outputs.
+    windows = np.stack([x[b, i:i + 3, j:j + 3]
+                        for b in range(2) for i in range(6) for j in range(6)])
+    layers, params = conv_model(k)
+    exact = eval_forward(layers, params, {}, windows, FP32_ONLY)
+    mixed = eval_forward(layers, params, {}, windows, MIXED_BF16_CONV)
     acc_len = 3 * 3 * 4
     rel = np.abs(mixed - exact) / np.abs(exact)
     assert float(rel.max()) <= 2.0**-7 * acc_len
 
 
-def test_mixed_backward_uses_rounded_operands():
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((1, 5, 5, 2)).astype(np.float32)
-    k = rng.standard_normal((3, 3, 2, 3)).astype(np.float32)
-    g = rng.standard_normal((1, 3, 3, 3)).astype(np.float32)
-    got = conv2d_mixed_backward(x, k, g, 1, "valid", MIXED_BF16_CONV)
-    want = nn.conv2d_backward(to_bf16(x), to_bf16(k), g, 1, "valid")
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1].tobytes() == want[1].tobytes()
+def b5_step(policy):
+    """One engine call of the b5 stand-in: 4 replicas, BN groups of 2."""
+    ds = gen_synthetic(10, 16, 8, 8, 1, seed=6)
+    layers = build_model("b5", 10)
+    params = init_params(layers, (8, 8, 1), seed=6)
+    return distributed_forward_backward(
+        layers, params, init_bn_moving(layers, (8, 8, 1)),
+        np.split(ds.images, 4), np.split(ds.labels, 4), assign_groups_1d(4, 2),
+        policy=policy)
+
+
+def test_mixed_backward_uses_rounded_operands(monkeypatch):
+    # The engine rounds each operand once; the reference is the fp32 engine
+    # with every nn conv call rounding both operands, in forward and backward.
+    got = b5_step(MIXED_BF16_CONV)
+    assert got.losses != b5_step(FP32_ONLY).losses  # the rounding shows
+    for name in ("conv2d_forward", "conv2d_backward",
+                 "depthwise_conv2d_forward", "depthwise_conv2d_backward"):
+        monkeypatch.setattr(nn, name, lambda x, k, *rest, fn=getattr(nn, name):
+                            fn(to_bf16(x), to_bf16(k), *rest))
+    want = b5_step(FP32_ONLY)
+    assert got.losses == want.losses
+    for got_r, want_r in zip(got.grads_per_replica, want.grads_per_replica):
+        assert [g.tobytes() for g in got_r] == [g.tobytes() for g in want_r]
+
+
+def test_step_rounds_each_conv_operand_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(precision, "to_bf16",
+                        lambda x, fn=precision.to_bf16: calls.append(1) or fn(x))
+    b5_step(FP32_ONLY)
+    assert not calls
+    b5_step(MIXED_BF16_CONV)
+    # 3 conv layers x (1 shared kernel + 4 replica inputs)
+    assert len(calls) == 3 * (1 + 4)
 
 
 def test_mixed_gradcheck_consistency():
-    # conv output is linear in each single operand element, so the secant
-    # between two bf16 grid points equals the exact partial derivative.
     rng = np.random.default_rng(5)
     x = to_bf16(rng.standard_normal((1, 4, 4, 2)).astype(np.float32))
     k = to_bf16(rng.standard_normal((3, 3, 2, 2)).astype(np.float32))
-    w = rng.standard_normal(nn.conv2d_forward(x, k, 1, "valid").shape).astype(np.float32)
+    labels = np.array([1])
+    layers, params = conv_model(k)
+    gk = engine(layers, params, x, labels, MIXED_BF16_CONV).grads_per_replica[0][0]
+    # The logits are linear in each kernel element, so the secant between two
+    # bf16 grid points of the logits weighted by the loss gradient equals the
+    # exact partial derivative of the loss.
+    _, w = nn.softmax_xent(eval_forward(layers, params, {}, x, MIXED_BF16_CONV), labels)
 
     def loss():
-        return float((conv2d_mixed(x, k, 1, "valid", MIXED_BF16_CONV) * w).sum())
+        return float((eval_forward(layers, params, {}, x, MIXED_BF16_CONV) * w).sum())
 
-    _, gk = conv2d_mixed_backward(x, k, w, 1, "valid", MIXED_BF16_CONV)
-    kf = k.reshape(-1)
+    kf = params[0].value.reshape(-1)
     worst = 0.0
     for j in range(kf.size):
         orig = kf[j]
