@@ -32,7 +32,7 @@ print(f"\nparameters: {sum(p.value.size for p in params)} elements in "
 
 res = distributed_forward_backward(
     layers, params, init_bn_moving(layers, ds.images.shape[1:]),
-    [ds.images], [ds.labels], assign_groups_1d(1, 1))
+    ds.images[None], ds.labels[None], assign_groups_1d(1, 1))  # one replica
 print(f"loss on random init: {res.mean_loss:.4f} (uniform would be "
       f"{np.log(4):.4f})")
 

@@ -26,7 +26,7 @@ print(f"  1 + 2^-8          -> {float(to_bf16(np.float32(1 + 2**-8)))!r} (down, 
 print(f"  1 + 2^-7 + 2^-8   -> {float(to_bf16(np.float32(1 + 2**-7 + 2**-8)))!r} (up, even)")
 
 rng = np.random.default_rng(0)
-x = rng.random((4, 16, 16, 8)).astype(np.float32)
+x = rng.random((1, 4, 16, 16, 8)).astype(np.float32)  # [replicas, batch, H, W, C]
 k = rng.random((3, 3, 8, 8)).astype(np.float32)
 # conv -> pool -> head: the logits are the per-channel means of the conv output
 layers = [conv2d("conv", 8, 3, use_bias=False), global_avg_pool("pool"),

@@ -23,19 +23,19 @@ for gid, members in enumerate(assign_groups_2d(topo, (2, 2)).members):
     print(f"  group {gid}: {members}")
 
 print("\nall-reduce is exact and order-fixed (ascending replica index):")
-vals = [np.array([float(r + 1)], np.float32) for r in range(4)]
-out = [all_reduce([vals[r] for r in members], "mean")
-       for members in assign_groups_1d(4, 2).members]
-print("  per-group mean of [1,2,3,4] in groups of 2:",
-      [float(t[0]) for t in out])
+vals = np.arange(1.0, 5.0, dtype=np.float32)  # one value per replica
+members = np.array(assign_groups_1d(4, 2).members)  # [groups, group size]
+# one call reduces every group over the leading member axis: [2, groups]
+out = all_reduce(vals[members.T], "mean")
+print("  per-group mean of [1,2,3,4] in groups of 2:", out.tolist())
 
 print("\ngroup BN: statistics span every sample of every group member")
 rng = np.random.default_rng(0)
-xs = [rng.standard_normal((4, 2, 2, 1)).astype(np.float32) for _ in range(4)]
+xs = rng.standard_normal((4, 4, 2, 2, 1)).astype(np.float32)  # [replicas, batch, H, W, C]
 state = init_bn_state(1)
-_, mean, var = group_bn_forward(xs, state)
-concat = np.concatenate(xs)
-print(f"  group of 4 x batch 4 -> mean {float(mean[0]):+.5f} "
+_, mean, var = group_bn_forward(xs, [(0, 1, 2, 3)], state)
+concat = xs.reshape(16, 2, 2, 1)
+print(f"  group of 4 x batch 4 -> mean {float(mean[0, 0]):+.5f} "
       f"(concat oracle {float(concat.mean()):+.5f})")
 print(f"  BN batch size = 4 replicas x 4 samples = 16")
 

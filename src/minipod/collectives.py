@@ -127,13 +127,16 @@ def assign_groups_2d(
     return GroupAssignment(topology.num_replicas, tr * tc, tuple(group_of))
 
 
-def all_reduce(per_replica: list[np.ndarray], op: str = "sum") -> np.ndarray:
-    """Reduce tensors across the replicas of one scope; returns the result once.
+def all_reduce(per_replica, op: str = "sum") -> np.ndarray:
+    """Reduce over the leading member axis of one scope; returns the result once.
 
-    Every participant would receive the same tensor, so it is handed back a
-    single time. Reduction accumulates in ascending replica-index order, so the
-    result is bit-deterministic. A BN group reduces by passing only its own
-    members' tensors.
+    per_replica[i] is member i's tensor: pass one array whose first axis is
+    the member axis (a stacked [N, *shape] gradient, or [group size, G, C]
+    sums that reduce every BN group at once), or a list of equal-shape
+    arrays. Every participant would receive the same tensor, so it is handed
+    back a single time. The reduction adds one member at a time in ascending
+    order, so the result is bit-deterministic; ndarray.sum over the axis
+    would choose its own summation order.
     """
     if op not in ("sum", "mean"):
         raise ValueError(f"unsupported reduce op {op!r}")

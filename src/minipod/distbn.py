@@ -1,10 +1,13 @@
 """Batch normalization with statistics shared across a group of replicas.
 
-Mean and variance are computed per channel over every sample and spatial
-position of every replica in the group (population variance, divisor
-G*b*H*W), so a group spanning all replicas is numerically equivalent to
-single-device BN over the concatenated batch. Cross-replica sums go through
-the deterministic all-reduce in :mod:`minipod.collectives`.
+Activations arrive stacked, [N, b, H, W, C], together with the replica
+groups. Mean and variance are computed per channel over every sample and
+spatial position of every replica in the group (population variance, divisor
+group size * b*H*W), so a group spanning all replicas is numerically
+equivalent to single-device BN over the concatenated batch. Each replica sums
+its own batch ([N, C]); one deterministic all-reduce from
+:mod:`minipod.collectives` then reduces every group at once over the member
+axis, in ascending replica order.
 """
 
 from __future__ import annotations
@@ -64,46 +67,59 @@ def bn_batch_size(group_size: int, per_core_batch: int) -> int:
     return group_size * per_core_batch
 
 
-def _check_group(x_per_replica):
-    if not x_per_replica:
-        raise ValueError("BN group must contain at least one replica")
-    shape = x_per_replica[0].shape
-    for i, x in enumerate(x_per_replica):
-        if x.ndim != 4:
-            raise ValueError(f"BN input must be [b,H,W,C], got {x.shape}")
-        if x.shape != shape:
-            raise ValueError(
-                f"BN shape mismatch within group: replica 0 has {shape}, "
-                f"replica {i} has {x.shape}"
-            )
-    if shape[0] < 1:
+def _groups(x, members):
+    """Checks a stacked BN input; returns the groups as a [G, group size]
+    replica-index array and each replica's group id."""
+    if x.ndim != 5:
+        raise ValueError(f"BN input must be [N, b, H, W, C], got {x.shape}")
+    if x.shape[1] < 1:
         raise ValueError("BN batch must be non-empty")
-    return shape
+    n = x.shape[0]
+    if len({len(m) for m in members}) != 1 or not np.array_equal(
+            np.sort(members, axis=None), np.arange(n)):
+        raise ValueError(
+            f"BN groups {members} must split replicas 0..{n - 1} into equal groups")
+    idx = np.array(members, dtype=np.intp)
+    group_of = np.empty(n, dtype=np.intp)
+    group_of[idx] = np.arange(len(idx))[:, None]
+    return idx, group_of
 
 
-def group_bn_forward(x_per_replica: list[np.ndarray], state: BnState):
-    """Normalize each replica's activations with group-shared statistics.
+def _per_replica(t, group_of):
+    # [G, C] group values -> [N, 1, 1, 1, C], broadcastable over each replica
+    return t[group_of][:, None, None, None, :]
 
-    Returns (y_per_replica, saved_mean, saved_var); the saved statistics are
-    what the backward pass and the moving-statistics update consume.
+
+def _group_sum(per_replica, idx):
+    # [N, C] -> [G, C]: one all-reduce over the member axis ([group size, G, C])
+    return all_reduce(per_replica[idx.T], "sum")
+
+
+def group_bn_forward(x: np.ndarray, members, state: BnState):
+    """Normalize [N, b, H, W, C] activations with the statistics of each
+    replica's group; `members` lists each group's replicas.
+
+    Returns (y, saved_mean, saved_var), the statistics [G, C] in group order;
+    they are what the backward pass and the moving-statistics update consume.
     """
-    b, h, w, c = _check_group(x_per_replica)
-    sums = [x.sum(axis=(0, 1, 2)) for x in x_per_replica]
-    sqsums = [(x * x).sum(axis=(0, 1, 2)) for x in x_per_replica]
-    total = all_reduce(sums, "sum")
-    sqtotal = all_reduce(sqsums, "sum")
-    count = total.dtype.type(len(x_per_replica) * b * h * w)
+    idx, group_of = _groups(x, members)
+    _, b, h, w, _ = x.shape
+    total = _group_sum(x.sum(axis=(1, 2, 3)), idx)
+    sqtotal = _group_sum((x * x).sum(axis=(1, 2, 3)), idx)
+    count = total.dtype.type(idx.shape[1] * b * h * w)
     mean = total / count
     var = np.maximum(sqtotal / count - mean * mean, 0)
     inv = 1.0 / np.sqrt(var + state.eps)
     scale = (state.gamma * inv).astype(mean.dtype)
-    ys = [(x - mean) * scale + state.beta for x in x_per_replica]
-    return ys, mean, var
+    y = ((x - _per_replica(mean, group_of)) * _per_replica(scale, group_of)
+         + state.beta)
+    return y, mean, var
 
 
 def group_bn_backward(
-    x_per_replica: list[np.ndarray],
-    grad_y_per_replica: list[np.ndarray],
+    x: np.ndarray,
+    grad_y: np.ndarray,
+    members,
     saved_mean: np.ndarray,
     saved_var: np.ndarray,
     state: BnState,
@@ -111,29 +127,22 @@ def group_bn_backward(
     """Gradients of group_bn_forward, treating the shared statistics as
     functions of all group inputs.
 
-    grad_gamma/grad_beta are reduced over the whole group; callers that need
-    per-replica contributions divide by the group size.
+    grad_gamma/grad_beta are [G, C], each reduced over its whole group;
+    callers that need per-replica contributions divide by the group size.
     """
-    b, h, w, c = _check_group(x_per_replica)
-    if len(grad_y_per_replica) != len(x_per_replica):
-        raise ValueError("grad_y list length differs from input list")
-    for x, g in zip(x_per_replica, grad_y_per_replica):
-        if g.shape != x.shape:
-            raise ValueError(f"grad_y shape {g.shape} != input shape {x.shape}")
-    count = saved_mean.dtype.type(len(x_per_replica) * b * h * w)
+    idx, group_of = _groups(x, members)
+    if grad_y.shape != x.shape:
+        raise ValueError(f"grad_y shape {grad_y.shape} != input shape {x.shape}")
+    _, b, h, w, _ = x.shape
+    count = saved_mean.dtype.type(idx.shape[1] * b * h * w)
     inv = 1.0 / np.sqrt(saved_var + state.eps)
-    xhats = [(x - saved_mean) * inv for x in x_per_replica]
-    dbeta_parts = [g.sum(axis=(0, 1, 2)) for g in grad_y_per_replica]
-    dgamma_parts = [
-        (g * xh).sum(axis=(0, 1, 2)) for g, xh in zip(grad_y_per_replica, xhats)
-    ]
-    dbeta = all_reduce(dbeta_parts, "sum")
-    dgamma = all_reduce(dgamma_parts, "sum")
+    xhat = (x - _per_replica(saved_mean, group_of)) * _per_replica(inv, group_of)
+    dbeta = _group_sum(grad_y.sum(axis=(1, 2, 3)), idx)
+    dgamma = _group_sum((grad_y * xhat).sum(axis=(1, 2, 3)), idx)
     coef = (state.gamma * inv).astype(saved_mean.dtype)
-    grad_x = [
-        coef * (g - dbeta / count - xh * (dgamma / count))
-        for g, xh in zip(grad_y_per_replica, xhats)
-    ]
+    grad_x = _per_replica(coef, group_of) * (
+        grad_y - _per_replica(dbeta / count, group_of)
+        - xhat * _per_replica(dgamma / count, group_of))
     return grad_x, dgamma, dbeta
 
 

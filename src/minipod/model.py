@@ -5,17 +5,19 @@ head. LAYER_OPS maps each layer kind to its output-shape rule, its parameter
 and moving-statistic init, its forward and its backward; shape inference,
 initialization, training and evaluation all dispatch through it.
 
-The engine walks the layers with all replicas advancing together, so
-batch-normalization layers can share statistics across their replica group;
-every other layer runs on each replica's batch in ascending replica order.
-All replicas read one parameter list: synchronous replicas apply the same
-update to the same all-reduced gradient, so their weights are equal by
-construction. Evaluation is the same forward walk on one replica, with BN
-normalizing by the moving statistics.
+The engine holds every replica's activations in one array with a leading
+replica axis, [N, b, ...], and walks the layers once: each layer makes one
+call that computes all replicas, so batch-normalization layers can share
+statistics across their replica groups. Parameter gradients stay per
+replica, [N, *shape], for the trainer's all-reduce. All replicas read one
+parameter list: synchronous replicas apply the same update to the same
+all-reduced gradient, so their weights are equal by construction. Evaluation
+is the same forward walk over stacked eval shards, with BN normalizing by the
+moving statistics.
 
 Under the mixed-precision policy the conv and depthwise entries round their
-operands to bfloat16: the shared kernel once per engine call and each
-replica's input once in forward; backward reuses the rounded tensors.
+operands to bfloat16: the shared kernel once per engine call and the stacked
+input once per layer in forward; backward reuses the rounded tensors.
 Entries look nn, distbn and precision functions up on their modules at call
 time, so a wrapper installed on a module attribute sees every call.
 """
@@ -28,7 +30,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import distbn, nn, precision
-from .collectives import GroupAssignment, assign_groups_1d
+from .collectives import GroupAssignment, all_reduce, assign_groups_1d
 from .nn import Parameter
 from .rng import stream, truncated_normal
 
@@ -147,11 +149,10 @@ class _Pass:
     policy: precision.PrecisionPolicy
     bn_eps: float
     assignment: GroupAssignment | None  # None: inference, BN uses moving stats
-    labels: list[np.ndarray] | None = None
+    labels: np.ndarray | None = None  # [N, b]
     losses: list[float] = field(default_factory=list)
-    grads: list[dict[str, np.ndarray]] = field(default_factory=list)
-    bn_saved: dict[str, list[tuple[np.ndarray, np.ndarray]]] = field(
-        default_factory=dict)
+    grads: dict[str, np.ndarray] = field(default_factory=dict)  # [N, *shape]
+    bn_saved: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def value(self, layer: LayerSpec, suffix: str) -> np.ndarray:
         return self.params[f"{layer.name}/{suffix}"].value
@@ -215,99 +216,79 @@ def _bn_params(l, shape, seed):
             Parameter(f"{l.name}/beta", np.zeros(c, dtype=nn.DTYPE), tag="bn_beta")]
 
 
-# Forward: (layer, pass, per-replica inputs) -> (per-replica outputs, what
-# backward needs). Backward: (layer, pass, that, per-replica output grads)
-# -> per-replica input grads; parameter grads go into pass.grads.
+# Forward: (layer, pass, input [N, b, ...]) -> (output, what backward needs).
+# Backward: (layer, pass, that, output grad) -> input grad; per-replica
+# parameter grads [N, *shape] go into pass.grads.
 
 
-def _conv_forward(l, run, xs):
+def _conv_forward(l, run, x):
     # conv2d and depthwise_conv2d: nn.<kind>_forward, looked up per call.
     k = _conv_operand(run, run.value(l, "kernel"))
-    xs = [_conv_operand(run, x) for x in xs]
-    conv = getattr(nn, f"{l.kind}_forward")
-    ys = [conv(x, k, l.stride, l.padding) for x in xs]
+    x = _conv_operand(run, x)
+    y = getattr(nn, f"{l.kind}_forward")(x, k, l.stride, l.padding)
     bias = run.params.get(f"{l.name}/bias")  # depthwise and use_bias=False have none
     if bias is not None:
-        ys = [y + bias.value for y in ys]
-    return ys, (xs, k)
+        y = y + bias.value
+    return y, (x, k)
 
 
-def _conv_backward(l, run, saved, gys):
-    xs, k = saved
-    conv_backward = getattr(nn, f"{l.kind}_backward")
-    has_bias = f"{l.name}/bias" in run.params
-    gxs = []
-    for grads, x, gy in zip(run.grads, xs, gys):
-        gx, grads[f"{l.name}/kernel"] = conv_backward(x, k, gy, l.stride, l.padding)
-        if has_bias:
-            grads[f"{l.name}/bias"] = gy.sum(axis=(0, 1, 2))
-        gxs.append(gx)
-    return gxs
+def _conv_backward(l, run, saved, gy):
+    x, k = saved
+    gx, run.grads[f"{l.name}/kernel"] = getattr(nn, f"{l.kind}_backward")(
+        x, k, gy, l.stride, l.padding)
+    if f"{l.name}/bias" in run.params:
+        run.grads[f"{l.name}/bias"] = gy.sum(axis=(1, 2, 3))
+    return gx
 
 
-def _dense_forward(l, run, xs):
-    w, b = run.value(l, "kernel"), run.value(l, "bias")
-    return [nn.dense_forward(x, w, b) for x in xs], xs
+def _dense_forward(l, run, x):
+    return nn.dense_forward(x, run.value(l, "kernel"), run.value(l, "bias")), x
 
 
-def _dense_backward(l, run, xs, gys):
-    w = run.value(l, "kernel")
-    gxs = []
-    for grads, x, gy in zip(run.grads, xs, gys):
-        gx, grads[f"{l.name}/kernel"], grads[f"{l.name}/bias"] = nn.dense_backward(
-            x, w, gy)
-        gxs.append(gx)
-    return gxs
+def _dense_backward(l, run, x, gy):
+    gx, run.grads[f"{l.name}/kernel"], run.grads[f"{l.name}/bias"] = (
+        nn.dense_backward(x, run.value(l, "kernel"), gy))
+    return gx
 
 
-def _elementwise_forward(l, run, xs):
+def _elementwise_forward(l, run, x):
     # swish and global_avg_pool: nn.<kind>_forward, looked up per call.
-    fn = getattr(nn, f"{l.kind}_forward")
-    return [fn(x) for x in xs], xs
+    return getattr(nn, f"{l.kind}_forward")(x), x
 
 
-def _elementwise_backward(l, run, xs, gys):
-    fn = getattr(nn, f"{l.kind}_backward")
-    return [fn(x, gy) for x, gy in zip(xs, gys)]
+def _elementwise_backward(l, run, x, gy):
+    return getattr(nn, f"{l.kind}_backward")(x, gy)
 
 
-def _bn_forward(l, run, xs):
+def _bn_forward(l, run, x):
     mm, mv = run.bn_moving[l.name]
     state = distbn.BnState(run.value(l, "gamma"), run.value(l, "beta"), mm, mv,
                            momentum=1.0, eps=run.bn_eps)
     if run.assignment is None:
-        return [distbn.bn_inference(x, state) for x in xs], None
-    ys = [None] * len(xs)
-    stats = []
-    for members in run.assignment.members:
-        out, mean, var = distbn.group_bn_forward([xs[r] for r in members], state)
-        for r, y in zip(members, out):
-            ys[r] = y
-        stats.append((mean, var))
-    run.bn_saved[l.name] = stats
-    return ys, (xs, state)
+        return distbn.bn_inference(x, state), None
+    y, mean, var = distbn.group_bn_forward(x, run.assignment.members, state)
+    run.bn_saved[l.name] = (mean, var)
+    return y, (x, state)
 
 
-def _bn_backward(l, run, saved, gys):
-    xs, state = saved
-    gxs = [None] * len(xs)
-    for members, (mean, var) in zip(run.assignment.members, run.bn_saved[l.name]):
-        out, dgamma, dbeta = distbn.group_bn_backward(
-            [xs[r] for r in members], [gys[r] for r in members], mean, var, state)
-        # Group-reduced affine grads split evenly so the later all-replica
-        # mean recovers the full-group sum exactly once.
-        gsize = dgamma.dtype.type(len(members))
-        for r, gx in zip(members, out):
-            run.grads[r][f"{l.name}/gamma"] = dgamma / gsize
-            run.grads[r][f"{l.name}/beta"] = dbeta / gsize
-            gxs[r] = gx
-    return gxs
+def _bn_backward(l, run, saved, gy):
+    x, state = saved
+    a = run.assignment
+    gx, dgamma, dbeta = distbn.group_bn_backward(
+        x, gy, a.members, *run.bn_saved[l.name], state)
+    # Group-reduced affine grads split evenly so the later all-replica
+    # mean recovers the full-group sum exactly once.
+    gsize = dgamma.dtype.type(a.group_size)
+    group_of = np.asarray(a.group_of)
+    run.grads[f"{l.name}/gamma"] = (dgamma / gsize)[group_of]
+    run.grads[f"{l.name}/beta"] = (dbeta / gsize)[group_of]
+    return gx
 
 
-def _head_forward(l, run, xs):
-    out = [nn.softmax_xent(x, y) for x, y in zip(xs, run.labels)]
-    run.losses = [float(loss) for loss, _ in out]
-    return xs, [g for _, g in out]  # the head emits no activation
+def _head_forward(l, run, x):
+    losses, grad = nn.softmax_xent(x, run.labels)
+    run.losses = [float(v) for v in losses]
+    return x, grad  # the head emits no activation
 
 
 class LayerOps(NamedTuple):
@@ -356,8 +337,8 @@ LAYER_KINDS = tuple(LAYER_OPS)
 @dataclass
 class EngineResult:
     losses: list[float]  # per replica, ascending index
-    grads_per_replica: list[list[np.ndarray]] | None  # aligned with params order
-    bn_saved: dict[str, list[tuple[np.ndarray, np.ndarray]]]  # per group, ascending
+    grads: list[np.ndarray] | None  # [N, *shape] per parameter, in params order
+    bn_saved: dict[str, tuple[np.ndarray, np.ndarray]]  # (mean, var), [G, C] each
 
     @property
     def mean_loss(self) -> float:
@@ -369,8 +350,8 @@ def distributed_forward_backward(
     layers: list[LayerSpec],
     params: list[Parameter],
     bn_moving: dict[str, tuple[np.ndarray, np.ndarray]],
-    x_per_replica: list[np.ndarray],
-    labels_per_replica: list[np.ndarray],
+    x: np.ndarray,
+    labels: np.ndarray,
     assignment: GroupAssignment,
     policy: precision.PrecisionPolicy = precision.FP32_ONLY,
     bn_eps: float = distbn.DEFAULT_EPS,
@@ -378,12 +359,12 @@ def distributed_forward_backward(
 ) -> EngineResult:
     """One synchronized forward (and optionally backward) pass.
 
-    Each replica consumes its own batch with the shared parameters; BN layers
-    normalize over their replica group. Returned gradients are per-replica
-    local contributions: their all-reduce mean is the gradient of the mean
-    per-replica loss.
+    x is [N, b, ...] and labels [N, b]: replica r consumes batch x[r] with the
+    shared parameters; BN layers normalize over their replica group. Returned
+    gradients are per-replica local contributions, [N, *shape]: their
+    all-reduce mean is the gradient of the mean per-replica loss.
     """
-    n = len(x_per_replica)
+    n = len(x)
     if assignment.num_replicas != n:
         raise ValueError(
             f"group assignment covers {assignment.num_replicas} replicas, "
@@ -391,18 +372,17 @@ def distributed_forward_backward(
         )
     validate_model(layers)
     run = _Pass({p.name: p for p in params}, bn_moving, policy, bn_eps, assignment,
-                labels_per_replica, grads=[{} for _ in range(n)])
-    acts, saved = list(x_per_replica), []
+                labels)
+    acts, saved = x, []
     for layer in layers:
         acts, s = LAYER_OPS[layer.kind].forward(layer, run, acts)
         saved.append(s)
     if forward_only:
         return EngineResult(run.losses, None, run.bn_saved)
-    grads = None
+    grad = None
     for layer, s in zip(reversed(layers), reversed(saved)):
-        grads = LAYER_OPS[layer.kind].backward(layer, run, s, grads)
-    grads_per_replica = [[g[p.name] for p in params] for g in run.grads]
-    return EngineResult(run.losses, grads_per_replica, run.bn_saved)
+        grad = LAYER_OPS[layer.kind].backward(layer, run, s, grad)
+    return EngineResult(run.losses, [run.grads[p.name] for p in params], run.bn_saved)
 
 
 def eval_forward(
@@ -413,13 +393,13 @@ def eval_forward(
     policy: precision.PrecisionPolicy = precision.FP32_ONLY,
     bn_eps: float = distbn.DEFAULT_EPS,
 ) -> np.ndarray:
-    """Single-replica inference pass; BN uses moving statistics. Returns logits."""
+    """Inference pass over stacked [N, b, ...] inputs; BN uses moving
+    statistics. Returns logits [N, b, K]."""
     validate_model(layers)
     run = _Pass({p.name: p for p in params}, bn_moving, policy, bn_eps, None)
-    acts = [x]
     for layer in layers[:-1]:  # what a layer saves for backward is dropped at once
-        acts = LAYER_OPS[layer.kind].forward(layer, run, acts)[0]
-    return acts[0]
+        x = LAYER_OPS[layer.kind].forward(layer, run, x)[0]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +429,8 @@ def grad_check(
     params64 = [
         Parameter(p.name, p.value.astype(np.float64), tag=p.tag) for p in params
     ]
-    shards = np.split(np.asarray(x, dtype=np.float64), num_replicas)
-    label_shards = np.split(np.asarray(labels), num_replicas)
+    shards = np.asarray(x, dtype=np.float64).reshape(num_replicas, -1, *x.shape[1:])
+    label_shards = np.asarray(labels).reshape(num_replicas, -1)
     assignment = assign_groups_1d(num_replicas, group_size or num_replicas)
     moving = init_bn_moving(layers, x.shape[1:], dtype=np.float64)
 
@@ -462,10 +442,7 @@ def grad_check(
     base = run(forward_only=False)
     if not np.isfinite(base.mean_loss):
         raise FloatingPointError("non-finite loss in grad_check")
-    analytic = [
-        sum(base.grads_per_replica[r][i] for r in range(num_replicas)) / num_replicas
-        for i in range(len(params64))
-    ]
+    analytic = [all_reduce(g, "mean") for g in base.grads]
 
     max_rel = 0.0
     for i, p in enumerate(params64):

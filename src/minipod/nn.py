@@ -1,10 +1,18 @@
 """Dense-tensor neural-network primitives with explicit forward/backward passes.
 
-Tensors are plain numpy float32 arrays in row-major order; image tensors are
-NHWC. Every operation is a pure function and bit-deterministic: reductions
-run in a fixed order (convolutions accumulate kernel rows, then columns, then
-input channels, ascending), so identical inputs give identical outputs
-regardless of host scheduling. Float64 inputs are accepted everywhere and
+Tensors are plain numpy float32 arrays in row-major order with a leading
+replica axis: N replicas each hold a batch of b, so image tensors are
+[N, b, H, W, C], features [N, b, F], logits [N, b, K] and labels [N, b].
+One call computes every replica. Parameter gradients come back per replica,
+as [N, *parameter shape]: each replica's contribution is reduced over its own
+batch only, and the sum across replicas is left to the all-reduce.
+
+Every operation is a pure function and bit-deterministic, and no replica's
+values depend on N or on the other replicas' data. Convolutions accumulate
+kernel rows, then columns, ascending, each tap one matrix product over the
+input channels; a replica's kernel gradient is one product per tap over a
+contiguous copy of its own b*Ho*Wo input positions; dense layers run one
+matrix product per replica. Float64 inputs are accepted everywhere and
 processed in float64, which the test oracles rely on; training always runs
 float32.
 """
@@ -22,32 +30,18 @@ VALID_TAGS = ("kernel", "bias", "bn_gamma", "bn_beta")
 
 @dataclass
 class Parameter:
-    """A named trainable tensor together with its gradient slot."""
+    """A named trainable tensor."""
 
     name: str
     value: np.ndarray
-    grad: np.ndarray = None  # type: ignore[assignment]
     tag: str = "kernel"
 
     def __post_init__(self):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        if self.grad.shape != self.value.shape:
-            raise ValueError(
-                f"parameter {self.name}: grad shape {self.grad.shape} "
-                f"!= value shape {self.value.shape}"
-            )
         if self.tag not in VALID_TAGS:
             raise ValueError(f"parameter {self.name}: unknown tag {self.tag!r}")
 
     def copy(self) -> "Parameter":
-        return Parameter(self.name, self.value.copy(), self.grad.copy(), self.tag)
-
-
-def assert_finite(x: np.ndarray, what: str = "tensor") -> None:
-    """Opt-in NaN/Inf check; kept out of hot paths by default."""
-    if not np.isfinite(x).all():
-        raise FloatingPointError(f"{what} contains non-finite values")
+        return Parameter(self.name, self.value.copy(), self.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -112,34 +106,50 @@ def _conv_geometry(h, w, kh, kw, stride, padding):
     return ho, wo, pads
 
 
-def _check_conv_args(x, kernel, depthwise):
-    if x.ndim != 4:
-        raise ValueError(f"conv input must be NHWC, got shape {x.shape}")
+def _conv_setup(x, kernel, stride, padding, depthwise, grad_out=None):
+    """Checks the arguments; returns the padded input, the output shape and
+    the input window each kernel tap (i, j) reads."""
+    if x.ndim != 5:
+        raise ValueError(f"conv input must be [N, b, H, W, C], got shape {x.shape}")
     want = 3 if depthwise else 4
     if kernel.ndim != want:
         raise ValueError(f"conv kernel must have {want} dims, got {kernel.shape}")
-    if kernel.shape[2] != x.shape[3]:
+    if kernel.shape[2] != x.shape[4]:
         raise ValueError(
-            f"channel mismatch: input has {x.shape[3]} channels, "
+            f"channel mismatch: input has {x.shape[4]} channels, "
             f"kernel expects {kernel.shape[2]}"
         )
+    n, b, h, w, c = x.shape
+    kh, kw = kernel.shape[:2]
+    ho, wo, (pt, pb, pl, pr) = _conv_geometry(h, w, kh, kw, stride, padding)
+    out_shape = (n, b, ho, wo, c if depthwise else kernel.shape[3])
+    if grad_out is not None and grad_out.shape != out_shape:
+        raise ValueError(
+            f"grad_out shape {grad_out.shape} does not match forward "
+            f"output {out_shape}"
+        )
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr), (0, 0)))
+    taps = [(i, j, (slice(None), slice(None),
+                    slice(i, i + stride * (ho - 1) + 1, stride),
+                    slice(j, j + stride * (wo - 1) + 1, stride)))
+            for i in range(kh) for j in range(kw)]
+    return xp, out_shape, taps, (pt, pl)
+
+
+def _unpad(grad_xp, x, corner):
+    pt, pl = corner
+    h, w = x.shape[2:4]
+    return np.ascontiguousarray(grad_xp[:, :, pt : pt + h, pl : pl + w, :])
 
 
 def conv2d_forward(
     x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: str = "same"
 ) -> np.ndarray:
-    """Cross-correlation of NHWC input with a [kh, kw, Cin, Cout] kernel."""
-    _check_conv_args(x, kernel, depthwise=False)
-    n, h, w, _ = x.shape
-    kh, kw, _, co = kernel.shape
-    ho, wo, (pt, pb, pl, pr) = _conv_geometry(h, w, kh, kw, stride, padding)
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    out = np.zeros((n, ho, wo, co), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xs = xp[:, i : i + stride * (ho - 1) + 1 : stride,
-                    j : j + stride * (wo - 1) + 1 : stride, :]
-            out += xs @ kernel[i, j]
+    """Cross-correlation of [N, b, H, W, Cin] input with a [kh, kw, Cin, Cout] kernel."""
+    xp, out_shape, taps, _ = _conv_setup(x, kernel, stride, padding, False)
+    out = np.zeros(out_shape, dtype=x.dtype)
+    for i, j, win in taps:
+        out += xp[win] @ kernel[i, j]
     return out
 
 
@@ -150,45 +160,28 @@ def conv2d_backward(
     stride: int = 1,
     padding: str = "same",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact gradients of conv2d_forward w.r.t. input and kernel."""
-    _check_conv_args(x, kernel, depthwise=False)
-    n, h, w, _ = x.shape
-    kh, kw, _, co = kernel.shape
-    ho, wo, (pt, pb, pl, pr) = _conv_geometry(h, w, kh, kw, stride, padding)
-    if grad_out.shape != (n, ho, wo, co):
-        raise ValueError(
-            f"grad_out shape {grad_out.shape} does not match forward "
-            f"output {(n, ho, wo, co)}"
-        )
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    """Exact gradients of conv2d_forward w.r.t. the input and, per replica,
+    the kernel ([N, kh, kw, Cin, Cout])."""
+    xp, (n, *_, co), taps, corner = _conv_setup(
+        x, kernel, stride, padding, False, grad_out)
     grad_xp = np.zeros_like(xp)
-    grad_k = np.zeros_like(kernel)
-    for i in range(kh):
-        for j in range(kw):
-            rows = slice(i, i + stride * (ho - 1) + 1, stride)
-            cols = slice(j, j + stride * (wo - 1) + 1, stride)
-            xs = xp[:, rows, cols, :]
-            grad_k[i, j] = np.tensordot(xs, grad_out, axes=([0, 1, 2], [0, 1, 2]))
-            grad_xp[:, rows, cols, :] += grad_out @ kernel[i, j].T
-    grad_x = grad_xp[:, pt : pt + h, pl : pl + w, :]
-    return np.ascontiguousarray(grad_x), grad_k
+    grad_k = np.zeros((n,) + kernel.shape, dtype=kernel.dtype)
+    gy = grad_out.reshape(n, -1, co)
+    for i, j, win in taps:
+        xs = np.ascontiguousarray(xp[win].transpose(0, 4, 1, 2, 3))
+        grad_k[:, i, j] = xs.reshape(n, x.shape[4], -1) @ gy
+        grad_xp[win] += grad_out @ kernel[i, j].T
+    return _unpad(grad_xp, x, corner), grad_k
 
 
 def depthwise_conv2d_forward(
     x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: str = "same"
 ) -> np.ndarray:
     """Per-channel convolution with a [kh, kw, C] kernel (multiplier 1)."""
-    _check_conv_args(x, kernel, depthwise=True)
-    n, h, w, c = x.shape
-    kh, kw, _ = kernel.shape
-    ho, wo, (pt, pb, pl, pr) = _conv_geometry(h, w, kh, kw, stride, padding)
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    out = np.zeros((n, ho, wo, c), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xs = xp[:, i : i + stride * (ho - 1) + 1 : stride,
-                    j : j + stride * (wo - 1) + 1 : stride, :]
-            out += xs * kernel[i, j]
+    xp, out_shape, taps, _ = _conv_setup(x, kernel, stride, padding, True)
+    out = np.zeros(out_shape, dtype=x.dtype)
+    for i, j, win in taps:
+        out += xp[win] * kernel[i, j]
     return out
 
 
@@ -199,38 +192,25 @@ def depthwise_conv2d_backward(
     stride: int = 1,
     padding: str = "same",
 ) -> tuple[np.ndarray, np.ndarray]:
-    _check_conv_args(x, kernel, depthwise=True)
-    n, h, w, c = x.shape
-    kh, kw, _ = kernel.shape
-    ho, wo, (pt, pb, pl, pr) = _conv_geometry(h, w, kh, kw, stride, padding)
-    if grad_out.shape != (n, ho, wo, c):
-        raise ValueError(
-            f"grad_out shape {grad_out.shape} does not match forward "
-            f"output {(n, ho, wo, c)}"
-        )
-    xp = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    xp, _, taps, corner = _conv_setup(x, kernel, stride, padding, True, grad_out)
     grad_xp = np.zeros_like(xp)
-    grad_k = np.zeros_like(kernel)
-    for i in range(kh):
-        for j in range(kw):
-            rows = slice(i, i + stride * (ho - 1) + 1, stride)
-            cols = slice(j, j + stride * (wo - 1) + 1, stride)
-            xs = xp[:, rows, cols, :]
-            grad_k[i, j] = (xs * grad_out).sum(axis=(0, 1, 2))
-            grad_xp[:, rows, cols, :] += grad_out * kernel[i, j]
-    grad_x = grad_xp[:, pt : pt + h, pl : pl + w, :]
-    return np.ascontiguousarray(grad_x), grad_k
+    grad_k = np.zeros((len(x),) + kernel.shape, dtype=kernel.dtype)
+    for i, j, win in taps:
+        grad_k[:, i, j] = (xp[win] * grad_out).sum(axis=(1, 2, 3))
+        grad_xp[win] += grad_out * kernel[i, j]
+    return _unpad(grad_xp, x, corner), grad_k
 
 
 # ---------------------------------------------------------------------------
 # dense / pooling
 
-# dense flattens trailing dims, so it can sit directly on conv feature maps.
+# dense flattens the dims after [N, b], so it can sit directly on conv
+# feature maps.
 
 
 def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    xf = x.reshape(x.shape[0], -1)
-    if xf.shape[1] != w.shape[0]:
+    xf = x.reshape(x.shape[0], x.shape[1], -1)
+    if xf.shape[2] != w.shape[0]:
         raise ValueError(
             f"dense dimension mismatch: input {xf.shape} x weight {w.shape}"
         )
@@ -238,23 +218,25 @@ def dense_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dense_backward(x, w, grad_out):
-    xf = x.reshape(x.shape[0], -1)
-    grad_w = xf.T @ grad_out
-    grad_b = grad_out.sum(axis=0)
+    """Input gradient, and per replica the weight ([N, F, K]) and bias
+    ([N, K]) gradients."""
+    xf = x.reshape(x.shape[0], x.shape[1], -1)
+    grad_w = xf.transpose(0, 2, 1) @ grad_out
+    grad_b = grad_out.sum(axis=1)
     grad_x = (grad_out @ w.T).reshape(x.shape)
     return grad_x, grad_w, grad_b
 
 
 def global_avg_pool_forward(x: np.ndarray) -> np.ndarray:
-    if x.ndim != 4:
-        raise ValueError(f"global_avg_pool expects NHWC, got shape {x.shape}")
-    return x.mean(axis=(1, 2))
+    if x.ndim != 5:
+        raise ValueError(f"global_avg_pool expects [N, b, H, W, C], got shape {x.shape}")
+    return x.mean(axis=(2, 3))
 
 
 def global_avg_pool_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    n, h, w, c = x.shape
+    h, w = x.shape[2:4]
     scale = grad_out / x.dtype.type(h * w)
-    return np.broadcast_to(scale[:, None, None, :], x.shape).astype(x.dtype)
+    return np.broadcast_to(scale[:, :, None, None, :], x.shape).astype(x.dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -262,26 +244,28 @@ def global_avg_pool_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
 
 
 def softmax_xent(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over the batch and its gradient w.r.t. logits.
+    """Each replica's mean cross-entropy over its batch ([N]) and the gradient
+    w.r.t. the logits.
 
-    Uses max-subtraction for stability; grad = (softmax - onehot) / batch.
+    Uses max-subtraction for stability; grad = (softmax - onehot) / b.
     """
-    if logits.ndim != 2:
-        raise ValueError(f"logits must be [N, K], got shape {logits.shape}")
-    n, k = logits.shape
+    if logits.ndim != 3:
+        raise ValueError(f"logits must be [N, b, K], got shape {logits.shape}")
+    n, b, k = logits.shape
     labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ValueError(f"labels shape {labels.shape} does not match batch {n}")
+    if labels.shape != (n, b):
+        raise ValueError(f"labels shape {labels.shape} does not match batch {(n, b)}")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(
             f"labels out of range [0, {k}): found {labels.min()}..{labels.max()}"
         )
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=2, keepdims=True)
     ez = np.exp(z)
-    sez = ez.sum(axis=1, keepdims=True)
+    sez = ez.sum(axis=2, keepdims=True)
     logp = z - np.log(sez)
-    loss = -logp[np.arange(n), labels].mean()
+    picked = (np.arange(n)[:, None], np.arange(b), labels)
+    losses = -logp[picked].mean(axis=1)
     grad = ez / sez
-    grad[np.arange(n), labels] -= 1
-    grad /= grad.dtype.type(n)
-    return float(loss), grad
+    grad[picked] -= 1
+    grad /= grad.dtype.type(b)
+    return losses, grad

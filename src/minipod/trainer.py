@@ -1,11 +1,13 @@
 """Synchronized data-parallel training and evaluation loop.
 
-Every step: per-replica forward/backward (group BN, optional bf16 convs),
-all-reduce mean of gradients, then one optimizer step. Synchronous replicas
+Every step: forward/backward of all replicas stacked on one leading axis
+(group BN, optional bf16 convs), all-reduce mean of the per-replica
+gradients, then one optimizer step. Synchronous replicas
 apply the same update to the same reduced gradient, so the state holds a
 single copy of the parameters, optimizer slots and BN moving statistics.
-Evaluation shards a zero-weight-padded eval set across all replicas and
-all-reduces weighted correctness counts, so the result is independent of the
+Evaluation shards a padded eval set across all replicas, one stacked round
+of num_replicas * eval_batch examples per forward call, and all-reduces the
+counts of hits among the real examples, so the result is independent of the
 replica count.
 
 Records carry modeled timing from the cost model; elapsed_s is cumulative
@@ -251,12 +253,8 @@ def shard_train_data(
     perm = stream(seed, "shuffle", epoch).permutation(n)
     out = []
     for t in range(steps):
-        chunk = perm[t * batch : (t + 1) * batch]
-        per_replica = []
-        for r in range(num_replicas):
-            idx = chunk[r * per_core_batch : (r + 1) * per_core_batch]
-            per_replica.append((dataset.images[idx], dataset.labels[idx]))
-        out.append(per_replica)
+        idx = perm[t * batch : (t + 1) * batch].reshape(num_replicas, per_core_batch)
+        out.append(list(zip(dataset.images[idx], dataset.labels[idx])))
     return out
 
 
@@ -296,16 +294,13 @@ def train_step(state: TrainState, batches, lr: float) -> float:
         state.layers,
         state.params,
         state.bn_moving,
-        [b[0] for b in batches],
-        [b[1] for b in batches],
+        np.stack([b[0] for b in batches]),
+        np.stack([b[1] for b in batches]),
         state.assignment,
         policy=cfg.policy,
         bn_eps=cfg.bn_eps,
     )
-    grads = [
-        all_reduce([g[i] for g in res.grads_per_replica], "mean")
-        for i in range(len(state.params))
-    ]
+    grads = [all_reduce(g, "mean") for g in res.grads]
     step_fn = rmsprop_step if cfg.optimizer == "rmsprop" else lars_step
     step_fn(state.params, grads, lr, cfg.optimizer_config(), state.opt_state)
     _update_bn_moving(state, res.bn_saved)
@@ -318,13 +313,13 @@ def _update_bn_moving(state: TrainState, bn_saved) -> None:
     # inference statistics are those of the whole replica set.
     cfg = state.config
     pmap = {p.name: p for p in state.params}
-    for lname, saved_groups in bn_saved.items():
-        mean = saved_groups[0][0].copy()
-        var = saved_groups[0][1].copy()
-        for m, v in saved_groups[1:]:
+    for lname, (means, variances) in bn_saved.items():
+        mean = means[0].copy()
+        var = variances[0].copy()
+        for m, v in zip(means[1:], variances[1:]):
             mean += m
             var += v
-        k = mean.dtype.type(len(saved_groups))
+        k = mean.dtype.type(len(means))
         mean /= k
         var /= k
         mm, mv = state.bn_moving[lname]
@@ -369,14 +364,15 @@ def distributed_eval(
         labels = np.concatenate([labels, np.zeros(pad, dtype=labels.dtype)])
         weights[n:] = 0.0
 
-    counts = [np.zeros(2, dtype=np.float32) for _ in range(num_replicas)]
-    for s in range(padded_n // eval_batch):
-        r = s % num_replicas
-        sl = slice(s * eval_batch, (s + 1) * eval_batch)
-        logits = eval_forward(layers, params, bn_moving, images[sl], policy, bn_eps)
-        pred = logits.argmax(axis=1)
-        hit = (pred == labels[sl]).astype(np.float32) * weights[sl]
-        counts[r] += np.array([hit.sum(), weights[sl].sum()], dtype=np.float32)
+    # One round is [num_replicas, eval_batch]: replica r evaluates row r.
+    rounds = (-1, num_replicas, eval_batch)
+    images = images.reshape(rounds + images.shape[1:])
+    labels, weights = labels.reshape(rounds), weights.reshape(rounds)
+    counts = np.zeros((num_replicas, 2), dtype=np.float32)
+    for x, y, w in zip(images, labels, weights):
+        logits = eval_forward(layers, params, bn_moving, x, policy, bn_eps)
+        hit = (logits.argmax(axis=2) == y).astype(np.float32) * w
+        counts += np.stack([hit.sum(axis=1), w.sum(axis=1)], axis=1)
     total = all_reduce(counts, "sum")
     return float(total[0] / total[1])
 

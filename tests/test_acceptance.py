@@ -88,26 +88,25 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_distributed_bn_oracle():
     rng = np.random.default_rng(0)
     n_rep, b = 8, 4
-    xs = [rng.standard_normal((b, 3, 3, 5)).astype(np.float32)
-          for _ in range(n_rep)]
+    xs = rng.standard_normal((n_rep, b, 3, 3, 5)).astype(np.float32)
     state = init_bn_state(5)
 
     # full group vs single-device BN over the concatenated 32-sample batch
-    ys, mean, var = group_bn_forward(xs, state)
-    concat = np.concatenate(xs)
+    ys, (mean,), (var,) = group_bn_forward(xs, [tuple(range(n_rep))], state)
+    concat = xs.reshape(n_rep * b, 3, 3, 5)
     count = np.float32(concat.shape[0] * 3 * 3)
     ref_mean = concat.sum(axis=(0, 1, 2)) / count
     ref_var = np.maximum((concat * concat).sum(axis=(0, 1, 2)) / count
                          - ref_mean * ref_mean, 0)
     ref_y = (concat - ref_mean) / np.sqrt(ref_var + state.eps)
-    full_ok = (np.abs(np.concatenate(ys) - ref_y).max() < 1e-6
+    full_ok = (np.abs(ys.reshape(concat.shape) - ref_y).max() < 1e-6
                and np.abs(mean - ref_mean).max() < 1e-6
                and np.abs(var - ref_var).max() < 1e-6)
 
-    # G=1 equals per-replica BN bitwise
+    # G=1 equals per-replica BN bitwise: 8 groups of one in one call
     local_ok = True
-    for x in xs:
-        (y1,), m1, v1 = group_bn_forward([x], state)
+    ys1, ms1, vs1 = group_bn_forward(xs, [(r,) for r in range(n_rep)], state)
+    for x, y1, m1, v1 in zip(xs, ys1, ms1, vs1):
         cnt = np.float32(x.shape[0] * 3 * 3)
         m_ref = x.sum(axis=(0, 1, 2)) / cnt
         v_ref = np.maximum((x * x).sum(axis=(0, 1, 2)) / cnt - m_ref * m_ref, 0)
@@ -252,9 +251,9 @@ def test_criterion_6_bf16():
     k = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
     layers = [conv2d("c", 4, 3, stride=2, padding="same", use_bias=False),
               global_avg_pool("p"), softmax_xent_head("h", 4)]
-    engine = eval_forward(layers, [Parameter("c/kernel", k)], {}, xi, FP32_ONLY)
+    engine = eval_forward(layers, [Parameter("c/kernel", k)], {}, xi[None], FP32_ONLY)
     bitwise_ok = (engine.tobytes() == nn.global_avg_pool_forward(
-        nn.conv2d_forward(xi, k, 2, "same")).tobytes())
+        nn.conv2d_forward(xi[None], k, 2, "same")).tobytes())
 
     report(6, roundtrip_ok and idem_ok and mono_ok and bitwise_ok,
            f"bf16: 2^16 round-trip {roundtrip_ok}, idempotent {idem_ok}, "

@@ -32,38 +32,54 @@ def make_state(c, eps=1e-3, dtype=np.float32):
 def test_hand_case_two_replicas():
     # samples {1,3} and {5,7}: shared mean 4, population var 5
     st = make_state(1, eps=1e-12)
-    xs = [np.array([1.0, 3.0], np.float32).reshape(2, 1, 1, 1),
-          np.array([5.0, 7.0], np.float32).reshape(2, 1, 1, 1)]
-    ys, mean, var = group_bn_forward(xs, st)
-    assert float(mean[0]) == 4.0
-    assert float(var[0]) == 5.0
-    want = [(x - 4.0) / np.sqrt(np.float32(5.0)) for x in xs]
-    for y, w in zip(ys, want):
-        np.testing.assert_allclose(y, w, rtol=1e-6)
+    x = np.array([1.0, 3.0, 5.0, 7.0], np.float32).reshape(2, 2, 1, 1, 1)
+    y, mean, var = group_bn_forward(x, [(0, 1)], st)
+    assert float(mean[0, 0]) == 4.0
+    assert float(var[0, 0]) == 5.0
+    np.testing.assert_allclose(y, (x - 4.0) / np.sqrt(np.float32(5.0)), rtol=1e-6)
 
 
 def test_single_replica_group_matches_plain_bn_bitwise():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 3, 3, 5)).astype(np.float32)
     st = make_state(5)
-    ys, mean, var = group_bn_forward([x], st)
+    y, mean, var = group_bn_forward(x[None], [(0,)], st)
     ref_y, ref_mean, ref_var = reference_bn(x, st.gamma, st.beta, st.eps)
-    assert ys[0].tobytes() == ref_y.tobytes()
-    assert mean.tobytes() == ref_mean.tobytes()
-    assert var.tobytes() == ref_var.tobytes()
+    assert y[0].tobytes() == ref_y.tobytes()
+    assert mean[0].tobytes() == ref_mean.tobytes()
+    assert var[0].tobytes() == ref_var.tobytes()
 
 
 def test_full_group_equals_concatenated_single_device():
     rng = np.random.default_rng(1)
     n, b = 8, 4
-    xs = [rng.standard_normal((b, 2, 2, 3)).astype(np.float32) for _ in range(n)]
+    x = rng.standard_normal((n, b, 2, 2, 3)).astype(np.float32)
     st = make_state(3)
-    ys, mean, var = group_bn_forward(xs, st)
-    concat = np.concatenate(xs, axis=0)
+    y, mean, var = group_bn_forward(x, [tuple(range(n))], st)
+    concat = x.reshape(n * b, 2, 2, 3)
     ref_y, ref_mean, ref_var = reference_bn(concat, st.gamma, st.beta, st.eps)
-    np.testing.assert_allclose(mean, ref_mean, atol=1e-6)
-    np.testing.assert_allclose(var, ref_var, atol=1e-6)
-    np.testing.assert_allclose(np.concatenate(ys, axis=0), ref_y, atol=1e-6)
+    np.testing.assert_allclose(mean[0], ref_mean, atol=1e-6)
+    np.testing.assert_allclose(var[0], ref_var, atol=1e-6)
+    np.testing.assert_allclose(y.reshape(concat.shape), ref_y, atol=1e-6)
+
+
+def test_groups_in_one_call_match_separate_calls_bitwise():
+    # Every group is reduced in one call; each must come out as if alone.
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((4, 3, 2, 2, 3)).astype(np.float32)
+    g = rng.standard_normal(x.shape).astype(np.float32)
+    st = make_state(3)
+    st.gamma[:] = [0.5, 1.5, -2.0]
+    members = [(0, 2), (1, 3)]
+    y, mean, var = group_bn_forward(x, members, st)
+    gx, dgamma, dbeta = group_bn_backward(x, g, members, mean, var, st)
+    for gid, m in enumerate(members):
+        m = list(m)
+        y1, mean1, var1 = group_bn_forward(x[m], [(0, 1)], st)
+        gx1, dgamma1, dbeta1 = group_bn_backward(x[m], g[m], [(0, 1)], mean1, var1, st)
+        assert y[m].tobytes() == y1.tobytes() and gx[m].tobytes() == gx1.tobytes()
+        for got, want in ((mean, mean1), (var, var1), (dgamma, dgamma1), (dbeta, dbeta1)):
+            assert got[gid].tobytes() == want[0].tobytes()
 
 
 def test_gamma_zero_outputs_beta():
@@ -71,76 +87,80 @@ def test_gamma_zero_outputs_beta():
     st = make_state(2)
     st.gamma[:] = 0.0
     st.beta[:] = [1.5, -2.0]
-    xs = [rng.standard_normal((3, 2, 2, 2)).astype(np.float32)]
-    ys, _, _ = group_bn_forward(xs, st)
-    np.testing.assert_allclose(ys[0], np.broadcast_to(st.beta, ys[0].shape))
+    x = rng.standard_normal((1, 3, 2, 2, 2)).astype(np.float32)
+    y, _, _ = group_bn_forward(x, [(0,)], st)
+    np.testing.assert_allclose(y, np.broadcast_to(st.beta, y.shape))
 
 
 def test_shape_mismatch_and_empty_group():
     st = make_state(1)
-    with pytest.raises(ValueError, match="mismatch"):
-        group_bn_forward([np.zeros((2, 2, 2, 1), np.float32),
-                          np.zeros((3, 2, 2, 1), np.float32)], st)
-    with pytest.raises(ValueError, match="at least one"):
-        group_bn_forward([], st)
+    with pytest.raises(ValueError, match=r"\[N, b, H, W, C\]"):
+        group_bn_forward(np.zeros((2, 2, 2, 1), np.float32), [(0, 1)], st)
+    x = np.zeros((3, 2, 2, 2, 1), np.float32)
+    # no group, unequal groups, a replica twice, a replica left out
+    for members in ([], [(0,), (1, 2)], [(0, 1, 1)], [(0, 1)]):
+        with pytest.raises(ValueError, match="equal groups"):
+            group_bn_forward(x, members, st)
     with pytest.raises(ValueError, match="non-empty"):
-        group_bn_forward([np.zeros((0, 2, 2, 1), np.float32)], st)
+        group_bn_forward(np.zeros((1, 0, 2, 2, 1), np.float32), [(0,)], st)
+    with pytest.raises(ValueError, match="grad_y"):
+        group_bn_backward(x, x[:2], [(0, 1, 2)], np.zeros((1, 1), np.float32),
+                          np.ones((1, 1), np.float32), st)
 
 
 def test_backward_zero_grads():
     rng = np.random.default_rng(3)
     st = make_state(2)
-    xs = [rng.standard_normal((2, 2, 2, 2)).astype(np.float32) for _ in range(2)]
-    _, mean, var = group_bn_forward(xs, st)
-    gx, dgamma, dbeta = group_bn_backward(
-        xs, [np.zeros_like(x) for x in xs], mean, var, st)
+    x = rng.standard_normal((2, 2, 2, 2, 2)).astype(np.float32)
+    _, mean, var = group_bn_forward(x, [(0, 1)], st)
+    gx, dgamma, dbeta = group_bn_backward(x, np.zeros_like(x), [(0, 1)], mean, var, st)
     assert not dgamma.any() and not dbeta.any()
-    assert not any(g.any() for g in gx)
+    assert not gx.any()
 
 
 @pytest.mark.parametrize("group", [1, 4])
 def test_backward_matches_finite_differences(group):
     rng = np.random.default_rng(4 + group)
     b, c = 2, 3
-    xs = [rng.standard_normal((b, 2, 2, c)) for _ in range(group)]
-    ws = [rng.standard_normal((b, 2, 2, c)) for _ in range(group)]
+    x = rng.standard_normal((group, b, 2, 2, c))
+    w = rng.standard_normal((group, b, 2, 2, c))
     st = make_state(c, dtype=np.float64)
     st.gamma[:] = rng.standard_normal(c)
     st.beta[:] = rng.standard_normal(c)
+    members = [tuple(range(group))]
 
-    def objective(xs_v, gamma=None, beta=None):
+    def objective(x_v, gamma=None, beta=None):
         st2 = BnState(gamma if gamma is not None else st.gamma,
                       beta if beta is not None else st.beta,
                       st.moving_mean, st.moving_var, st.momentum, st.eps)
-        ys, _, _ = group_bn_forward(list(xs_v), st2)
-        return sum(float((y * w).sum()) for y, w in zip(ys, ws))
+        y, _, _ = group_bn_forward(x_v, members, st2)
+        return float((y * w).sum())
 
-    _, mean, var = group_bn_forward(xs, st)
-    gxs, dgamma, dbeta = group_bn_backward(xs, ws, mean, var, st)
+    _, mean, var = group_bn_forward(x, members, st)
+    gx, dgamma, dbeta = group_bn_backward(x, w, members, mean, var, st)
 
     eps = 1e-5
     worst = 0.0
-    for r in range(group):
-        flat = xs[r].reshape(-1)
-        aflat = gxs[r].reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + eps
-            lp = objective(xs)
-            flat[j] = orig - eps
-            lm = objective(xs)
-            flat[j] = orig
-            num = (lp - lm) / (2 * eps)
-            worst = max(worst, abs(num - aflat[j]) / max(abs(num), abs(aflat[j]), 1e-8))
+    flat = x.reshape(-1)
+    aflat = gx.reshape(-1)
+    for j in range(flat.size):
+        orig = flat[j]
+        flat[j] = orig + eps
+        lp = objective(x)
+        flat[j] = orig - eps
+        lm = objective(x)
+        flat[j] = orig
+        num = (lp - lm) / (2 * eps)
+        worst = max(worst, abs(num - aflat[j]) / max(abs(num), abs(aflat[j]), 1e-8))
     assert worst < 1e-3
 
-    for arr, analytic in ((st.gamma, dgamma), (st.beta, dbeta)):
+    for arr, analytic in ((st.gamma, dgamma[0]), (st.beta, dbeta[0])):
         for j in range(arr.size):
             orig = arr[j]
             arr[j] = orig + eps
-            lp = objective(xs)
+            lp = objective(x)
             arr[j] = orig - eps
-            lm = objective(xs)
+            lm = objective(x)
             arr[j] = orig
             num = (lp - lm) / (2 * eps)
             assert abs(num - analytic[j]) / max(abs(num), abs(analytic[j]), 1e-8) < 1e-3
@@ -169,28 +189,28 @@ def test_update_moving_stats_cases():
 
 def test_replica_permutation_value_invariance():
     rng = np.random.default_rng(6)
-    xs = [rng.standard_normal((2, 2, 2, 3)).astype(np.float32) for _ in range(4)]
+    x = rng.standard_normal((4, 2, 2, 2, 3)).astype(np.float32)
     st = make_state(3)
-    _, mean_a, var_a = group_bn_forward(xs, st)
-    _, mean_b, var_b = group_bn_forward([xs[2], xs[0], xs[3], xs[1]], st)
+    members = [(0, 1, 2, 3)]
+    _, mean_a, var_a = group_bn_forward(x, members, st)
+    _, mean_b, var_b = group_bn_forward(x[[2, 0, 3, 1]], members, st)
     np.testing.assert_allclose(mean_a, mean_b, atol=1e-7)
     np.testing.assert_allclose(var_a, var_b, atol=1e-7)
     # identical member order: bitwise identical statistics
-    _, mean_c, var_c = group_bn_forward(list(xs), st)
+    _, mean_c, var_c = group_bn_forward(x.copy(), members, st)
     assert mean_a.tobytes() == mean_c.tobytes()
     assert var_a.tobytes() == var_c.tobytes()
 
 
 def test_forward_then_inverse_recovers_input():
     rng = np.random.default_rng(7)
-    xs = [rng.standard_normal((3, 2, 2, 2)).astype(np.float32) for _ in range(2)]
+    x = rng.standard_normal((2, 3, 2, 2, 2)).astype(np.float32)
     st = make_state(2)
     st.gamma[:] = [2.0, 0.5]
     st.beta[:] = [0.3, -1.0]
-    ys, mean, var = group_bn_forward(xs, st)
-    for x, y in zip(xs, ys):
-        rec = (y - st.beta) / st.gamma * np.sqrt(var + st.eps) + mean
-        np.testing.assert_allclose(rec, x, atol=1e-5)
+    y, mean, var = group_bn_forward(x, [(0, 1)], st)
+    rec = (y - st.beta) / st.gamma * np.sqrt(var[0] + st.eps) + mean[0]
+    np.testing.assert_allclose(rec, x, atol=1e-5)
 
 
 def test_bn_batch_size_accessor():
@@ -202,7 +222,7 @@ def test_bn_inference_uses_moving_stats():
     st = make_state(2)
     st.moving_mean[:] = [1.0, -1.0]
     st.moving_var[:] = [4.0, 0.25]
-    x = np.ones((1, 1, 1, 2), np.float32)
+    x = np.ones((1, 1, 1, 1, 2), np.float32)
     y = bn_inference(x, st)
     want = (x - st.moving_mean) / np.sqrt(st.moving_var + st.eps)
     np.testing.assert_allclose(y, want, rtol=1e-6)

@@ -6,6 +6,7 @@ import pytest
 from minipod import model
 from minipod.collectives import assign_groups_1d
 from minipod.data import gen_synthetic
+from minipod.precision import FP32_ONLY, MIXED_BF16_CONV
 from minipod.model import (
     batchnorm,
     build_model,
@@ -92,11 +93,34 @@ def test_engine_mean_loss_matches_replica_mean(small_data):
     moving = init_bn_moving(layers, x.shape[1:])
     res = distributed_forward_backward(
         layers, params, moving,
-        [x[:4], x[4:]], [labels[:4], labels[4:]],
+        x.reshape(2, 4, *x.shape[1:]), labels.reshape(2, 4),
         assign_groups_1d(2, 2))
     assert res.mean_loss == sum(res.losses) / 2
-    assert len(res.grads_per_replica) == 2
-    assert len(res.grads_per_replica[0]) == len(params)
+    assert len(res.losses) == 2
+    assert [g.shape for g in res.grads] == [(2,) + p.value.shape for p in params]
+
+
+@pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
+def test_engine_stacked_replicas_match_single_replica_calls(policy):
+    # With groups of one, replica r of a stacked call computes exactly what a
+    # one-replica call on its batch computes, down to the last bit.
+    ds = gen_synthetic(10, 20, 8, 8, 1, seed=12)
+    layers = build_model("b5", 10)
+    params = init_params(layers, (8, 8, 1), seed=12)
+    moving = init_bn_moving(layers, (8, 8, 1))
+    x, labels = ds.images.reshape(4, 5, 8, 8, 1), ds.labels.reshape(4, 5)
+    stacked = distributed_forward_backward(
+        layers, params, moving, x, labels, assign_groups_1d(4, 1), policy=policy)
+    for r in range(4):
+        one = distributed_forward_backward(
+            layers, params, moving, x[r:r + 1], labels[r:r + 1],
+            assign_groups_1d(1, 1), policy=policy)
+        assert one.losses == [stacked.losses[r]]
+        for g_all, g_one in zip(stacked.grads, one.grads):
+            assert g_all[r].tobytes() == g_one[0].tobytes()
+        for name, (mean, var) in stacked.bn_saved.items():
+            assert mean[r].tobytes() == one.bn_saved[name][0][0].tobytes()
+            assert var[r].tobytes() == one.bn_saved[name][1][0].tobytes()
 
 
 def test_gradcheck_linear_model(small_data):
@@ -142,10 +166,10 @@ def test_eval_forward_uses_moving_stats(small_data):
     layers = build_model("toy_cnn_pool", 4)
     params = init_params(layers, x.shape[1:], seed=9)
     moving = init_bn_moving(layers, x.shape[1:])
-    logits_a = eval_forward(layers, params, moving, x)
-    assert logits_a.shape == (len(x), 4)
+    logits_a = eval_forward(layers, params, moving, x[None])
+    assert logits_a.shape == (1, len(x), 4)
     moving["bn1"] = (moving["bn1"][0] + 1.0, moving["bn1"][1])
-    logits_b = eval_forward(layers, params, moving, x)
+    logits_b = eval_forward(layers, params, moving, x[None])
     assert logits_a.tobytes() != logits_b.tobytes()
 
 
@@ -154,11 +178,9 @@ def test_eval_forward_per_sample_independent_of_batch(small_data):
     layers = build_model("toy_cnn_pool", 4)
     params = init_params(layers, x.shape[1:], seed=10)
     moving = init_bn_moving(layers, x.shape[1:])
-    whole = eval_forward(layers, params, moving, x)
-    halves = np.concatenate([
-        eval_forward(layers, params, moving, x[:4]),
-        eval_forward(layers, params, moving, x[4:])])
-    np.testing.assert_allclose(whole, halves, rtol=1e-6)
+    whole = eval_forward(layers, params, moving, x[None])
+    halves = eval_forward(layers, params, moving, x.reshape(2, 4, *x.shape[1:]))
+    np.testing.assert_allclose(whole.reshape(halves.shape), halves, rtol=1e-6)
 
 
 def test_model_registry():

@@ -1,4 +1,8 @@
-"""Tensor-op tests: hand-derived values plus finite-difference oracles."""
+"""Tensor-op tests: hand-derived values plus finite-difference oracles.
+
+Every kernel takes a leading replica axis ([N, b, ...]); most cases here use
+one replica.
+"""
 
 import numpy as np
 import pytest
@@ -55,7 +59,7 @@ def test_matmul_shape_error_names_both_shapes():
 
 def test_conv_1x1_identity_kernel():
     rng = np.random.default_rng(0)
-    x = rng.random((2, 5, 5, 3)).astype(np.float32)
+    x = rng.random((1, 2, 5, 5, 3)).astype(np.float32)
     k = np.zeros((1, 1, 3, 3), np.float32)
     k[0, 0] = np.eye(3)
     out = nn.conv2d_forward(x, k, 1, "valid")
@@ -63,54 +67,54 @@ def test_conv_1x1_identity_kernel():
 
 
 def test_conv_all_ones_single_window():
-    x = np.ones((1, 3, 3, 1), np.float32)
+    x = np.ones((1, 1, 3, 3, 1), np.float32)
     k = np.ones((3, 3, 1, 1), np.float32)
     out = nn.conv2d_forward(x, k, 1, "valid")
-    assert out.shape == (1, 1, 1, 1)
+    assert out.shape == (1, 1, 1, 1, 1)
     assert out.reshape(()) == np.float32(9.0)
 
 
 def test_conv_valid_output_shape():
-    out = nn.conv2d_forward(np.zeros((1, 4, 4, 1), np.float32),
+    out = nn.conv2d_forward(np.zeros((1, 1, 4, 4, 1), np.float32),
                             np.zeros((3, 3, 1, 1), np.float32), 1, "valid")
-    assert out.shape == (1, 2, 2, 1)
+    assert out.shape == (1, 1, 2, 2, 1)
 
 
 def test_conv_channel_mismatch():
     with pytest.raises(ValueError, match="channel"):
-        nn.conv2d_forward(np.zeros((1, 4, 4, 2), np.float32),
+        nn.conv2d_forward(np.zeros((1, 1, 4, 4, 2), np.float32),
                           np.zeros((3, 3, 1, 1), np.float32))
 
 
 def test_conv_zero_size_output():
     with pytest.raises(ValueError, match="zero-size"):
-        nn.conv2d_forward(np.zeros((1, 2, 2, 1), np.float32),
+        nn.conv2d_forward(np.zeros((1, 1, 2, 2, 1), np.float32),
                           np.zeros((3, 3, 1, 1), np.float32), 1, "valid")
 
 
 def test_conv_backward_zero_grad_out():
     rng = np.random.default_rng(1)
-    x = rng.random((1, 4, 4, 2)).astype(np.float32)
+    x = rng.random((1, 1, 4, 4, 2)).astype(np.float32)
     k = rng.random((3, 3, 2, 2)).astype(np.float32)
-    gx, gk = nn.conv2d_backward(x, k, np.zeros((1, 2, 2, 2), np.float32),
+    gx, gk = nn.conv2d_backward(x, k, np.zeros((1, 1, 2, 2, 2), np.float32),
                                 1, "valid")
     assert not gx.any() and not gk.any()
 
 
 def test_conv_backward_identity_kernel_passthrough():
     rng = np.random.default_rng(2)
-    x = rng.random((2, 4, 4, 1)).astype(np.float32)
+    x = rng.random((1, 2, 4, 4, 1)).astype(np.float32)
     k = np.ones((1, 1, 1, 1), np.float32)
-    g = rng.random((2, 4, 4, 1)).astype(np.float32)
+    g = rng.random((1, 2, 4, 4, 1)).astype(np.float32)
     gx, _ = nn.conv2d_backward(x, k, g, 1, "valid")
     assert np.array_equal(gx, g)
 
 
 def test_conv_backward_grad_out_shape_error():
     with pytest.raises(ValueError, match="grad_out"):
-        nn.conv2d_backward(np.zeros((1, 4, 4, 1), np.float32),
+        nn.conv2d_backward(np.zeros((1, 1, 4, 4, 1), np.float32),
                            np.zeros((3, 3, 1, 1), np.float32),
-                           np.zeros((1, 4, 4, 1), np.float32), 1, "valid")
+                           np.zeros((1, 1, 4, 4, 1), np.float32), 1, "valid")
 
 
 @pytest.mark.parametrize("stride,padding", [(1, "valid"), (1, "same"),
@@ -118,12 +122,12 @@ def test_conv_backward_grad_out_shape_error():
 def test_conv_backward_matches_finite_differences(stride, padding):
     for seed in range(5):  # x4 configs = 20 seeded cases
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal((1, 3, 3, 1))
+        x = rng.standard_normal((1, 1, 3, 3, 1))
         k = rng.standard_normal((3, 3, 1, 2))
         out_shape = nn.conv2d_forward(x, k, stride, padding).shape
         w = rng.standard_normal(out_shape)
 
-        gx, gk = nn.conv2d_backward(x, k, w, stride, padding)
+        gx, (gk,) = nn.conv2d_backward(x, k, w, stride, padding)
         num_gx = fd_grad(lambda v: float(
             (nn.conv2d_forward(v, k, stride, padding) * w).sum()), x, eps=1e-3)
         num_gk = fd_grad(lambda v: float(
@@ -156,10 +160,10 @@ def test_activation_backward_many_seeds(kind):
 def test_depthwise_and_dense_and_pool_backward_many_seeds():
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
-        x = rng.standard_normal((2, 4, 4, 3))
+        x = rng.standard_normal((1, 2, 4, 4, 3))
         k = rng.standard_normal((3, 3, 3))
         w = rng.standard_normal(nn.depthwise_conv2d_forward(x, k).shape)
-        gx, gk = nn.depthwise_conv2d_backward(x, k, w)
+        gx, (gk,) = nn.depthwise_conv2d_backward(x, k, w)
         assert max_rel(gx, fd_grad(
             lambda v: float((nn.depthwise_conv2d_forward(v, k) * w).sum()), x, 1e-3)) < 1e-3
         assert max_rel(gk, fd_grad(
@@ -167,14 +171,14 @@ def test_depthwise_and_dense_and_pool_backward_many_seeds():
 
         dw = rng.standard_normal((48, 5))
         db = rng.standard_normal(5)
-        wd = rng.standard_normal((2, 5))
-        gx2, gw, gb = nn.dense_backward(x, dw, wd)
+        wd = rng.standard_normal((1, 2, 5))
+        gx2, (gw,), _ = nn.dense_backward(x, dw, wd)
         assert max_rel(gx2, fd_grad(
             lambda v: float((nn.dense_forward(v, dw, db) * wd).sum()), x, 1e-3)) < 1e-3
         assert max_rel(gw, fd_grad(
             lambda v: float((nn.dense_forward(x, v, db) * wd).sum()), dw, 1e-3)) < 1e-3
 
-        wp = rng.standard_normal((2, 3))
+        wp = rng.standard_normal((1, 2, 3))
         gp = nn.global_avg_pool_backward(x, wp)
         assert max_rel(gp, fd_grad(
             lambda v: float((nn.global_avg_pool_forward(v) * wp).sum()), x, 1e-3)) < 1e-3
@@ -201,38 +205,39 @@ def test_sigmoid_extremes_do_not_overflow():
 
 
 def test_softmax_xent_uniform_is_log_k():
-    loss, grad = nn.softmax_xent(np.zeros((3, 4), np.float32), np.array([0, 1, 2]))
+    (loss,), grad = nn.softmax_xent(np.zeros((1, 3, 4), np.float32),
+                                    np.array([[0, 1, 2]]))
     assert abs(loss - np.log(4.0)) < 1e-6
     # gradient rows sum to zero
-    assert np.abs(grad.sum(axis=1)).max() < 1e-7
+    assert np.abs(grad.sum(axis=2)).max() < 1e-7
 
 
 def test_softmax_xent_margin_monotone_to_zero():
     losses = []
     for margin in (1.0, 2.0, 4.0, 8.0):
-        logits = np.zeros((1, 3), np.float32)
-        logits[0, 1] = margin
-        loss, _ = nn.softmax_xent(logits, np.array([1]))
+        logits = np.zeros((1, 1, 3), np.float32)
+        logits[0, 0, 1] = margin
+        (loss,), _ = nn.softmax_xent(logits, np.array([[1]]))
         losses.append(loss)
     assert all(a > b for a, b in zip(losses, losses[1:]))
     assert losses[-1] < 1e-3
     # and the saturated limit reaches zero exactly in fp32
-    logits = np.zeros((1, 3), np.float32)
-    logits[0, 1] = 100.0
-    assert nn.softmax_xent(logits, np.array([1]))[0] == 0.0
+    logits = np.zeros((1, 1, 3), np.float32)
+    logits[0, 0, 1] = 100.0
+    assert nn.softmax_xent(logits, np.array([[1]]))[0][0] == 0.0
 
 
 def test_softmax_xent_label_out_of_range():
     with pytest.raises(ValueError, match="range"):
-        nn.softmax_xent(np.zeros((2, 3), np.float32), np.array([0, 3]))
+        nn.softmax_xent(np.zeros((1, 2, 3), np.float32), np.array([[0, 3]]))
 
 
 def test_softmax_xent_grad_matches_finite_differences():
     rng = np.random.default_rng(7)
-    logits = rng.standard_normal((3, 5))
-    labels = np.array([1, 4, 0])
+    logits = rng.standard_normal((1, 3, 5))
+    labels = np.array([[1, 4, 0]])
     _, grad = nn.softmax_xent(logits, labels)
-    num = fd_grad(lambda v: nn.softmax_xent(v, labels)[0], logits, eps=1e-3)
+    num = fd_grad(lambda v: nn.softmax_xent(v, labels)[0][0], logits, eps=1e-3)
     assert max_rel(grad, num) < 1e-3
 
 
@@ -242,7 +247,7 @@ def test_softmax_xent_grad_matches_finite_differences():
 
 def test_ops_bit_deterministic_across_runs():
     rng = np.random.default_rng(11)
-    x = rng.standard_normal((4, 8, 8, 3)).astype(np.float32)
+    x = rng.standard_normal((2, 4, 8, 8, 3)).astype(np.float32)
     k = rng.standard_normal((3, 3, 3, 5)).astype(np.float32)
     a = nn.conv2d_forward(x, k, 2, "same")
     b = nn.conv2d_forward(x.copy(), k.copy(), 2, "same")
@@ -250,14 +255,3 @@ def test_ops_bit_deterministic_across_runs():
     ga, gka = nn.conv2d_backward(x, k, a, 2, "same")
     gb, gkb = nn.conv2d_backward(x, k, a.copy(), 2, "same")
     assert ga.tobytes() == gb.tobytes() and gka.tobytes() == gkb.tobytes()
-
-
-def test_parameter_grad_shape_checked():
-    with pytest.raises(ValueError, match="grad shape"):
-        nn.Parameter("w", np.zeros(3, np.float32), np.zeros(2, np.float32))
-
-
-def test_assert_finite_opt_in_check():
-    nn.assert_finite(np.ones(3, np.float32))  # no-op on clean data
-    with pytest.raises(FloatingPointError, match="activations"):
-        nn.assert_finite(np.array([1.0, np.nan], np.float32), "activations")

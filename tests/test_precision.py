@@ -93,8 +93,10 @@ def conv_model(kernel, stride=1, padding="valid"):
 
 
 def engine(layers, params, x, labels, policy):
+    """One replica with batch x."""
     return distributed_forward_backward(
-        layers, params, {}, [x], [labels], assign_groups_1d(1, 1), policy=policy)
+        layers, params, {}, x[None], labels[None], assign_groups_1d(1, 1),
+        policy=policy)
 
 
 def test_fp32_policy_is_bitwise_identity():
@@ -104,13 +106,13 @@ def test_fp32_policy_is_bitwise_identity():
     labels = np.array([0, 3])
     layers, params = conv_model(k, 2, "same")
     res = engine(layers, params, x, labels, FP32_ONLY)
-    y = nn.conv2d_forward(x, k, 2, "same")
+    y = nn.conv2d_forward(x[None], k, 2, "same")
     logits = nn.global_avg_pool_forward(y)
-    loss, g = nn.softmax_xent(logits, labels)
-    _, gk = nn.conv2d_backward(x, k, nn.global_avg_pool_backward(y, g), 2, "same")
-    assert eval_forward(layers, params, {}, x).tobytes() == logits.tobytes()
+    (loss,), g = nn.softmax_xent(logits, labels[None])
+    _, gk = nn.conv2d_backward(x[None], k, nn.global_avg_pool_backward(y, g), 2, "same")
+    assert eval_forward(layers, params, {}, x[None]).tobytes() == logits.tobytes()
     assert res.losses == [float(loss)]
-    assert res.grads_per_replica[0][0].tobytes() == gk.tobytes()
+    assert res.grads[0].tobytes() == gk.tobytes()
 
 
 def test_bf16_representable_inputs_identical_paths():
@@ -122,9 +124,9 @@ def test_bf16_representable_inputs_identical_paths():
     a = engine(layers, params, x, np.array([1]), MIXED_BF16_CONV)
     b = engine(layers, params, x, np.array([1]), FP32_ONLY)
     assert a.losses == b.losses
-    assert a.grads_per_replica[0][0].tobytes() == b.grads_per_replica[0][0].tobytes()
-    assert (eval_forward(layers, params, {}, x, MIXED_BF16_CONV).tobytes()
-            == eval_forward(layers, params, {}, x, FP32_ONLY).tobytes())
+    assert a.grads[0].tobytes() == b.grads[0].tobytes()
+    assert (eval_forward(layers, params, {}, x[None], MIXED_BF16_CONV).tobytes()
+            == eval_forward(layers, params, {}, x[None], FP32_ONLY).tobytes())
 
 
 def test_mixed_error_bound_scales_with_accumulation_length():
@@ -137,8 +139,8 @@ def test_mixed_error_bound_scales_with_accumulation_length():
     windows = np.stack([x[b, i:i + 3, j:j + 3]
                         for b in range(2) for i in range(6) for j in range(6)])
     layers, params = conv_model(k)
-    exact = eval_forward(layers, params, {}, windows, FP32_ONLY)
-    mixed = eval_forward(layers, params, {}, windows, MIXED_BF16_CONV)
+    exact = eval_forward(layers, params, {}, windows[None], FP32_ONLY)
+    mixed = eval_forward(layers, params, {}, windows[None], MIXED_BF16_CONV)
     acc_len = 3 * 3 * 4
     rel = np.abs(mixed - exact) / np.abs(exact)
     assert float(rel.max()) <= 2.0**-7 * acc_len
@@ -151,7 +153,7 @@ def b5_step(policy):
     params = init_params(layers, (8, 8, 1), seed=6)
     return distributed_forward_backward(
         layers, params, init_bn_moving(layers, (8, 8, 1)),
-        np.split(ds.images, 4), np.split(ds.labels, 4), assign_groups_1d(4, 2),
+        ds.images.reshape(4, 4, 8, 8, 1), ds.labels.reshape(4, 4), assign_groups_1d(4, 2),
         policy=policy)
 
 
@@ -166,19 +168,22 @@ def test_mixed_backward_uses_rounded_operands(monkeypatch):
                             fn(to_bf16(x), to_bf16(k), *rest))
     want = b5_step(FP32_ONLY)
     assert got.losses == want.losses
-    for got_r, want_r in zip(got.grads_per_replica, want.grads_per_replica):
-        assert [g.tobytes() for g in got_r] == [g.tobytes() for g in want_r]
+    assert [g.tobytes() for g in got.grads] == [g.tobytes() for g in want.grads]
 
 
 def test_step_rounds_each_conv_operand_once(monkeypatch):
-    calls = []
+    sizes = []
     monkeypatch.setattr(precision, "to_bf16",
-                        lambda x, fn=precision.to_bf16: calls.append(1) or fn(x))
+                        lambda x, fn=precision.to_bf16: sizes.append(np.size(x)) or fn(x))
     b5_step(FP32_ONLY)
-    assert not calls
+    assert not sizes
     b5_step(MIXED_BF16_CONV)
-    # 3 conv layers x (1 shared kernel + 4 replica inputs)
-    assert len(calls) == 3 * (1 + 4)
+    # 3 conv layers x (1 shared kernel + 1 stacked input of 4 replicas)
+    assert len(sizes) == 3 * 2
+    # every element of the 3 kernels and of the 16 examples' 3 conv inputs, once
+    kernels = 3 * 3 * (1 * 8 + 8 + 8 * 16)
+    inputs = 16 * (8 * 8 * 1 + 4 * 4 * 8 + 4 * 4 * 8)
+    assert sum(sizes) == kernels + inputs
 
 
 def test_mixed_gradcheck_consistency():
@@ -187,14 +192,15 @@ def test_mixed_gradcheck_consistency():
     k = to_bf16(rng.standard_normal((3, 3, 2, 2)).astype(np.float32))
     labels = np.array([1])
     layers, params = conv_model(k)
-    gk = engine(layers, params, x, labels, MIXED_BF16_CONV).grads_per_replica[0][0]
+    gk = engine(layers, params, x, labels, MIXED_BF16_CONV).grads[0][0]
     # The logits are linear in each kernel element, so the secant between two
     # bf16 grid points of the logits weighted by the loss gradient equals the
     # exact partial derivative of the loss.
-    _, w = nn.softmax_xent(eval_forward(layers, params, {}, x, MIXED_BF16_CONV), labels)
+    _, w = nn.softmax_xent(
+        eval_forward(layers, params, {}, x[None], MIXED_BF16_CONV), labels[None])
 
     def loss():
-        return float((eval_forward(layers, params, {}, x, MIXED_BF16_CONV) * w).sum())
+        return float((eval_forward(layers, params, {}, x[None], MIXED_BF16_CONV) * w).sum())
 
     kf = params[0].value.reshape(-1)
     worst = 0.0
