@@ -6,9 +6,9 @@ gradients, then one optimizer step. Synchronous replicas
 apply the same update to the same reduced gradient, so the state holds a
 single copy of the parameters, optimizer slots and BN moving statistics.
 Evaluation shards a padded eval set across all replicas, one stacked round
-of num_replicas * eval_batch examples per forward call, and all-reduces the
-counts of hits among the real examples, so the result is independent of the
-replica count.
+of num_replicas * eval_batch examples per forward call, and all-reduces
+integer counts of hits among the real examples, so the result is exact and
+independent of the replica count.
 
 Records carry modeled timing from the cost model; elapsed_s is cumulative
 *modeled* seconds so that metric streams are bitwise reproducible (wall clock
@@ -346,10 +346,11 @@ def distributed_eval(
 ) -> float:
     """Top-1 accuracy over the dataset, sharded across all replicas.
 
-    The eval set is padded with zero-weight dummy examples to a multiple of
-    num_replicas * eval_batch; weighted correct/total counts are all-reduce
-    summed, so the accuracy counts exactly the real examples and does not
-    depend on the replica count.
+    The eval set is padded with dummy examples to a multiple of
+    num_replicas * eval_batch. Each replica counts its hits and its real
+    examples as integers; the all-reduced counts give hits / n, which counts
+    exactly the real examples, is the correctly rounded quotient at any
+    eval-set size, and does not depend on the replica count.
     """
     n = len(dataset)
     per_round = num_replicas * eval_batch
@@ -357,24 +358,23 @@ def distributed_eval(
     pad = padded_n - n
     images = dataset.images
     labels = dataset.labels
-    weights = np.ones(padded_n, dtype=np.float32)
     if pad:
         images = np.concatenate(
             [images, np.zeros((pad,) + images.shape[1:], dtype=images.dtype)])
         labels = np.concatenate([labels, np.zeros(pad, dtype=labels.dtype)])
-        weights[n:] = 0.0
 
     # One round is [num_replicas, eval_batch]: replica r evaluates row r.
     rounds = (-1, num_replicas, eval_batch)
     images = images.reshape(rounds + images.shape[1:])
-    labels, weights = labels.reshape(rounds), weights.reshape(rounds)
-    counts = np.zeros((num_replicas, 2), dtype=np.float32)
-    for x, y, w in zip(images, labels, weights):
+    labels = labels.reshape(rounds)
+    real = (np.arange(padded_n) < n).reshape(rounds)
+    counts = np.zeros((num_replicas, 2), dtype=np.int64)  # hits, real examples
+    for x, y, r in zip(images, labels, real):
         logits = eval_forward(layers, params, bn_moving, x, policy, bn_eps)
-        hit = (logits.argmax(axis=2) == y).astype(np.float32) * w
-        counts += np.stack([hit.sum(axis=1), w.sum(axis=1)], axis=1)
-    total = all_reduce(counts, "sum")
-    return float(total[0] / total[1])
+        hit = (logits.argmax(axis=2) == y) & r
+        counts += np.stack([hit.sum(axis=1), r.sum(axis=1)], axis=1)
+    hits, total = all_reduce(counts, "sum")
+    return int(hits) / int(total)
 
 
 # ---------------------------------------------------------------------------

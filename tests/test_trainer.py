@@ -174,6 +174,15 @@ def test_distributed_eval_padding_denominator():
     assert top1 == 1.0  # 10/10, not 10/16 (dummy zero-images also predict 1)
 
 
+def test_distributed_eval_counts_are_exact():
+    # 1 hit among 3 real examples (and 1 dummy) is exactly 1/3; float32
+    # counts gave 0.3333333432674408.
+    layers, params, moving = constant_predictor_state(num_classes=2, favored=0)
+    images = toy_dataset(n=3, num_classes=2).images
+    ds = Dataset(images, np.array([0, 1, 1], dtype=np.int64), 2)
+    assert distributed_eval(layers, params, moving, ds, 2, 2) == 1 / 3
+
+
 def test_distributed_eval_replica_count_invariance():
     cfg = tiny_config()
     train, evalset = build_datasets(cfg)
