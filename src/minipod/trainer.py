@@ -2,9 +2,9 @@
 
 Every step: forward/backward of all replicas stacked on one leading axis
 (group BN, optional bf16 convs), all-reduce mean of the per-replica
-gradients, then one optimizer step. Synchronous replicas
-apply the same update to the same reduced gradient, so the state holds a
-single copy of the parameters, optimizer slots and BN moving statistics.
+gradients, then one optimizer step. Synchronous replicas apply the same
+update to the same reduced gradient, so the state holds a single copy of the
+parameters, optimizer slots and BN moving statistics.
 Evaluation shards a padded eval set across all replicas, one stacked round
 of num_replicas * eval_batch examples per forward call, and all-reduces
 integer counts of hits among the real examples, so the result is exact and
@@ -148,12 +148,20 @@ class TrainConfig:
         if not (every >= 1 and float(every).is_integer()):
             raise ValueError(
                 f"eval_every_epochs must be a whole number >= 1, got {every}")
-        if self.total_epochs < 0:
-            raise ValueError("total_epochs must be >= 0")
+        if not (math.isfinite(self.total_epochs) and self.total_epochs >= 0):
+            raise ValueError(
+                f"total_epochs must be a finite number >= 0, got {self.total_epochs}")
+        if self.eval_batch is not None and self.eval_batch < 1:
+            raise ValueError(f"eval_batch must be >= 1 when set, got {self.eval_batch}")
 
     @property
     def per_core_batch(self) -> int:
         return self.global_batch // self.num_replicas
+
+    @property
+    def per_core_eval_batch(self) -> int:
+        """eval_batch, or the per-core training batch when it is unset."""
+        return self.per_core_batch if self.eval_batch is None else self.eval_batch
 
     @property
     def policy(self) -> PrecisionPolicy:
@@ -430,12 +438,12 @@ def run_with_state(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState
     step_ms = perfmodel.step_time(config.per_core_batch, config.num_replicas, cost)
     ar_frac = perfmodel.allreduce_fraction(
         config.per_core_batch, config.num_replicas, cost)
-    eval_batch = config.eval_batch or config.per_core_batch
 
     def evaluate() -> float:
         return distributed_eval(
             state.layers, state.params, state.bn_moving, eval_ds,
-            config.num_replicas, eval_batch, config.policy, config.bn_eps)
+            config.num_replicas, config.per_core_eval_batch, config.policy,
+            config.bn_eps)
 
     records: list[MetricsRecord] = []
     total_steps = int(round(config.total_epochs * steps_per_epoch))

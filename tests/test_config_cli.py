@@ -96,6 +96,19 @@ def test_cli_train_fractional_eval_every_epochs(tmp_path, capsys, every):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("line,key", [
+    ("eval_batch = 0", "eval_batch"),  # was silently replaced by the per-core batch
+    ("eval_batch = -4", "eval_batch"),
+    ("total_epochs = inf", "total_epochs"),
+])
+def test_cli_train_rejects_bad_eval_batch_and_total_epochs(tmp_path, capsys, line, key):
+    cfg = write_config(tmp_path, f"preset = toy-rmsprop-512\ndataset = synthetic\n{line}\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert "Traceback" not in err
+
+
 def test_parse_invariant_violation():
     text = ("model = toy_cnn\ndataset = synthetic\noptimizer = rmsprop\n"
             "lr_per_256 = 0.1\nnum_replicas = 8\nglobal_batch = 64\n"
