@@ -296,7 +296,8 @@ def init_train_state(
 
 
 def train_step(state: TrainState, batches, lr: float) -> float:
-    """One synchronized step over per-replica (images, labels) batches."""
+    """One synchronized step over per-replica (images, labels) batches,
+    stacked on a leading replica axis for the engine."""
     cfg = state.config
     res = distributed_forward_backward(
         state.layers,
