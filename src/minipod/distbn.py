@@ -7,7 +7,9 @@ group size * b*H*W), so a group spanning all replicas is numerically
 equivalent to single-device BN over the concatenated batch. Each replica sums
 its own batch ([N, C]); one deterministic all-reduce from
 :mod:`minipod.collectives` then reduces every group at once over the member
-axis, in ascending replica order.
+axis, in ascending replica order. The forward pass reduces twice: the sums
+that give the mean, then the sums of squares around that mean, which stay
+accurate when the mean is large next to the spread.
 """
 
 from __future__ import annotations
@@ -104,15 +106,16 @@ def group_bn_forward(x: np.ndarray, members, state: BnState):
     """
     idx, group_of = _groups(x, members)
     _, b, h, w, _ = x.shape
-    total = _group_sum(x.sum(axis=(1, 2, 3)), idx)
-    sqtotal = _group_sum((x * x).sum(axis=(1, 2, 3)), idx)
-    count = total.dtype.type(idx.shape[1] * b * h * w)
-    mean = total / count
-    var = np.maximum(sqtotal / count - mean * mean, 0)
+    count = idx.shape[1] * b * h * w
+    # Two passes: the mean, then the sum of squares around it. The mean's
+    # sums accumulate in float64 so that a large mean keeps its low digits.
+    total = _group_sum(x.sum(axis=(1, 2, 3), dtype=np.float64), idx)
+    mean = (total / count).astype(x.dtype)
+    xc = x - _per_replica(mean, group_of)
+    var = _group_sum((xc * xc).sum(axis=(1, 2, 3)), idx) / mean.dtype.type(count)
     inv = 1.0 / np.sqrt(var + state.eps)
     scale = (state.gamma * inv).astype(mean.dtype)
-    y = ((x - _per_replica(mean, group_of)) * _per_replica(scale, group_of)
-         + state.beta)
+    y = xc * _per_replica(scale, group_of) + state.beta
     return y, mean, var
 
 

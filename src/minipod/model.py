@@ -9,11 +9,12 @@ The engine holds every replica's activations in one array with a leading
 replica axis, [N, b, ...], and walks the layers once: each layer makes one
 call that computes all replicas, so batch-normalization layers can share
 statistics across their replica groups. Parameter gradients stay per
-replica, [N, *shape], for the trainer's all-reduce. All replicas read one
-parameter list: synchronous replicas apply the same update to the same
-all-reduced gradient, so their weights are equal by construction. Evaluation
-is the same forward walk over stacked eval shards, with BN normalizing by the
-moving statistics.
+replica, [N, *shape], for the trainer's all-reduce; the backward walk skips
+the input gradient of a conv layer that reads the model input. All replicas
+read one parameter list: synchronous replicas apply the same update to the
+same all-reduced gradient, so their weights are equal by construction.
+Evaluation is the same forward walk over stacked eval shards, with BN
+normalizing by the moving statistics.
 
 Under the mixed-precision policy the conv and depthwise entries round their
 operands to bfloat16: the shared kernel once per engine call and the stacked
@@ -150,6 +151,7 @@ class _Pass:
     bn_eps: float
     assignment: GroupAssignment | None  # None: inference, BN uses moving stats
     labels: np.ndarray | None = None  # [N, b]
+    input_layer: str | None = None  # name of the layer reading the model input
     losses: list[float] = field(default_factory=list)
     grads: dict[str, np.ndarray] = field(default_factory=dict)  # [N, *shape]
     bn_saved: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
@@ -234,8 +236,9 @@ def _conv_forward(l, run, x):
 
 def _conv_backward(l, run, saved, gy):
     x, k = saved
+    # Nothing consumes the gradient of the model's input.
     gx, run.grads[f"{l.name}/kernel"] = getattr(nn, f"{l.kind}_backward")(
-        x, k, gy, l.stride, l.padding)
+        x, k, gy, l.stride, l.padding, input_grad=l.name != run.input_layer)
     if f"{l.name}/bias" in run.params:
         run.grads[f"{l.name}/bias"] = gy.sum(axis=(1, 2, 3))
     return gx
@@ -372,7 +375,7 @@ def distributed_forward_backward(
         )
     validate_model(layers)
     run = _Pass({p.name: p for p in params}, bn_moving, policy, bn_eps, assignment,
-                labels)
+                labels, layers[0].name)
     acts, saved = x, []
     for layer in layers:
         acts, s = LAYER_OPS[layer.kind].forward(layer, run, acts)

@@ -8,13 +8,17 @@ as [N, *parameter shape]: each replica's contribution is reduced over its own
 batch only, and the sum across replicas is left to the all-reduce.
 
 Every operation is a pure function and bit-deterministic, and no replica's
-values depend on N or on the other replicas' data. Convolutions accumulate
-kernel rows, then columns, ascending, each tap one matrix product over the
-input channels; a replica's kernel gradient is one product per tap over a
-contiguous copy of its own b*Ho*Wo input positions; dense layers run one
-matrix product per replica. Float64 inputs are accepted everywhere and
-processed in float64, which the test oracles rely on; training always runs
-float32.
+values depend on N or on the other replicas' data. A convolution copies each
+replica's input windows once into a contiguous im2col patch matrix,
+[b*Ho*Wo, kh*kw*Cin] with taps in kernel (row, column, channel) order, and
+runs one matrix product per replica, accumulating over K = kh*kw*Cin in
+BLAS's order, as dense layers do. Backward is one product per replica for
+each gradient: patches^T @ grad_out for the kernel, grad_out @ kernel^T for
+the patch matrix, whose taps then add back into the input gradient in
+ascending row, then column order. Depthwise convolutions accumulate taps in
+that order; a replica's kernel gradient is one product per channel over its
+patch matrix. Float64 inputs are accepted everywhere and processed in
+float64, which the test oracles rely on; training always runs float32.
 """
 
 from __future__ import annotations
@@ -62,9 +66,8 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; the two branches keep full precision.
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z)).astype(x.dtype)
+    # One ufunc pass: tanh saturates to +-1 where exp would overflow.
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def swish_forward(x: np.ndarray) -> np.ndarray:
@@ -136,6 +139,15 @@ def _conv_setup(x, kernel, stride, padding, depthwise, grad_out=None):
     return xp, out_shape, taps, (pt, pl)
 
 
+def _windows(xp, out_shape, kernel, stride):
+    """Read-only [N, b, Ho, Wo, kh, kw, C] view of the padded input: each
+    output position's window, in the kernel's (row, column, channel) order."""
+    sn, sb, sh, sw, sc = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, out_shape[:4] + kernel.shape[:2] + xp.shape[4:],
+        (sn, sb, sh * stride, sw * stride, sh, sw, sc), writeable=False)
+
+
 def _unpad(grad_xp, x, corner):
     pt, pl = corner
     h, w = x.shape[2:4]
@@ -146,11 +158,12 @@ def conv2d_forward(
     x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: str = "same"
 ) -> np.ndarray:
     """Cross-correlation of [N, b, H, W, Cin] input with a [kh, kw, Cin, Cout] kernel."""
-    xp, out_shape, taps, _ = _conv_setup(x, kernel, stride, padding, False)
-    out = np.zeros(out_shape, dtype=x.dtype)
-    for i, j, win in taps:
-        out += xp[win] @ kernel[i, j]
-    return out
+    xp, out_shape, _, _ = _conv_setup(x, kernel, stride, padding, False)
+    kh, kw, ci, co = kernel.shape
+    # im2col: each replica's windows copied once into a contiguous
+    # [b*Ho*Wo, kh*kw*Cin] patch matrix, then one GEMM per replica.
+    patches = _windows(xp, out_shape, kernel, stride).reshape(len(x), -1, kh * kw * ci)
+    return (patches @ kernel.reshape(-1, co)).reshape(out_shape)
 
 
 def conv2d_backward(
@@ -159,18 +172,25 @@ def conv2d_backward(
     grad_out: np.ndarray,
     stride: int = 1,
     padding: str = "same",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact gradients of conv2d_forward w.r.t. the input and, per replica,
-    the kernel ([N, kh, kw, Cin, Cout])."""
-    xp, (n, *_, co), taps, corner = _conv_setup(
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Exact gradients of conv2d_forward w.r.t. the input (None when
+    input_grad is false) and, per replica, the kernel ([N, kh, kw, Cin, Cout])."""
+    xp, out_shape, taps, corner = _conv_setup(
         x, kernel, stride, padding, False, grad_out)
-    grad_xp = np.zeros_like(xp)
-    grad_k = np.zeros((n,) + kernel.shape, dtype=kernel.dtype)
+    n = len(x)
+    kh, kw, ci, co = kernel.shape
+    windows = _windows(xp, out_shape, kernel, stride)
     gy = grad_out.reshape(n, -1, co)
+    grad_k = (windows.reshape(n, -1, kh * kw * ci).transpose(0, 2, 1) @ gy).reshape(
+        (n,) + kernel.shape)
+    if not input_grad:
+        return None, grad_k
+    # col2im: the patch-matrix gradient, each tap added back into its window
+    grad_cols = (gy @ kernel.reshape(-1, co).T).reshape(windows.shape)
+    grad_xp = np.zeros_like(xp)
     for i, j, win in taps:
-        xs = np.ascontiguousarray(xp[win].transpose(0, 4, 1, 2, 3))
-        grad_k[:, i, j] = xs.reshape(n, x.shape[4], -1) @ gy
-        grad_xp[win] += grad_out @ kernel[i, j].T
+        grad_xp[win] += grad_cols[:, :, :, :, i, j]
     return _unpad(grad_xp, x, corner), grad_k
 
 
@@ -191,12 +211,25 @@ def depthwise_conv2d_backward(
     grad_out: np.ndarray,
     stride: int = 1,
     padding: str = "same",
-) -> tuple[np.ndarray, np.ndarray]:
-    xp, _, taps, corner = _conv_setup(x, kernel, stride, padding, True, grad_out)
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray]:
+    xp, out_shape, taps, corner = _conv_setup(
+        x, kernel, stride, padding, True, grad_out)
+    n = len(x)
+    kh, kw, c = kernel.shape
+    # One product per (replica, channel): its [kh*kw, b*Ho*Wo] patch matrix
+    # times its [b*Ho*Wo] output gradient. The patches are copied one
+    # replica at a time: all of them hold kh*kw copies of the input.
+    windows = _windows(xp, out_shape, kernel, stride).transpose(0, 6, 4, 5, 1, 2, 3)
+    gy = grad_out.transpose(0, 4, 1, 2, 3).reshape(n, c, -1, 1)
+    grad_k = np.empty((n, c, kh * kw, 1), dtype=np.result_type(x, grad_out))
+    for r in range(n):
+        np.matmul(windows[r].reshape(c, kh * kw, -1), gy[r], out=grad_k[r])
+    grad_k = np.ascontiguousarray(grad_k.reshape(n, c, kh, kw).transpose(0, 2, 3, 1))
+    if not input_grad:
+        return None, grad_k
     grad_xp = np.zeros_like(xp)
-    grad_k = np.zeros((len(x),) + kernel.shape, dtype=kernel.dtype)
     for i, j, win in taps:
-        grad_k[:, i, j] = (xp[win] * grad_out).sum(axis=(1, 2, 3))
         grad_xp[win] += grad_out * kernel[i, j]
     return _unpad(grad_xp, x, corner), grad_k
 

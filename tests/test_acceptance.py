@@ -107,11 +107,12 @@ def test_criterion_2_distributed_bn_oracle():
     local_ok = True
     ys1, ms1, vs1 = group_bn_forward(xs, [(r,) for r in range(n_rep)], state)
     for x, y1, m1, v1 in zip(xs, ys1, ms1, vs1):
-        cnt = np.float32(x.shape[0] * 3 * 3)
-        m_ref = x.sum(axis=(0, 1, 2)) / cnt
-        v_ref = np.maximum((x * x).sum(axis=(0, 1, 2)) / cnt - m_ref * m_ref, 0)
+        cnt = x.shape[0] * 3 * 3
+        m_ref = (x.sum(axis=(0, 1, 2), dtype=np.float64) / cnt).astype(np.float32)
+        xc = x - m_ref
+        v_ref = (xc * xc).sum(axis=(0, 1, 2)) / np.float32(cnt)
         inv = 1.0 / np.sqrt(v_ref + state.eps)
-        y_ref = (x - m_ref) * (state.gamma * inv).astype(np.float32) + state.beta
+        y_ref = xc * (state.gamma * inv).astype(np.float32) + state.beta
         local_ok &= (y1.tobytes() == y_ref.tobytes()
                      and m1.tobytes() == m_ref.tobytes()
                      and v1.tobytes() == v_ref.tobytes())

@@ -15,14 +15,14 @@ from minipod.distbn import (
 
 
 def reference_bn(x, gamma, beta, eps):
-    """Single-tensor BN with population statistics, mirroring the group path."""
-    count = x.dtype.type(x.shape[0] * x.shape[1] * x.shape[2])
-    total = x.sum(axis=(0, 1, 2))
-    sqtotal = (x * x).sum(axis=(0, 1, 2))
-    mean = total / count
-    var = np.maximum(sqtotal / count - mean * mean, 0)
+    """Single-tensor BN with population statistics, mirroring the group path:
+    the mean (summed in float64), then the sum of squares around it."""
+    count = x.shape[0] * x.shape[1] * x.shape[2]
+    mean = (x.sum(axis=(0, 1, 2), dtype=np.float64) / count).astype(x.dtype)
+    xc = x - mean
+    var = (xc * xc).sum(axis=(0, 1, 2)) / x.dtype.type(count)
     inv = 1.0 / np.sqrt(var + eps)
-    return (x - mean) * (gamma * inv).astype(mean.dtype) + beta, mean, var
+    return xc * (gamma * inv).astype(mean.dtype) + beta, mean, var
 
 
 def make_state(c, eps=1e-3, dtype=np.float32):
@@ -61,6 +61,18 @@ def test_full_group_equals_concatenated_single_device():
     np.testing.assert_allclose(mean[0], ref_mean, atol=1e-6)
     np.testing.assert_allclose(var[0], ref_var, atol=1e-6)
     np.testing.assert_allclose(y.reshape(concat.shape), ref_y, atol=1e-6)
+
+
+@pytest.mark.parametrize("input_mean", [0.0, 10.0, 100.0, 1000.0])
+def test_large_mean_variance_matches_float64_oracle(input_mean):
+    # A small spread on a large mean: E[x^2] - E[x]^2 in float32 cancels
+    # almost every digit of the variance.
+    rng = np.random.default_rng(9)
+    x = (input_mean + 0.01 * rng.standard_normal((4, 16, 8, 8, 4))).astype(np.float32)
+    _, mean, var = group_bn_forward(x, [(0, 1, 2, 3)], make_state(4))
+    concat = x.astype(np.float64).reshape(-1, 4)
+    assert np.abs(var[0] / concat.var(axis=0) - 1).max() < 1e-3
+    assert np.abs(mean[0] - concat.mean(axis=0)).max() <= 1e-6 * max(input_mean, 1)
 
 
 def test_groups_in_one_call_match_separate_calls_bitwise():

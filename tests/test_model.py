@@ -100,6 +100,24 @@ def test_engine_mean_loss_matches_replica_mean(small_data):
     assert [g.shape for g in res.grads] == [(2,) + p.value.shape for p in params]
 
 
+def test_engine_skips_only_the_model_input_gradient(monkeypatch):
+    # b5: conv1 reads the model input; dwconv2 and conv3 feed layers below.
+    calls = []
+    for kind in ("conv2d", "depthwise_conv2d"):
+        def record(*args, fn=getattr(model.nn, f"{kind}_backward"), kind=kind, **kw):
+            calls.append((kind, kw.get("input_grad", True)))
+            return fn(*args, **kw)
+        monkeypatch.setattr(model.nn, f"{kind}_backward", record)
+    ds = gen_synthetic(10, 8, 8, 8, 1, seed=4)
+    layers = build_model("b5", 10)
+    params = init_params(layers, (8, 8, 1), seed=4)
+    distributed_forward_backward(
+        layers, params, init_bn_moving(layers, (8, 8, 1)),
+        ds.images.reshape(2, 4, 8, 8, 1), ds.labels.reshape(2, 4),
+        assign_groups_1d(2, 2))
+    assert calls == [("conv2d", True), ("depthwise_conv2d", True), ("conv2d", False)]
+
+
 @pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
 def test_engine_stacked_replicas_match_single_replica_calls(policy):
     # With groups of one, replica r of a stacked call computes exactly what a

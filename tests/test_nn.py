@@ -136,6 +136,82 @@ def test_conv_backward_matches_finite_differences(stride, padding):
         assert max_rel(gk, num_gk) < 1e-3, f"seed {seed}"
 
 
+def conv_oracle(x, k, stride, padding, grad_out):
+    """Direct loops over output positions and kernel taps: forward output,
+    input gradient and per-replica kernel gradient of conv2d (4-D kernel) or
+    depthwise conv2d (3-D kernel)."""
+    depthwise = k.ndim == 3
+    n, b, h, w, c = x.shape
+    kh, kw = k.shape[:2]
+    ho, wo, (pt, pb, pl, pr) = nn._conv_geometry(h, w, kh, kw, stride, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr), (0, 0)))
+    y = np.zeros(grad_out.shape)
+    gxp = np.zeros_like(xp)
+    gk = np.zeros((n,) + k.shape)
+    for o in range(ho):
+        for p in range(wo):
+            g = grad_out[:, :, o, p]  # [N, b, Cout]
+            for i in range(kh):
+                for j in range(kw):
+                    r, s = o * stride + i, p * stride + j
+                    v = xp[:, :, r, s]  # [N, b, Cin]
+                    if depthwise:
+                        y[:, :, o, p] += v * k[i, j]
+                        gk[:, i, j] += (v * g).sum(axis=1)
+                        gxp[:, :, r, s] += g * k[i, j]
+                    else:
+                        y[:, :, o, p] += v @ k[i, j]
+                        gk[:, i, j] += v.transpose(0, 2, 1) @ g
+                        gxp[:, :, r, s] += g @ k[i, j].T
+    return y, gxp[:, :, pt : pt + h, pl : pl + w], gk
+
+
+def conv_case(depthwise, kernel_hw, stride, padding, seed, n=2, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3, 5, 6, 3)).astype(dtype)
+    channels = (3,) if depthwise else (3, 4)
+    k = rng.standard_normal(tuple(kernel_hw) + channels).astype(dtype)
+    kind = "depthwise_conv2d" if depthwise else "conv2d"
+    fwd, bwd = getattr(nn, f"{kind}_forward"), getattr(nn, f"{kind}_backward")
+    g = rng.standard_normal(fwd(x, k, stride, padding).shape).astype(dtype)
+    return x, k, g, fwd, bwd
+
+
+_CONV_CASES = [
+    pytest.param(dw, (kh, kw), stride, padding,
+                 id=f"{'depthwise' if dw else 'conv2d'}-{kh}x{kw}-s{stride}-{padding}")
+    for dw in (False, True) for kh, kw in ((3, 2), (1, 3))
+    for stride in (1, 2) for padding in ("same", "valid")]
+
+
+@pytest.mark.parametrize("depthwise,kernel_hw,stride,padding", _CONV_CASES)
+def test_conv_matches_direct_loop_oracle(depthwise, kernel_hw, stride, padding):
+    # 2 replicas of 3, 3 input channels, non-square kernels: a patch-order or
+    # kernel-reshape mismatch moves values between taps or channels.
+    x, k, g, fwd, bwd = conv_case(depthwise, kernel_hw, stride, padding, seed=12)
+    y_ref, gx_ref, gk_ref = conv_oracle(x, k, stride, padding, g)
+    gx, gk = bwd(x, k, g, stride, padding)
+    np.testing.assert_allclose(fwd(x, k, stride, padding), y_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gx, gx_ref, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(gk, gk_ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("depthwise,kernel_hw,stride,padding", _CONV_CASES)
+def test_conv_kernel_grad_alone_and_stacked_replicas_bitwise(
+        depthwise, kernel_hw, stride, padding):
+    x, k, g, fwd, bwd = conv_case(depthwise, kernel_hw, stride, padding, seed=13,
+                                  n=4, dtype=np.float32)
+    gx, gk = bwd(x, k, g, stride, padding)
+    gx_skipped, gk_alone = bwd(x, k, g, stride, padding, input_grad=False)
+    assert gx_skipped is None and gk_alone.tobytes() == gk.tobytes()
+    y = fwd(x, k, stride, padding)
+    for r in range(len(x)):
+        gx1, gk1 = bwd(x[r:r + 1], k, g[r:r + 1], stride, padding)
+        assert fwd(x[r:r + 1], k, stride, padding).tobytes() == y[r:r + 1].tobytes()
+        assert gx1.tobytes() == gx[r:r + 1].tobytes()
+        assert gk1.tobytes() == gk[r:r + 1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # elementwise layer kinds vs finite differences, many seeds
 
@@ -196,7 +272,9 @@ def test_swish_values():
 
 def test_sigmoid_extremes_do_not_overflow():
     x = np.array([-1e4, 1e4], dtype=np.float32)
-    s = nn.sigmoid(x)
+    with np.errstate(all="raise"):
+        s = nn.sigmoid(x)
+    assert s.dtype == np.float32
     assert s[0] == 0.0 and s[1] == 1.0
 
 

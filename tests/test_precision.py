@@ -164,8 +164,8 @@ def test_mixed_backward_uses_rounded_operands(monkeypatch):
     assert got.losses != b5_step(FP32_ONLY).losses  # the rounding shows
     for name in ("conv2d_forward", "conv2d_backward",
                  "depthwise_conv2d_forward", "depthwise_conv2d_backward"):
-        monkeypatch.setattr(nn, name, lambda x, k, *rest, fn=getattr(nn, name):
-                            fn(to_bf16(x), to_bf16(k), *rest))
+        monkeypatch.setattr(nn, name, lambda x, k, *rest, fn=getattr(nn, name), **kw:
+                            fn(to_bf16(x), to_bf16(k), *rest, **kw))
     want = b5_step(FP32_ONLY)
     assert got.losses == want.losses
     assert [g.tobytes() for g in got.grads] == [g.tobytes() for g in want.grads]
