@@ -12,7 +12,7 @@ from minipod.collectives import (
     assign_groups_2d,
     padded_batch_utilization,
 )
-from minipod.distbn import group_bn_forward, init_bn_state
+from minipod.distbn import group_bn_forward
 
 print("1D contiguous groups, 8 replicas in groups of 4:")
 print(" ", list(assign_groups_1d(8, 4).members))
@@ -32,8 +32,8 @@ print("  per-group mean of [1,2,3,4] in groups of 2:", out.tolist())
 print("\ngroup BN: statistics span every sample of every group member")
 rng = np.random.default_rng(0)
 xs = rng.standard_normal((4, 4, 2, 2, 1)).astype(np.float32)  # [replicas, batch, H, W, C]
-state = init_bn_state(1)
-_, mean, var = group_bn_forward(xs, [(0, 1, 2, 3)], state)
+gamma, beta = np.ones(1, np.float32), np.zeros(1, np.float32)
+_, mean, var, _, _ = group_bn_forward(xs, [(0, 1, 2, 3)], gamma, beta, eps=1e-3)
 concat = xs.reshape(16, 2, 2, 1)
 print(f"  group of 4 x batch 4 -> mean {float(mean[0, 0]):+.5f} "
       f"(concat oracle {float(concat.mean()):+.5f})")

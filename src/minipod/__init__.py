@@ -24,11 +24,9 @@ from .config import (
 )
 from .data import Dataset, gen_synthetic, load_idx, write_idx
 from .distbn import (
-    BnState,
     bn_batch_size,
     group_bn_backward,
     group_bn_forward,
-    init_bn_state,
     update_moving_stats,
 )
 from .model import (
@@ -40,7 +38,7 @@ from .model import (
     infer_shapes,
     init_params,
 )
-from .nn import Parameter, conv2d_backward, conv2d_forward, matmul, softmax_xent
+from .nn import Parameter, conv2d_backward, conv2d_forward, softmax_xent
 from .optim import (
     ExponentialDecay,
     LarsConfig,

@@ -4,17 +4,29 @@ Activations arrive stacked, [N, b, H, W, C], together with the replica
 groups. Mean and variance are computed per channel over every sample and
 spatial position of every replica in the group (population variance, divisor
 group size * b*H*W), so a group spanning all replicas is numerically
-equivalent to single-device BN over the concatenated batch. Each replica sums
-its own batch ([N, C]); one deterministic all-reduce from
-:mod:`minipod.collectives` then reduces every group at once over the member
-axis, in ascending replica order. The forward pass reduces twice: the sums
-that give the mean, then the sums of squares around that mean, which stay
-accurate when the mean is large next to the spread.
+equivalent to single-device BN over the concatenated batch.
+
+Each pass makes one deterministic all-reduce from :mod:`minipod.collectives`,
+which reduces every group at once over the member axis, in ascending replica
+order. In forward, replica r sums its M = b*H*W rows around a shift K_r taken
+from its own data (its first row), S1 = sum(x - K_r) and S2 = sum((x - K_r)^2),
+each as one [1, M] @ [M, C] product. Its count, mean and sum of squared
+deviations are then n_r = M, mean_r = K_r + S1/M and M2_r = S2 - S1*S1/M, in
+float64. The group adds n_r*mean_r and M2_r + n_r*mean_r^2 and takes
+
+    mean = sum(n_r*mean_r) / n,   var = sum(M2_r + n_r*mean_r^2) / n - mean^2,
+
+the one-reduction form of the pairwise update of Chan, Golub & LeVeque
+(1979). Only the spread of the replica means cancels, and in float64: at a
+mean m and spread s the loss is about (m/s)^2 * 1e-16 of the variance, below
+what rounding the inputs to float32 already costs it. Forward keeps the
+normalized activations xhat = (x - mean) * inv and inv = 1/sqrt(var + eps)
+for backward, which sums grad_y and grad_y * xhat per replica in one [N, 2, C]
+array and all-reduces it once. Per-channel values are applied over wide rows,
+[N, b*H, W*C], with the [C] values tiled across W.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,46 +34,6 @@ from .collectives import all_reduce
 
 DEFAULT_MOMENTUM = 0.99
 DEFAULT_EPS = 1e-3
-
-
-@dataclass
-class BnState:
-    """Per-channel affine parameters and moving statistics."""
-
-    gamma: np.ndarray
-    beta: np.ndarray
-    moving_mean: np.ndarray
-    moving_var: np.ndarray
-    momentum: float = DEFAULT_MOMENTUM
-    eps: float = DEFAULT_EPS
-
-    def __post_init__(self):
-        c = self.gamma.shape
-        for name in ("beta", "moving_mean", "moving_var"):
-            if getattr(self, name).shape != c:
-                raise ValueError(f"BnState.{name} shape differs from gamma {c}")
-        if (self.moving_var < 0).any():
-            raise ValueError("moving_var must be elementwise >= 0")
-        if not 0.0 < self.momentum < 1.0 and self.momentum not in (0.0, 1.0):
-            raise ValueError(f"momentum must lie in [0, 1], got {self.momentum}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
-
-
-def init_bn_state(
-    channels: int,
-    momentum: float = DEFAULT_MOMENTUM,
-    eps: float = DEFAULT_EPS,
-    dtype=np.float32,
-) -> BnState:
-    return BnState(
-        gamma=np.ones(channels, dtype=dtype),
-        beta=np.zeros(channels, dtype=dtype),
-        moving_mean=np.zeros(channels, dtype=dtype),
-        moving_var=np.ones(channels, dtype=dtype),
-        momentum=momentum,
-        eps=eps,
-    )
 
 
 def bn_batch_size(group_size: int, per_core_batch: int) -> int:
@@ -87,92 +59,129 @@ def _groups(x, members):
     return idx, group_of
 
 
-def _per_replica(t, group_of):
-    # [G, C] group values -> [N, 1, 1, 1, C], broadcastable over each replica
-    return t[group_of][:, None, None, None, :]
+def _wide(x):
+    # [N, b, H, W, C] -> [N, b*H, W*C]: per-channel values broadcast over rows
+    # of W*C elements instead of C.
+    return x.reshape(x.shape[0], -1, x.shape[3] * x.shape[4])
 
 
-def _group_sum(per_replica, idx):
-    # [N, C] -> [G, C]: one all-reduce over the member axis ([group size, G, C])
-    return all_reduce(per_replica[idx.T], "sum")
+def _tiled(t, w):
+    # [..., C] per-channel values -> [..., 1, W*C], matching a wide row
+    return np.tile(t, w)[..., None, :]
 
 
-def group_bn_forward(x: np.ndarray, members, state: BnState):
+def _channel_sums(a, c):
+    # [N, ...] holding M rows of C channels per replica -> [N, C]: one
+    # [1, M] @ [M, C] product per replica
+    rows = a.reshape(len(a), -1, c)
+    return (np.ones((1, rows.shape[1]), a.dtype) @ rows)[:, 0]
+
+
+def group_bn_forward(x: np.ndarray, members, gamma: np.ndarray,
+                     beta: np.ndarray, eps: float):
     """Normalize [N, b, H, W, C] activations with the statistics of each
     replica's group; `members` lists each group's replicas.
 
-    Returns (y, saved_mean, saved_var), the statistics [G, C] in group order;
-    they are what the backward pass and the moving-statistics update consume.
+    Returns (y, mean, var, xhat, inv): the statistics [G, C] in group order,
+    which the moving-statistics update consumes, then the normalized input
+    [N, b, H, W, C] and 1/sqrt(var + eps) [G, C], which group_bn_backward
+    consumes.
     """
     idx, group_of = _groups(x, members)
-    _, b, h, w, _ = x.shape
-    count = idx.shape[1] * b * h * w
-    # Two passes: the mean, then the sum of squares around it. The mean's
-    # sums accumulate in float64 so that a large mean keeps its low digits.
-    total = _group_sum(x.sum(axis=(1, 2, 3), dtype=np.float64), idx)
-    mean = (total / count).astype(x.dtype)
-    xc = x - _per_replica(mean, group_of)
-    var = _group_sum((xc * xc).sum(axis=(1, 2, 3)), idx) / mean.dtype.type(count)
-    inv = 1.0 / np.sqrt(var + state.eps)
-    scale = (state.gamma * inv).astype(mean.dtype)
-    y = xc * _per_replica(scale, group_of) + state.beta
-    return y, mean, var
+    _, b, h, w, c = x.shape
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ValueError(
+            f"gamma {gamma.shape} and beta {beta.shape} must be [{c}]")
+    m = b * h * w
+    shift = x[:, 0, 0, 0, :]  # K_r: [N, C]
+    xs = _wide(x) - _tiled(shift, w)
+    s1 = _channel_sums(xs, c).astype(np.float64)
+    s2 = _channel_sums(np.multiply(xs, xs, out=xs), c).astype(np.float64)
+    d = s1 / m
+    local_mean = shift + d
+    m2 = s2 - s1 * d
+    moments = np.stack([m * local_mean, m2 + m * local_mean * local_mean], axis=1)
+    total = all_reduce(moments[idx.T], "sum") / (idx.shape[1] * m)  # [G, 2, C]
+    mean64 = total[:, 0]
+    mean = mean64.astype(x.dtype)
+    # Rounding can leave a constant channel's variance a hair below zero.
+    var = np.maximum(total[:, 1] - mean64 * mean64, 0.0).astype(x.dtype)
+    inv = 1.0 / np.sqrt(var + eps)
+    scale = (gamma * inv).astype(x.dtype)
+    xhat = np.subtract(_wide(x), _tiled(mean[group_of], w), out=xs)
+    y = xhat * _tiled(scale[group_of], w)
+    y += _tiled(beta, w)
+    xhat *= _tiled(inv[group_of], w)
+    return y.reshape(x.shape), mean, var, xhat.reshape(x.shape), inv
 
 
 def group_bn_backward(
-    x: np.ndarray,
+    xhat: np.ndarray,
+    inv: np.ndarray,
     grad_y: np.ndarray,
     members,
-    saved_mean: np.ndarray,
-    saved_var: np.ndarray,
-    state: BnState,
+    gamma: np.ndarray,
 ):
     """Gradients of group_bn_forward, treating the shared statistics as
-    functions of all group inputs.
+    functions of all group inputs; xhat and inv are what forward returned.
 
     grad_gamma/grad_beta are [G, C], each reduced over its whole group;
     callers that need per-replica contributions divide by the group size.
     """
-    idx, group_of = _groups(x, members)
-    if grad_y.shape != x.shape:
-        raise ValueError(f"grad_y shape {grad_y.shape} != input shape {x.shape}")
-    _, b, h, w, _ = x.shape
-    count = saved_mean.dtype.type(idx.shape[1] * b * h * w)
-    inv = 1.0 / np.sqrt(saved_var + state.eps)
-    xhat = (x - _per_replica(saved_mean, group_of)) * _per_replica(inv, group_of)
-    dbeta = _group_sum(grad_y.sum(axis=(1, 2, 3)), idx)
-    dgamma = _group_sum((grad_y * xhat).sum(axis=(1, 2, 3)), idx)
-    coef = (state.gamma * inv).astype(saved_mean.dtype)
-    grad_x = _per_replica(coef, group_of) * (
-        grad_y - _per_replica(dbeta / count, group_of)
-        - xhat * _per_replica(dgamma / count, group_of))
-    return grad_x, dgamma, dbeta
+    idx, group_of = _groups(xhat, members)
+    if grad_y.shape != xhat.shape:
+        raise ValueError(f"grad_y shape {grad_y.shape} != input shape {xhat.shape}")
+    _, b, h, w, c = xhat.shape
+    count = inv.dtype.type(idx.shape[1] * b * h * w)
+    prod = _wide(grad_y) * _wide(xhat)
+    sums = np.stack([_channel_sums(grad_y, c), _channel_sums(prod, c)], axis=1)
+    total = all_reduce(sums[idx.T], "sum")  # [G, 2, C]
+    dbeta, dgamma = total[:, 0], total[:, 1]
+    coef = (gamma * inv).astype(inv.dtype)
+    grad_x = _wide(grad_y) - _tiled((dbeta / count)[group_of], w)
+    grad_x -= np.multiply(_wide(xhat), _tiled((dgamma / count)[group_of], w), out=prod)
+    grad_x *= _tiled(coef[group_of], w)
+    return grad_x.reshape(xhat.shape), dgamma, dbeta
 
 
 def update_moving_stats(
-    state: BnState, saved_mean: np.ndarray, saved_var: np.ndarray
-) -> BnState:
-    """moving <- momentum * moving + (1 - momentum) * saved, as a new state."""
-    if saved_mean.shape != state.moving_mean.shape:
+    moving_mean: np.ndarray,
+    moving_var: np.ndarray,
+    means: np.ndarray,
+    variances: np.ndarray,
+    momentum: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blend one layer's [G, C] group statistics into its moving statistics.
+
+    The groups are averaged in ascending group id, so the inference
+    statistics are those of the whole replica set; then
+    moving <- momentum * moving + (1 - momentum) * average. Returns the new
+    (moving_mean, moving_var).
+    """
+    if means.shape[1:] != moving_mean.shape or variances.shape != means.shape:
         raise ValueError(
-            f"saved stats shape {saved_mean.shape} != state {state.moving_mean.shape}"
-        )
-    m = state.momentum
-    return BnState(
-        gamma=state.gamma,
-        beta=state.beta,
-        moving_mean=(m * state.moving_mean + (1.0 - m) * saved_mean).astype(
-            state.moving_mean.dtype
-        ),
-        moving_var=(m * state.moving_var + (1.0 - m) * saved_var).astype(
-            state.moving_var.dtype
-        ),
-        momentum=state.momentum,
-        eps=state.eps,
-    )
+            f"saved stats shapes {means.shape}, {variances.shape} do not match "
+            f"[G, {moving_mean.shape[0]}]")
+    mean = means[0].copy()
+    var = variances[0].copy()
+    for mu, v in zip(means[1:], variances[1:]):
+        mean += mu
+        var += v
+    k = mean.dtype.type(len(means))
+    mean /= k
+    var /= k
+    return ((momentum * moving_mean + (1.0 - momentum) * mean).astype(moving_mean.dtype),
+            (momentum * moving_var + (1.0 - momentum) * var).astype(moving_var.dtype))
 
 
-def bn_inference(x: np.ndarray, state: BnState) -> np.ndarray:
-    """Normalize with the moving statistics (evaluation path)."""
-    inv = 1.0 / np.sqrt(state.moving_var + state.eps)
-    return (x - state.moving_mean) * (state.gamma * inv) + state.beta
+def bn_inference(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                 moving_mean: np.ndarray, moving_var: np.ndarray,
+                 eps: float) -> np.ndarray:
+    """Normalize [N, b, H, W, C] with the moving statistics (evaluation
+    path), as one per-channel affine: x * scale + shift."""
+    scale = gamma * (1.0 / np.sqrt(moving_var + eps))
+    shift = beta - moving_mean * scale
+    w = x.shape[3]
+    y = _wide(x) * _tiled(scale, w)
+    y += _tiled(shift, w)
+    return y.reshape(x.shape)

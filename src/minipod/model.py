@@ -254,31 +254,38 @@ def _dense_backward(l, run, x, gy):
     return gx
 
 
-def _elementwise_forward(l, run, x):
-    # swish and global_avg_pool: nn.<kind>_forward, looked up per call.
-    return getattr(nn, f"{l.kind}_forward")(x), x
+def _swish_forward(l, run, x):
+    y, s = nn.swish_forward(x)
+    return y, (x, s)
 
 
-def _elementwise_backward(l, run, x, gy):
-    return getattr(nn, f"{l.kind}_backward")(x, gy)
+def _swish_backward(l, run, saved, gy):
+    return nn.swish_backward(*saved, gy)
+
+
+def _pool_forward(l, run, x):
+    return nn.global_avg_pool_forward(x), x
+
+
+def _pool_backward(l, run, x, gy):
+    return nn.global_avg_pool_backward(x, gy)
 
 
 def _bn_forward(l, run, x):
-    mm, mv = run.bn_moving[l.name]
-    state = distbn.BnState(run.value(l, "gamma"), run.value(l, "beta"), mm, mv,
-                           momentum=1.0, eps=run.bn_eps)
+    gamma, beta = run.value(l, "gamma"), run.value(l, "beta")
     if run.assignment is None:
-        return distbn.bn_inference(x, state), None
-    y, mean, var = distbn.group_bn_forward(x, run.assignment.members, state)
+        return distbn.bn_inference(x, gamma, beta, *run.bn_moving[l.name],
+                                   run.bn_eps), None
+    y, mean, var, xhat, inv = distbn.group_bn_forward(
+        x, run.assignment.members, gamma, beta, run.bn_eps)
     run.bn_saved[l.name] = (mean, var)
-    return y, (x, state)
+    return y, (xhat, inv)
 
 
 def _bn_backward(l, run, saved, gy):
-    x, state = saved
     a = run.assignment
     gx, dgamma, dbeta = distbn.group_bn_backward(
-        x, gy, a.members, *run.bn_saved[l.name], state)
+        *saved, gy, a.members, run.value(l, "gamma"))
     # Group-reduced affine grads split evenly so the later all-replica
     # mean recovers the full-group sum exactly once.
     gsize = dgamma.dtype.type(a.group_size)
@@ -321,11 +328,10 @@ LAYER_OPS: dict[str, LayerOps] = {
         lambda l, shape, dtype: (np.zeros(shape[2], dtype), np.ones(shape[2], dtype)),
         _bn_forward, _bn_backward),
     "swish": LayerOps(
-        lambda l, shape: shape, _no_params, None,
-        _elementwise_forward, _elementwise_backward),
+        lambda l, shape: shape, _no_params, None, _swish_forward, _swish_backward),
     "global_avg_pool": LayerOps(
         lambda l, shape: (_hwc(l, shape, "pooling")[2],), _no_params, None,
-        _elementwise_forward, _elementwise_backward),
+        _pool_forward, _pool_backward),
     "softmax_xent_head": LayerOps(
         _head_shape, _no_params, None, _head_forward,
         lambda l, run, grad_logits, gys: grad_logits),

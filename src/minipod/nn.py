@@ -49,19 +49,6 @@ class Parameter:
 
 
 # ---------------------------------------------------------------------------
-# matmul
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul dimension mismatch: {a.shape} x {b.shape} "
-            "(inner extents must agree)"
-        )
-    return a @ b
-
-
-# ---------------------------------------------------------------------------
 # activations
 
 
@@ -70,13 +57,20 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
-def swish_forward(x: np.ndarray) -> np.ndarray:
-    return x * sigmoid(x)
-
-
-def swish_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+def swish_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * sigmoid(x), and the sigmoid, which swish_backward takes."""
     s = sigmoid(x)
-    return grad_out * (s * (1.0 + x * (1.0 - s)))
+    return x * s, s
+
+
+def swish_backward(x: np.ndarray, s: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Gradient of swish_forward; s is the sigmoid it returned."""
+    g = 1.0 - s
+    g *= x
+    g += 1.0
+    g *= s
+    g *= grad_out
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -312,31 +312,11 @@ def train_step(state: TrainState, batches, lr: float) -> float:
     grads = [all_reduce(g, "mean") for g in res.grads]
     step_fn = rmsprop_step if cfg.optimizer == "rmsprop" else lars_step
     step_fn(state.params, grads, lr, cfg.optimizer_config(), state.opt_state)
-    _update_bn_moving(state, res.bn_saved)
+    for lname, (means, variances) in res.bn_saved.items():
+        state.bn_moving[lname] = distbn.update_moving_stats(
+            *state.bn_moving[lname], means, variances, cfg.bn_momentum)
     state.step_count += 1
     return res.mean_loss
-
-
-def _update_bn_moving(state: TrainState, bn_saved) -> None:
-    # Group statistics are averaged across groups (ascending group id) so the
-    # inference statistics are those of the whole replica set.
-    cfg = state.config
-    pmap = {p.name: p for p in state.params}
-    for lname, (means, variances) in bn_saved.items():
-        mean = means[0].copy()
-        var = variances[0].copy()
-        for m, v in zip(means[1:], variances[1:]):
-            mean += m
-            var += v
-        k = mean.dtype.type(len(means))
-        mean /= k
-        var /= k
-        mm, mv = state.bn_moving[lname]
-        st = distbn.BnState(
-            pmap[f"{lname}/gamma"].value, pmap[f"{lname}/beta"].value,
-            mm, mv, momentum=cfg.bn_momentum, eps=cfg.bn_eps)
-        new = distbn.update_moving_stats(st, mean, var)
-        state.bn_moving[lname] = (new.moving_mean, new.moving_var)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +485,8 @@ def load_weights(
     """Inverse of save_weights for the model `layers` on `input_shape` inputs.
 
     Raises ValueError naming the first array the model needs that the archive
-    lacks or holds in another shape, or the first array it does not need.
+    lacks or holds in another shape, a BN variance below zero, or the first
+    array it does not need.
     """
     params = init_params(layers, input_shape, seed=0)
     bn_moving = init_bn_moving(layers, input_shape)
@@ -525,6 +506,8 @@ def load_weights(
             raise ValueError(
                 f"weights {path} hold {key} with shape {got[key].shape}; "
                 f"the model needs {ref.shape}")
+        if key.startswith("bn_var/") and (got[key] < 0).any():
+            raise ValueError(f"weights {path} hold {key} with a negative variance")
     for key in got:
         if key not in want:
             raise ValueError(f"weights {path} hold {key}, which the model lacks")

@@ -14,7 +14,7 @@ from minipod import nn, perfmodel
 from minipod.collectives import ReplicaTopology, assign_groups_2d
 from minipod.config import preset_config
 from minipod.data import gen_synthetic
-from minipod.distbn import group_bn_forward, init_bn_state
+from minipod.distbn import group_bn_forward
 from minipod.model import (
     build_model,
     conv2d,
@@ -89,30 +89,42 @@ def test_criterion_2_distributed_bn_oracle():
     rng = np.random.default_rng(0)
     n_rep, b = 8, 4
     xs = rng.standard_normal((n_rep, b, 3, 3, 5)).astype(np.float32)
-    state = init_bn_state(5)
+    gamma, beta, eps = np.ones(5, np.float32), np.zeros(5, np.float32), 1e-3
 
     # full group vs single-device BN over the concatenated 32-sample batch
-    ys, (mean,), (var,) = group_bn_forward(xs, [tuple(range(n_rep))], state)
+    ys, (mean,), (var,), _, _ = group_bn_forward(
+        xs, [tuple(range(n_rep))], gamma, beta, eps)
     concat = xs.reshape(n_rep * b, 3, 3, 5)
     count = np.float32(concat.shape[0] * 3 * 3)
     ref_mean = concat.sum(axis=(0, 1, 2)) / count
     ref_var = np.maximum((concat * concat).sum(axis=(0, 1, 2)) / count
                          - ref_mean * ref_mean, 0)
-    ref_y = (concat - ref_mean) / np.sqrt(ref_var + state.eps)
+    ref_y = (concat - ref_mean) / np.sqrt(ref_var + eps)
     full_ok = (np.abs(ys.reshape(concat.shape) - ref_y).max() < 1e-6
                and np.abs(mean - ref_mean).max() < 1e-6
                and np.abs(var - ref_var).max() < 1e-6)
 
-    # G=1 equals per-replica BN bitwise: 8 groups of one in one call
+    # G=1 equals per-replica BN bitwise: 8 groups of one in one call. The
+    # reference sums around the first row as [1, M] @ [M, C] products and
+    # combines count, mean and squared deviations in float64.
     local_ok = True
-    ys1, ms1, vs1 = group_bn_forward(xs, [(r,) for r in range(n_rep)], state)
+    ys1, ms1, vs1, _, _ = group_bn_forward(
+        xs, [(r,) for r in range(n_rep)], gamma, beta, eps)
     for x, y1, m1, v1 in zip(xs, ys1, ms1, vs1):
-        cnt = x.shape[0] * 3 * 3
-        m_ref = (x.sum(axis=(0, 1, 2), dtype=np.float64) / cnt).astype(np.float32)
-        xc = x - m_ref
-        v_ref = (xc * xc).sum(axis=(0, 1, 2)) / np.float32(cnt)
-        inv = 1.0 / np.sqrt(v_ref + state.eps)
-        y_ref = xc * (state.gamma * inv).astype(np.float32) + state.beta
+        rows = x.reshape(-1, 5)
+        cnt = len(rows)
+        ones = np.ones((1, cnt), np.float32)
+        xsh = rows - rows[0]
+        s1 = (ones @ xsh)[0].astype(np.float64)
+        s2 = (ones @ (xsh * xsh))[0].astype(np.float64)
+        d = s1 / cnt
+        local_mean = rows[0] + d
+        mean64 = cnt * local_mean / cnt
+        sq = (s2 - s1 * d + cnt * local_mean * local_mean) / cnt
+        m_ref = mean64.astype(np.float32)
+        v_ref = np.maximum(sq - mean64 * mean64, 0.0).astype(np.float32)
+        inv = 1.0 / np.sqrt(v_ref + eps)
+        y_ref = (x - m_ref) * (gamma * inv).astype(np.float32) + beta
         local_ok &= (y1.tobytes() == y_ref.tobytes()
                      and m1.tobytes() == m_ref.tobytes()
                      and v1.tobytes() == v_ref.tobytes())

@@ -118,6 +118,27 @@ def test_engine_skips_only_the_model_input_gradient(monkeypatch):
     assert calls == [("conv2d", True), ("depthwise_conv2d", True), ("conv2d", False)]
 
 
+def test_engine_makes_one_bn_all_reduce_per_layer_and_pass(monkeypatch):
+    # b5 has three BN layers: three forward and three backward reductions,
+    # each over all groups at once.
+    shapes, reduce = [], model.distbn.all_reduce
+
+    def counted(per_replica, op="sum"):
+        shapes.append(per_replica.shape)
+        return reduce(per_replica, op)
+
+    monkeypatch.setattr(model.distbn, "all_reduce", counted)
+    ds = gen_synthetic(10, 16, 8, 8, 1, seed=5)
+    layers = build_model("b5", 10)
+    params = init_params(layers, (8, 8, 1), seed=5)
+    distributed_forward_backward(
+        layers, params, init_bn_moving(layers, (8, 8, 1)),
+        ds.images.reshape(4, 4, 8, 8, 1), ds.labels.reshape(4, 4),
+        assign_groups_1d(4, 2))
+    forward = [(2, 2, 2, 8), (2, 2, 2, 8), (2, 2, 2, 16)]  # [group size, G, 2, C]
+    assert shapes == forward + forward[::-1]
+
+
 @pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
 def test_engine_stacked_replicas_match_single_replica_calls(policy):
     # With groups of one, replica r of a stacked call computes exactly what a

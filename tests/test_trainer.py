@@ -280,6 +280,18 @@ def test_save_load_weights_roundtrip(tmp_path):
         assert moving[lname][1].tobytes() == mv.tobytes()
 
 
+def test_load_weights_rejects_a_negative_bn_variance(tmp_path):
+    cfg = tiny_config(total_epochs=0.0)
+    _, state = run_with_state(cfg)
+    lname = next(iter(state.bn_moving))
+    mv = state.bn_moving[lname][1]
+    mv[1] = -1.0
+    path = tmp_path / "w.npz"
+    save_weights(state, path)
+    with pytest.raises(ValueError, match=f"bn_var/{lname} with a negative variance"):
+        load_weights(path, state.layers, (16, 16, 1))
+
+
 def test_config_validation_errors():
     with pytest.raises(ValueError, match="multiple"):
         tiny_config(num_replicas=3, global_batch=16)
