@@ -42,4 +42,4 @@ print(f"  bound 2^-7 * accumulation length = {2**-7 * acc_len:.2e}")
 
 plain = nn.global_avg_pool_forward(nn.conv2d_forward(x, k))
 same = exact.tobytes() == plain.tobytes()
-print(f"  fp32_only policy bitwise identical to nn: {same}")
+print(f"  fp32 policy bitwise identical to nn: {same}")

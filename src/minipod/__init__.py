@@ -17,7 +17,6 @@ from .collectives import (
 from .config import (
     PRESETS,
     ConfigError,
-    Preset,
     parse_config,
     preset_config,
     serialize_config,

@@ -1,16 +1,16 @@
 """Experiment configuration: `key = value` text files and the preset catalog.
 
 The catalog carries the published b2/b5 hyperparameter rows (pod-scale
-replica counts and batch sizes) plus desk-scale toy presets. A preset is
-applied first and explicit keys override it; unknown keys and duplicates are
-rejected so typos never pass silently.
+replica counts and batch sizes) plus desk-scale toy presets, each a dict of
+TrainConfig keys. A preset is applied first and explicit keys override it;
+unknown keys and duplicates are rejected so typos never pass silently, and
+every value is checked by building the TrainConfig, before any data is read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import typing
-from dataclasses import dataclass
 
 from .trainer import TrainConfig
 
@@ -19,63 +19,34 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Preset:
-    name: str
-    model: str
-    num_replicas: int
-    global_batch: int
-    optimizer: str
-    lr_per_256: float
-    decay: str
-    warmup_epochs: float
-    extra: tuple = ()  # additional (key, value) config overrides
-
-    def as_overrides(self) -> dict:
-        out = {
-            "model": self.model,
-            "num_replicas": self.num_replicas,
-            "global_batch": self.global_batch,
-            "optimizer": self.optimizer,
-            "lr_per_256": self.lr_per_256,
-            "decay": self.decay,
-            "warmup_epochs": self.warmup_epochs,
-        }
-        out.update(dict(self.extra))
-        return out
-
-
-def _published(name, model, cores, batch, opt, lr, decay, warmup) -> Preset:
-    return Preset(name, model, cores, batch, opt, lr, decay, warmup,
-                  extra=(("total_epochs", 350.0),))
+def _published(model, cores, batch, opt, lr, decay, warmup) -> dict:
+    return dict(model=model, num_replicas=cores, global_batch=batch, optimizer=opt,
+                lr_per_256=lr, decay=decay, warmup_epochs=warmup, total_epochs=350.0)
 
 
 # One preset per published benchmark row (pod-scale), then the toy rows.
-PRESETS: tuple[Preset, ...] = (
-    _published("b2-rmsprop-4096", "b2", 128, 4096, "rmsprop", 0.016, "exponential", 5.0),
-    _published("b2-rmsprop-8192", "b2", 256, 8192, "rmsprop", 0.016, "exponential", 5.0),
-    _published("b2-rmsprop-16384", "b2", 512, 16384, "rmsprop", 0.016, "exponential", 5.0),
-    _published("b2-lars-16384", "b2", 512, 16384, "lars", 0.236, "polynomial", 50.0),
-    _published("b2-lars-32768", "b2", 1024, 32768, "lars", 0.118, "polynomial", 50.0),
-    _published("b5-rmsprop-4096", "b5", 128, 4096, "rmsprop", 0.016, "exponential", 5.0),
-    _published("b5-rmsprop-8192", "b5", 256, 8192, "rmsprop", 0.016, "exponential", 5.0),
-    _published("b5-rmsprop-16384", "b5", 512, 16384, "rmsprop", 0.016, "exponential", 5.0),
-    _published("b5-lars-16384", "b5", 512, 16384, "lars", 0.236, "polynomial", 50.0),
-    _published("b5-lars-32768", "b5", 1024, 32768, "lars", 0.118, "polynomial", 50.0),
-    _published("b5-lars-65536", "b5", 1024, 65536, "lars", 0.081, "polynomial", 43.0),
-    Preset(
-        "toy-rmsprop-512", "toy_cnn", 8, 512, "rmsprop", 0.03, "exponential", 1.0,
-        extra=(("total_epochs", 12.0), ("bn_group_size", 8),
-               ("eval_every_epochs", 2.0)),
-    ),
-    Preset(
-        "toy-lars-2048", "toy_cnn", 8, 2048, "lars", 0.05, "polynomial", 2.0,
-        extra=(("total_epochs", 20.0), ("bn_group_size", 8),
-               ("eval_every_epochs", 5.0), ("lars_eta", 0.02)),
-    ),
-)
+PRESETS: dict[str, dict] = {
+    "b2-rmsprop-4096": _published("b2", 128, 4096, "rmsprop", 0.016, "exponential", 5.0),
+    "b2-rmsprop-8192": _published("b2", 256, 8192, "rmsprop", 0.016, "exponential", 5.0),
+    "b2-rmsprop-16384": _published("b2", 512, 16384, "rmsprop", 0.016, "exponential", 5.0),
+    "b2-lars-16384": _published("b2", 512, 16384, "lars", 0.236, "polynomial", 50.0),
+    "b2-lars-32768": _published("b2", 1024, 32768, "lars", 0.118, "polynomial", 50.0),
+    "b5-rmsprop-4096": _published("b5", 128, 4096, "rmsprop", 0.016, "exponential", 5.0),
+    "b5-rmsprop-8192": _published("b5", 256, 8192, "rmsprop", 0.016, "exponential", 5.0),
+    "b5-rmsprop-16384": _published("b5", 512, 16384, "rmsprop", 0.016, "exponential", 5.0),
+    "b5-lars-16384": _published("b5", 512, 16384, "lars", 0.236, "polynomial", 50.0),
+    "b5-lars-32768": _published("b5", 1024, 32768, "lars", 0.118, "polynomial", 50.0),
+    "b5-lars-65536": _published("b5", 1024, 65536, "lars", 0.081, "polynomial", 43.0),
+    "toy-rmsprop-512": dict(
+        model="toy_cnn", num_replicas=8, global_batch=512, optimizer="rmsprop",
+        lr_per_256=0.03, decay="exponential", warmup_epochs=1.0,
+        total_epochs=12.0, bn_group_size=8, eval_every_epochs=2.0),
+    "toy-lars-2048": dict(
+        model="toy_cnn", num_replicas=8, global_batch=2048, optimizer="lars",
+        lr_per_256=0.05, decay="polynomial", warmup_epochs=2.0,
+        total_epochs=20.0, bn_group_size=8, eval_every_epochs=5.0, lars_eta=0.02),
+}
 
-PRESETS_BY_NAME = {p.name: p for p in PRESETS}
 
 def _key_type(hint) -> type:
     # An optional key (`int | None`) parses as its non-None member.
@@ -128,10 +99,10 @@ def parse_config(text: str) -> TrainConfig:
     merged: dict = {}
     preset_name = values.pop("preset", None)
     if preset_name is not None:
-        if preset_name not in PRESETS_BY_NAME:
+        if preset_name not in PRESETS:
             raise ConfigError(
                 f"unknown preset {preset_name!r}; see the presets listing")
-        merged.update(PRESETS_BY_NAME[preset_name].as_overrides())
+        merged.update(PRESETS[preset_name])
     else:
         missing = [k for k in _REQUIRED_WITHOUT_PRESET if k not in values]
         if missing:
@@ -149,12 +120,9 @@ def parse_config(text: str) -> TrainConfig:
 
 def preset_config(name: str, dataset: str = "synthetic", **overrides) -> TrainConfig:
     """TrainConfig from a catalog preset plus keyword overrides."""
-    if name not in PRESETS_BY_NAME:
+    if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}")
-    merged = PRESETS_BY_NAME[name].as_overrides()
-    merged["dataset"] = dataset
-    merged.update(overrides)
-    return TrainConfig(**merged)
+    return TrainConfig(**{**PRESETS[name], "dataset": dataset, **overrides})
 
 
 def serialize_config(config: TrainConfig) -> str:
@@ -175,9 +143,10 @@ def presets_table() -> str:
         f"{'lr/256':>7} {'decay':<12} {'warmup':>6}"
     )
     lines = [header, "-" * len(header)]
-    for p in PRESETS:
+    for name, p in PRESETS.items():
         lines.append(
-            f"{p.name:<18} {p.model:<7} {p.num_replicas:>5} {p.global_batch:>6} "
-            f"{p.optimizer:<9} {p.lr_per_256:>7} {p.decay:<12} {p.warmup_epochs:>6}"
+            f"{name:<18} {p['model']:<7} {p['num_replicas']:>5} {p['global_batch']:>6} "
+            f"{p['optimizer']:<9} {p['lr_per_256']:>7} {p['decay']:<12} "
+            f"{p['warmup_epochs']:>6}"
         )
     return "\n".join(lines)

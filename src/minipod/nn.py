@@ -44,9 +44,6 @@ class Parameter:
         if self.tag not in VALID_TAGS:
             raise ValueError(f"parameter {self.name}: unknown tag {self.tag!r}")
 
-    def copy(self) -> "Parameter":
-        return Parameter(self.name, self.value.copy(), self.tag)
-
 
 # ---------------------------------------------------------------------------
 # activations

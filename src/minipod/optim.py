@@ -19,6 +19,11 @@ from .nn import Parameter
 EXCLUDED_FROM_ADAPTATION = frozenset({"bias", "bn_gamma", "bn_beta"})
 
 
+def _check_momentum(momentum: float) -> None:
+    if not 0.0 <= momentum < 1.0:
+        raise ValueError(f"momentum must be in [0,1), got {momentum}")
+
+
 @dataclass(frozen=True)
 class RmsPropConfig:
     decay: float = 0.9
@@ -28,10 +33,10 @@ class RmsPropConfig:
     def __post_init__(self):
         if not 0.0 < self.decay < 1.0:
             raise ValueError(f"rmsprop decay must be in (0,1), got {self.decay}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
-        if self.eps <= 0:
-            raise ValueError(f"rmsprop eps must be > 0, got {self.eps}")
+        _check_momentum(self.momentum)
+        # Chained comparisons against inf reject NaN and infinities too.
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"rmsprop eps must be finite and > 0, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -39,16 +44,14 @@ class LarsConfig:
     eta: float = 0.001
     momentum: float = 0.9
     weight_decay: float = 1e-5
-    eps: float = 0.0
-    exclude_tags: frozenset = EXCLUDED_FROM_ADAPTATION
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError(f"trust coefficient must be > 0, got {self.eta}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0,1), got {self.momentum}")
-        if self.weight_decay < 0 or self.eps < 0:
-            raise ValueError("weight_decay and eps must be >= 0")
+        if not 0.0 < self.eta < math.inf:
+            raise ValueError(f"lars eta must be finite and > 0, got {self.eta}")
+        _check_momentum(self.momentum)
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(
+                f"lars weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -72,12 +75,6 @@ class OptimizerState:
             for p in params
         }
         return cls(kind, slots)
-
-    def copy(self) -> "OptimizerState":
-        return OptimizerState(
-            self.kind,
-            {n: {s: a.copy() for s, a in d.items()} for n, d in self.slots.items()},
-        )
 
 
 def _check_step_args(params, grads, state, kind):
@@ -113,7 +110,7 @@ def rmsprop_step(
 
 
 def lars_trust_ratio(w_norm: float, g_norm: float, cfg: LarsConfig) -> float:
-    """Layer-adaptation multiplier eta*|w| / (|g| + wd*|w| + eps).
+    """Layer-adaptation multiplier eta*|w| / (|g| + wd*|w|).
 
     Degenerate layers (zero weight norm, or zero denominator) fall back to 1
     so the update reduces to plain momentum SGD.
@@ -122,7 +119,7 @@ def lars_trust_ratio(w_norm: float, g_norm: float, cfg: LarsConfig) -> float:
         raise ValueError("norms must be >= 0")
     denom = g_norm + cfg.weight_decay * w_norm
     if w_norm > 0 and denom > 0:
-        return cfg.eta * w_norm / (denom + cfg.eps)
+        return cfg.eta * w_norm / denom
     return 1.0
 
 
@@ -135,13 +132,13 @@ def lars_step(
 ) -> None:
     """Momentum SGD with per-layer trust-ratio scaling and weight decay.
 
-    Parameters whose tag is excluded (biases and BN affine terms by default)
-    skip both the adaptation and the weight decay.
+    Parameters whose tag is in EXCLUDED_FROM_ADAPTATION (biases and BN affine
+    terms) skip both the adaptation and the weight decay.
     """
     _check_step_args(params, grads, state, "lars")
     for p, g in zip(params, grads):
         mom = state.slots[p.name]["mom"]
-        if p.tag in cfg.exclude_tags:
+        if p.tag in EXCLUDED_FROM_ADAPTATION:
             local_lr = lr
             step_grad = g
         else:
@@ -173,8 +170,9 @@ class ExponentialDecay:
     def __post_init__(self):
         if not 0.0 < self.rate <= 1.0:
             raise ValueError(f"decay rate must be in (0,1], got {self.rate}")
-        if self.epochs_per_decay <= 0:
-            raise ValueError("epochs_per_decay must be > 0")
+        if not 0.0 < self.epochs_per_decay < math.inf:
+            raise ValueError(
+                f"epochs_per_decay must be finite and > 0, got {self.epochs_per_decay}")
 
 
 @dataclass(frozen=True)
@@ -183,10 +181,10 @@ class PolynomialDecay:
     end_lr: float = 0.0
 
     def __post_init__(self):
-        if self.power <= 0:
-            raise ValueError(f"polynomial power must be > 0, got {self.power}")
-        if self.end_lr < 0:
-            raise ValueError(f"end_lr must be >= 0, got {self.end_lr}")
+        if not 0.0 < self.power < math.inf:
+            raise ValueError(f"polynomial power must be finite and > 0, got {self.power}")
+        if not 0.0 <= self.end_lr < math.inf:
+            raise ValueError(f"end_lr must be finite and >= 0, got {self.end_lr}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +197,8 @@ class ScheduleSpec:
     decay: ExponentialDecay | PolynomialDecay = field(default_factory=PolynomialDecay)
 
     def __post_init__(self):
-        if self.lr_per_256 <= 0:
-            raise ValueError(f"lr_per_256 must be > 0, got {self.lr_per_256}")
+        if not 0.0 < self.lr_per_256 < math.inf:
+            raise ValueError(f"lr_per_256 must be finite and > 0, got {self.lr_per_256}")
         if self.steps_per_epoch < 1:
             raise ValueError("steps_per_epoch must be >= 1")
         if not 0.0 <= self.warmup_epochs <= self.total_epochs:

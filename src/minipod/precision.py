@@ -1,6 +1,7 @@
 """bfloat16 emulation and the mixed-precision policy.
 
-Mixed precision rounds convolution operands (inputs and kernels) to the
+A policy's mode is the config's ``precision`` value: ``fp32``, or
+``mixed_bf16``, which rounds convolution operands (inputs and kernels) to the
 nearest bfloat16-representable value and accumulates in fp32; every non-conv
 operation stays fp32. Values are stored as fp32 throughout -- the emulation is
 numerical, not a memory-layout change. The conv and depthwise entries of
@@ -26,16 +27,16 @@ class PrecisionPolicy:
     mode: str
 
     def __post_init__(self):
-        if self.mode not in ("fp32_only", "mixed_bf16_conv"):
-            raise ValueError(f"unknown precision mode {self.mode!r}")
+        if self.mode not in ("fp32", "mixed_bf16"):
+            raise ValueError(f"precision must be fp32 or mixed_bf16, got {self.mode!r}")
 
     @property
     def rounds_conv(self) -> bool:
-        return self.mode == "mixed_bf16_conv"
+        return self.mode == "mixed_bf16"
 
 
-FP32_ONLY = PrecisionPolicy("fp32_only")
-MIXED_BF16_CONV = PrecisionPolicy("mixed_bf16_conv")
+FP32_ONLY = PrecisionPolicy("fp32")
+MIXED_BF16_CONV = PrecisionPolicy("mixed_bf16")
 
 
 def to_bf16(x) -> np.ndarray:

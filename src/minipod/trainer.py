@@ -1,5 +1,11 @@
 """Synchronized data-parallel training and evaluation loop.
 
+TrainConfig is where every config key is defined and checked: constructing one
+builds the BN group assignment, optimizer config and precision policy that
+training reads, so a bad key fails before any data is read. The run loop goes
+over whole epochs and evaluates every eval_every_epochs of them and after the
+last step.
+
 Every step: forward/backward of all replicas stacked on one leading axis
 (group BN, optional bf16 convs), all-reduce mean of the per-replica
 gradients, then one optimizer step. Synchronous replicas apply the same
@@ -25,13 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distbn, perfmodel
-from .collectives import (
-    GroupAssignment,
-    ReplicaTopology,
-    all_reduce,
-    assign_groups_1d,
-    assign_groups_2d,
-)
+from .collectives import ReplicaTopology, all_reduce, assign_groups_1d, assign_groups_2d
 from .data import Dataset, gen_synthetic, load_idx
 from .model import (
     LayerSpec,
@@ -53,7 +53,7 @@ from .optim import (
     lr_at,
     rmsprop_step,
 )
-from .precision import FP32_ONLY, MIXED_BF16_CONV, PrecisionPolicy
+from .precision import FP32_ONLY, PrecisionPolicy
 from .rng import stream
 
 SYNTHETIC_DEFAULTS = dict(num_classes=10, n=8192, height=16, width=16, channels=1)
@@ -102,9 +102,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
+        """Check every key, and build what training reads from them once.
 
-    def validate(self):
+        The group assignment, optimizer config, precision policy and schedule
+        check their own keys as they are built, so a bad value is rejected
+        here, before any data is read. They are plain attributes, not fields,
+        so the config keys, equality and serialization stay the fields' own.
+        """
         if self.num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
         if self.global_batch < 1 or self.global_batch % self.num_replicas != 0:
@@ -112,15 +116,9 @@ class TrainConfig:
                 f"global_batch {self.global_batch} must be a positive multiple "
                 f"of num_replicas {self.num_replicas}"
             )
-        if self.bn_grouping not in ("1d", "2d"):
-            raise ValueError(f"bn_grouping must be 1d or 2d, got {self.bn_grouping!r}")
         if self.bn_grouping == "1d":
-            if self.bn_group_size < 1 or self.num_replicas % self.bn_group_size != 0:
-                raise ValueError(
-                    f"bn_group_size {self.bn_group_size} must divide "
-                    f"num_replicas {self.num_replicas}"
-                )
-        else:
+            self.assignment = assign_groups_1d(self.num_replicas, self.bn_group_size)
+        elif self.bn_grouping == "2d":
             if self.tile_rows is None or self.tile_cols is None:
                 raise ValueError("2d grouping requires tile_rows and tile_cols")
             tile_area = self.tile_rows * self.tile_cols
@@ -129,20 +127,17 @@ class TrainConfig:
                     f"bn_group_size {self.bn_group_size} contradicts the "
                     f"{self.tile_rows}x{self.tile_cols} tile ({tile_area} replicas)"
                 )
+            if (self.grid_rows is None) != (self.grid_cols is None):
+                raise ValueError("grid_rows and grid_cols must be given together")
+            grid = None if self.grid_rows is None else (self.grid_rows, self.grid_cols)
+            self.assignment = assign_groups_2d(
+                ReplicaTopology(self.num_replicas, grid), (self.tile_rows, self.tile_cols))
+        else:
+            raise ValueError(f"bn_grouping must be 1d or 2d, got {self.bn_grouping!r}")
         if not 0.0 <= self.bn_momentum <= 1.0:
             raise ValueError(f"bn_momentum must lie in [0, 1], got {self.bn_momentum}")
-        if not self.bn_eps > 0:
-            raise ValueError(f"bn_eps must be > 0, got {self.bn_eps}")
-        if self.optimizer not in ("rmsprop", "lars"):
-            raise ValueError(f"optimizer must be rmsprop or lars, got {self.optimizer!r}")
-        if self.decay not in ("exponential", "polynomial"):
-            raise ValueError(
-                f"decay must be exponential or polynomial, got {self.decay!r}"
-            )
-        if self.precision not in ("fp32", "mixed_bf16"):
-            raise ValueError(
-                f"precision must be fp32 or mixed_bf16, got {self.precision!r}"
-            )
+        if not 0.0 < self.bn_eps < math.inf:
+            raise ValueError(f"bn_eps must be finite and > 0, got {self.bn_eps}")
         # Evaluation runs only at epoch ends, so a fractional period cannot be met.
         every = self.eval_every_epochs
         if not (every >= 1 and float(every).is_integer()):
@@ -153,6 +148,18 @@ class TrainConfig:
                 f"total_epochs must be a finite number >= 0, got {self.total_epochs}")
         if self.eval_batch is not None and self.eval_batch < 1:
             raise ValueError(f"eval_batch must be >= 1 when set, got {self.eval_batch}")
+        if self.optimizer == "rmsprop":
+            self.optimizer_config = RmsPropConfig(
+                decay=self.rmsprop_decay, momentum=self.momentum, eps=self.rmsprop_eps)
+        elif self.optimizer == "lars":
+            self.optimizer_config = LarsConfig(
+                eta=self.lars_eta, momentum=self.momentum,
+                weight_decay=self.lars_weight_decay)
+        else:
+            raise ValueError(f"optimizer must be rmsprop or lars, got {self.optimizer!r}")
+        self.policy = PrecisionPolicy(self.precision)
+        # The run builds the schedule again once it knows steps_per_epoch.
+        self.schedule(steps_per_epoch=1)
 
     @property
     def per_core_batch(self) -> int:
@@ -163,37 +170,13 @@ class TrainConfig:
         """eval_batch, or the per-core training batch when it is unset."""
         return self.per_core_batch if self.eval_batch is None else self.eval_batch
 
-    @property
-    def policy(self) -> PrecisionPolicy:
-        return MIXED_BF16_CONV if self.precision == "mixed_bf16" else FP32_ONLY
-
-    def group_assignment(self) -> GroupAssignment:
-        if self.bn_grouping == "2d":
-            grid = None
-            if self.grid_rows is not None or self.grid_cols is not None:
-                if self.grid_rows is None or self.grid_cols is None:
-                    raise ValueError("grid_rows and grid_cols must be given together")
-                grid = (self.grid_rows, self.grid_cols)
-            topo = ReplicaTopology(self.num_replicas, grid)
-            return assign_groups_2d(topo, (self.tile_rows, self.tile_cols))
-        return assign_groups_1d(self.num_replicas, self.bn_group_size)
-
-    def optimizer_config(self):
-        if self.optimizer == "rmsprop":
-            return RmsPropConfig(
-                decay=self.rmsprop_decay, momentum=self.momentum, eps=self.rmsprop_eps
-            )
-        return LarsConfig(
-            eta=self.lars_eta,
-            momentum=self.momentum,
-            weight_decay=self.lars_weight_decay,
-        )
-
     def schedule(self, steps_per_epoch: int) -> ScheduleSpec:
         if self.decay == "exponential":
             d = ExponentialDecay(self.decay_rate, self.epochs_per_decay)
-        else:
+        elif self.decay == "polynomial":
             d = PolynomialDecay(self.poly_power, self.end_lr)
+        else:
+            raise ValueError(f"decay must be exponential or polynomial, got {self.decay!r}")
         return ScheduleSpec(
             lr_per_256=self.lr_per_256,
             global_batch=self.global_batch,
@@ -276,7 +259,6 @@ class TrainState:
     params: list[Parameter]
     bn_moving: dict
     opt_state: OptimizerState
-    assignment: GroupAssignment
     config: TrainConfig
     step_count: int = 0
 
@@ -291,8 +273,7 @@ def init_train_state(
     params = init_params(layers, input_shape, config.seed)
     return TrainState(
         layers, params, init_bn_moving(layers, input_shape),
-        OptimizerState.for_params(config.optimizer, params),
-        config.group_assignment(), config)
+        OptimizerState.for_params(config.optimizer, params), config)
 
 
 def train_step(state: TrainState, batches, lr: float) -> float:
@@ -305,13 +286,13 @@ def train_step(state: TrainState, batches, lr: float) -> float:
         state.bn_moving,
         np.stack([b[0] for b in batches]),
         np.stack([b[1] for b in batches]),
-        state.assignment,
+        cfg.assignment,
         policy=cfg.policy,
         bn_eps=cfg.bn_eps,
     )
     grads = [all_reduce(g, "mean") for g in res.grads]
     step_fn = rmsprop_step if cfg.optimizer == "rmsprop" else lars_step
-    step_fn(state.params, grads, lr, cfg.optimizer_config(), state.opt_state)
+    step_fn(state.params, grads, lr, cfg.optimizer_config, state.opt_state)
     for lname, (means, variances) in res.bn_saved.items():
         state.bn_moving[lname] = distbn.update_moving_stats(
             *state.bn_moving[lname], means, variances, cfg.bn_momentum)
@@ -437,15 +418,11 @@ def run_with_state(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState
 
     gstep = 0
     elapsed_ms = 0.0
-    next_eval = config.eval_every_epochs
-    epoch = 0
-    while gstep < total_steps:
+    for epoch in range(1, math.ceil(total_steps / steps_per_epoch) + 1):
         for batches in shard_train_data(
             train_ds, config.num_replicas, config.per_core_batch,
-            config.seed, epoch,
-        ):
-            if gstep >= total_steps:
-                break
+            config.seed, epoch - 1,
+        )[: total_steps - gstep]:
             lr = lr_at(schedule, gstep)
             loss = train_step(state, batches, lr)
             gstep += 1
@@ -457,12 +434,8 @@ def run_with_state(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState
             if not math.isfinite(loss):
                 raise NonFiniteLossError(
                     f"non-finite loss {loss} at step {gstep - 1}", records)
-        epoch += 1
-        done = gstep >= total_steps
-        if epoch + 1e-9 >= next_eval or done:
+        if epoch % config.eval_every_epochs == 0 or gstep == total_steps:
             records[-1].eval_top1 = evaluate()
-            while next_eval <= epoch + 1e-9:
-                next_eval += config.eval_every_epochs
     return records, state
 
 

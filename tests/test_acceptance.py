@@ -229,7 +229,7 @@ def test_criterion_5_optimizer_oracles():
         worst = max(worst, abs(float(p.value[0]) - want) / max(abs(want), 1e-8))
     oracle_ok = worst < 1e-12
 
-    cfg = LarsConfig(eta=0.001, momentum=0.0, weight_decay=0.0, eps=0.0)
+    cfg = LarsConfig(eta=0.001, momentum=0.0, weight_decay=0.0)
     w0 = np.random.default_rng(7).standard_normal(32)
     g = np.random.default_rng(8).standard_normal(32)
     invariance = 0.0

@@ -84,6 +84,59 @@ def test_parse_bn_hyperparameter_out_of_range(line, key):
         parse_config(f"preset = toy-rmsprop-512\ndataset = synthetic\n{line}\n")
 
 
+_RMSPROP = "toy-rmsprop-512"  # exponential decay
+_LARS = "toy-lars-2048"  # polynomial decay
+_FLOAT_KEYS = [  # key, preset that reads it, quantity its error names
+    ("lr_per_256", _RMSPROP, "lr_per_256"),
+    ("rmsprop_eps", _RMSPROP, "rmsprop eps"),
+    ("lars_eta", _LARS, "lars eta"),
+    ("lars_weight_decay", _LARS, "lars weight_decay"),
+    ("epochs_per_decay", _RMSPROP, "epochs_per_decay"),
+    ("poly_power", _LARS, "polynomial power"),
+    ("end_lr", _LARS, "end_lr"),
+    ("bn_eps", _RMSPROP, "bn_eps"),
+]
+
+
+@pytest.mark.parametrize("preset,line,pattern", [
+    # Keys the optimizer, the schedule or the BN grouping check as they are built.
+    (_RMSPROP, "rmsprop_decay = 1.5", "rmsprop decay .* got 1.5$"),
+    (_RMSPROP, "momentum = 1.0", "momentum .* got 1.0$"),
+    (_LARS, "momentum = -0.5", "momentum .* got -0.5$"),
+    (_RMSPROP, "rmsprop_eps = 0", "rmsprop eps .* got 0.0$"),
+    (_LARS, "lars_eta = 0", "lars eta .* got 0.0$"),
+    (_LARS, "lars_weight_decay = -1e-05", "lars weight_decay .* got -1e-05$"),
+    (_RMSPROP, "decay_rate = 2", "decay rate .* got 2.0$"),
+    (_RMSPROP, "epochs_per_decay = 0", "epochs_per_decay .* got 0.0$"),
+    (_LARS, "poly_power = -1", "polynomial power .* got -1.0$"),
+    (_LARS, "end_lr = -0.1", "end_lr .* got -0.1$"),
+    (_RMSPROP, "lr_per_256 = 0", "lr_per_256 .* got 0.0$"),
+    (_RMSPROP, "warmup_epochs = -1", r"warmup \(-1.0\)"),
+    (_RMSPROP, "bn_grouping = 2d\ntile_rows = 2\ntile_cols = 2\nbn_group_size = 4\n"
+               "grid_rows = 2", "grid_rows and grid_cols"),
+    (_RMSPROP, "bn_grouping = 2d\ntile_rows = 3\ntile_cols = 1\nbn_group_size = 3",
+     "tile 3x1 .* grid 2x4"),
+] + [(preset, f"{key} = {value}", f"{quantity} .* got {value}$")
+     for key, preset, quantity in _FLOAT_KEYS for value in ("nan", "inf")])
+def test_parse_rejects_bad_value_before_any_data(preset, line, pattern):
+    with pytest.raises(ConfigError, match=pattern):
+        parse_config(f"preset = {preset}\ndataset = synthetic\n{line}\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "gradcheck"])
+def test_cli_eval_and_gradcheck_reject_bad_key_before_reading_data(
+        tmp_path, capsys, command):
+    absent = tmp_path / "absent.idx"
+    cfg = write_config(
+        tmp_path, f"preset = toy-rmsprop-512\ndataset = idx:{absent},{absent}\n"
+                  "rmsprop_decay = 1.5\n")
+    extra = ["--weights", str(tmp_path / "absent.npz")] if command == "eval" else []
+    assert main([command, "--config", str(cfg)] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rmsprop decay must be in (0,1), got 1.5" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("every", ["0.5", "1.5"])
 def test_cli_train_fractional_eval_every_epochs(tmp_path, capsys, every):
     cfg = write_config(
@@ -135,14 +188,14 @@ def test_parse_2d_grouping_keys():
         "preset = toy-rmsprop-512\ndataset = synthetic\nbn_grouping = 2d\n"
         "bn_group_size = 4\n"
         "grid_rows = 2\ngrid_cols = 4\ntile_rows = 1\ntile_cols = 4\n")
-    assert list(cfg.group_assignment().members) == [(0, 1, 2, 3), (4, 5, 6, 7)]
+    assert list(cfg.assignment.members) == [(0, 1, 2, 3), (4, 5, 6, 7)]
 
 
 def test_presets_roundtrip_serialize_parse():
-    for preset in PRESETS:
-        cfg = preset_config(preset.name, dataset="synthetic")
+    for name in PRESETS:
+        cfg = preset_config(name, dataset="synthetic")
         again = parse_config(serialize_config(cfg))
-        assert again == cfg, preset.name
+        assert again == cfg, name
 
 
 def test_custom_config_roundtrip():
@@ -153,8 +206,8 @@ def test_custom_config_roundtrip():
 
 
 def test_catalog_row_count():
-    published = [p for p in PRESETS if p.model in ("b2", "b5")]
-    toys = [p for p in PRESETS if p.model == "toy_cnn"]
+    published = [p for p in PRESETS.values() if p["model"] in ("b2", "b5")]
+    toys = [p for p in PRESETS.values() if p["model"] == "toy_cnn"]
     assert len(published) == 11
     assert len(toys) >= 1
 

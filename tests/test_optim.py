@@ -100,7 +100,7 @@ def test_lars_excluded_tag_plain_momentum_sgd():
 
 
 def test_lars_gradient_rescaling_invariance():
-    cfg = LarsConfig(eta=0.001, momentum=0.0, weight_decay=0.0, eps=0.0)
+    cfg = LarsConfig(eta=0.001, momentum=0.0, weight_decay=0.0)
     rng = np.random.default_rng(0)
     w0 = rng.standard_normal(20)
     g = rng.standard_normal(20)
@@ -168,8 +168,8 @@ def test_step_independent_of_parameter_order():
     rng = np.random.default_rng(3)
     params = [Parameter(n, rng.standard_normal(4)) for n in ("a", "b", "c")]
     grads = [rng.standard_normal(4) for _ in range(3)]
-    fwd = [p.copy() for p in params]
-    rev = [p.copy() for p in reversed(params)]
+    fwd = [Parameter(p.name, p.value.copy()) for p in params]
+    rev = [Parameter(p.name, p.value.copy()) for p in reversed(params)]
     st1 = OptimizerState.for_params("lars", fwd)
     st2 = OptimizerState.for_params("lars", rev)
     lars_step(fwd, grads, 0.1, LarsConfig(), st1)

@@ -311,7 +311,7 @@ def test_config_2d_grouping_assignment():
     cfg = tiny_config(num_replicas=8, global_batch=64, bn_grouping="2d",
                       bn_group_size=4, grid_rows=2, grid_cols=4,
                       tile_rows=2, tile_cols=2)
-    asg = cfg.group_assignment()
+    asg = cfg.assignment
     assert list(asg.members) == [(0, 1, 4, 5), (2, 3, 6, 7)]
 
 
