@@ -7,8 +7,6 @@ all-reduce cost model for step timing.
 """
 
 from .collectives import (
-    GroupAssignment,
-    ReplicaTopology,
     all_reduce,
     assign_groups_1d,
     assign_groups_2d,

@@ -71,7 +71,7 @@ def _cmd_train(args) -> int:
     if args.weights_out:
         trainer.save_weights(state, args.weights_out)
     print(f"replicas {config.num_replicas}, global batch {config.global_batch}, "
-          f"bn batch {bn_batch_size(config.assignment.group_size, config.per_core_batch)}")
+          f"bn batch {bn_batch_size(config.bn_groups.shape[1], config.per_core_batch)}")
     evals = [r.eval_top1 for r in records if r.eval_top1 is not None]
     if evals:
         peak, minutes = trainer.time_to_peak(records)

@@ -1,6 +1,8 @@
-"""Simulated replica topology, BN group assignment, and deterministic all-reduce.
+"""BN replica groups, deterministic all-reduce, and batch padding.
 
-Replicas are simulated workers indexed 0..N-1, laid out on a logical 2D grid.
+Replicas are simulated workers indexed 0..N-1, laid out row-major on a
+logical 2D grid. BN groups are one [G, S] int array: row g lists the S
+replicas of group g in ascending order, and the rows partition 0..N-1.
 The all-reduce here is functional (exact values, no transport); its cost is
 modeled separately in :mod:`minipod.perfmodel`.
 """
@@ -8,38 +10,10 @@ modeled separately in :mod:`minipod.perfmodel`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 BATCH_PAD_MULTIPLE = 8
-
-
-@dataclass(frozen=True)
-class ReplicaTopology:
-    """Logical replica grid: num_replicas workers arranged as rows x cols."""
-
-    num_replicas: int
-    grid: tuple[int, int] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.num_replicas < 1:
-            raise ValueError(f"num_replicas must be >= 1, got {self.num_replicas}")
-        if self.grid is None:
-            object.__setattr__(self, "grid", most_square_grid(self.num_replicas))
-        r, c = self.grid
-        if r * c != self.num_replicas:
-            raise ValueError(
-                f"grid {r}x{c} does not hold {self.num_replicas} replicas"
-            )
-
-    @property
-    def rows(self) -> int:
-        return self.grid[0]
-
-    @property
-    def cols(self) -> int:
-        return self.grid[1]
 
 
 def most_square_grid(n: int) -> tuple[int, int]:
@@ -50,81 +24,35 @@ def most_square_grid(n: int) -> tuple[int, int]:
     return (r, n // r)
 
 
-@dataclass(frozen=True)
-class GroupAssignment:
-    """Partition of replicas 0..N-1 into equally sized BN groups.
-
-    group_of maps replica index -> group id; members maps group id -> sorted
-    replica list. Every group has exactly group_size members.
-    """
-
-    num_replicas: int
-    group_size: int
-    group_of: tuple[int, ...]
-    members: tuple[tuple[int, ...], ...] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.members is None:
-            num_groups = self.num_replicas // self.group_size
-            buckets: list[list[int]] = [[] for _ in range(num_groups)]
-            for rep, g in enumerate(self.group_of):
-                if not 0 <= g < num_groups:
-                    raise ValueError(
-                        f"group id {g} outside 0..{num_groups - 1}; groups must "
-                        "partition the replica set")
-                buckets[g].append(rep)
-            object.__setattr__(
-                self, "members", tuple(tuple(sorted(b)) for b in buckets)
-            )
-        self._validate()
-
-    def _validate(self):
-        n, g = self.num_replicas, self.group_size
-        if len(self.group_of) != n:
-            raise ValueError("group_of must cover every replica")
-        seen: set[int] = set()
-        for group in self.members:
-            if len(group) != g:
-                raise ValueError(
-                    f"every group must have exactly {g} members, got {len(group)}"
-                )
-            seen.update(group)
-        if seen != set(range(n)):
-            raise ValueError("groups must partition the replica set")
-
-    @property
-    def num_groups(self) -> int:
-        return len(self.members)
-
-
-def assign_groups_1d(num_replicas: int, group_size: int) -> GroupAssignment:
-    """Contiguous-block grouping: replica i joins group i // group_size."""
+def assign_groups_1d(num_replicas: int, group_size: int) -> np.ndarray:
+    """Contiguous blocks: group g holds replicas g*group_size .. (g+1)*group_size - 1."""
     if group_size < 1 or num_replicas % group_size != 0:
         raise ValueError(
             f"group_size {group_size} must divide num_replicas {num_replicas}"
         )
-    group_of = tuple(i // group_size for i in range(num_replicas))
-    return GroupAssignment(num_replicas, group_size, group_of)
+    return np.arange(num_replicas).reshape(-1, group_size)
 
 
-def assign_groups_2d(
-    topology: ReplicaTopology, tile: tuple[int, int]
-) -> GroupAssignment:
+def assign_groups_2d(num_replicas: int, tile: tuple[int, int],
+                     grid: tuple[int, int] | None = None) -> np.ndarray:
     """Group replicas by rectangular tiles of the row-major replica grid.
 
-    Intended for group sizes above 16, where contiguous 1D blocks would span
-    too far across the grid.
+    The grid defaults to most_square_grid(num_replicas). Tiles are numbered
+    row-major, and each row of the result lists its tile's replicas in
+    ascending order. Intended for group sizes above 16, where contiguous 1D
+    blocks would span too far across the grid.
     """
-    rows, cols = topology.grid
+    if num_replicas < 1:
+        raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
+    rows, cols = most_square_grid(num_replicas) if grid is None else grid
+    if rows * cols != num_replicas:
+        raise ValueError(f"grid {rows}x{cols} does not hold {num_replicas} replicas")
     tr, tc = tile
     if tr < 1 or tc < 1 or rows % tr != 0 or cols % tc != 0:
         raise ValueError(f"tile {tr}x{tc} must evenly divide grid {rows}x{cols}")
-    tiles_per_row = cols // tc
-    group_of = []
-    for rep in range(topology.num_replicas):
-        r, c = divmod(rep, cols)
-        group_of.append((r // tr) * tiles_per_row + (c // tc))
-    return GroupAssignment(topology.num_replicas, tr * tc, tuple(group_of))
+    # [tile row, row in tile, tile column, column in tile] -> [tile, member]
+    return (np.arange(num_replicas).reshape(rows // tr, tr, cols // tc, tc)
+            .transpose(0, 2, 1, 3).reshape(-1, tr * tc))
 
 
 def all_reduce(per_replica, op: str = "sum") -> np.ndarray:

@@ -1,9 +1,10 @@
 """Batch normalization with statistics shared across a group of replicas.
 
 Activations arrive stacked, [N, b, H, W, C], together with the replica
-groups. Mean and variance are computed per channel over every sample and
-spatial position of every replica in the group (population variance, divisor
-group size * b*H*W), so a group spanning all replicas is numerically
+groups as a [G, S] int array: row g lists the S replicas of group g, and the
+rows partition 0..N-1. Mean and variance are computed per channel over every
+sample and spatial position of every replica in the group (population
+variance, divisor S*b*H*W), so a group spanning all replicas is numerically
 equivalent to single-device BN over the concatenated batch.
 
 Each pass makes one deterministic all-reduce from :mod:`minipod.collectives`,
@@ -22,7 +23,10 @@ mean m and spread s the loss is about (m/s)^2 * 1e-16 of the variance, below
 what rounding the inputs to float32 already costs it. Forward keeps the
 normalized activations xhat = (x - mean) * inv and inv = 1/sqrt(var + eps)
 for backward, which sums grad_y and grad_y * xhat per replica in one [N, 2, C]
-array and all-reduces it once. Per-channel values are applied over wide rows,
+array and all-reduces it once. The gamma/beta gradients come back per
+replica, [N, C], like every parameter gradient in :mod:`minipod.nn`: each
+replica holds its group's sum divided by S, so the all-replica sum of those
+shares is the sum over groups. Per-channel values are applied over wide rows,
 [N, b*H, W*C], with the [C] values tiled across W.
 """
 
@@ -41,19 +45,22 @@ def bn_batch_size(group_size: int, per_core_batch: int) -> int:
     return group_size * per_core_batch
 
 
-def _groups(x, members):
-    """Checks a stacked BN input; returns the groups as a [G, group size]
-    replica-index array and each replica's group id."""
+def _groups(x, groups):
+    """Checks a stacked BN input and its [G, S] groups; returns the groups as
+    an index array and each replica's group id."""
     if x.ndim != 5:
         raise ValueError(f"BN input must be [N, b, H, W, C], got {x.shape}")
     if x.shape[1] < 1:
         raise ValueError("BN batch must be non-empty")
     n = x.shape[0]
-    if len({len(m) for m in members}) != 1 or not np.array_equal(
-            np.sort(members, axis=None), np.arange(n)):
+    try:
+        idx = np.asarray(groups)
+    except ValueError:  # rows of unequal length
+        idx = np.empty(0)
+    if idx.ndim != 2 or not np.array_equal(np.sort(idx, axis=None), np.arange(n)):
         raise ValueError(
-            f"BN groups {members} must split replicas 0..{n - 1} into equal groups")
-    idx = np.array(members, dtype=np.intp)
+            f"BN groups {groups} must split replicas 0..{n - 1} into equal groups")
+    idx = idx.astype(np.intp, copy=False)
     group_of = np.empty(n, dtype=np.intp)
     group_of[idx] = np.arange(len(idx))[:, None]
     return idx, group_of
@@ -77,17 +84,17 @@ def _channel_sums(a, c):
     return (np.ones((1, rows.shape[1]), a.dtype) @ rows)[:, 0]
 
 
-def group_bn_forward(x: np.ndarray, members, gamma: np.ndarray,
+def group_bn_forward(x: np.ndarray, groups, gamma: np.ndarray,
                      beta: np.ndarray, eps: float):
     """Normalize [N, b, H, W, C] activations with the statistics of each
-    replica's group; `members` lists each group's replicas.
+    replica's group; `groups` is the [G, S] replica array.
 
     Returns (y, mean, var, xhat, inv): the statistics [G, C] in group order,
     which the moving-statistics update consumes, then the normalized input
     [N, b, H, W, C] and 1/sqrt(var + eps) [G, C], which group_bn_backward
     consumes.
     """
-    idx, group_of = _groups(x, members)
+    idx, group_of = _groups(x, groups)
     _, b, h, w, c = x.shape
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError(
@@ -119,16 +126,16 @@ def group_bn_backward(
     xhat: np.ndarray,
     inv: np.ndarray,
     grad_y: np.ndarray,
-    members,
+    groups,
     gamma: np.ndarray,
 ):
     """Gradients of group_bn_forward, treating the shared statistics as
     functions of all group inputs; xhat and inv are what forward returned.
 
-    grad_gamma/grad_beta are [G, C], each reduced over its whole group;
-    callers that need per-replica contributions divide by the group size.
+    Returns (grad_x, grad_gamma, grad_beta). grad_gamma and grad_beta are per
+    replica, [N, C]: each replica's group sum divided by the group size.
     """
-    idx, group_of = _groups(xhat, members)
+    idx, group_of = _groups(xhat, groups)
     if grad_y.shape != xhat.shape:
         raise ValueError(f"grad_y shape {grad_y.shape} != input shape {xhat.shape}")
     _, b, h, w, c = xhat.shape
@@ -141,7 +148,9 @@ def group_bn_backward(
     grad_x = _wide(grad_y) - _tiled((dbeta / count)[group_of], w)
     grad_x -= np.multiply(_wide(xhat), _tiled((dgamma / count)[group_of], w), out=prod)
     grad_x *= _tiled(coef[group_of], w)
-    return grad_x.reshape(xhat.shape), dgamma, dbeta
+    gsize = total.dtype.type(idx.shape[1])
+    return (grad_x.reshape(xhat.shape), (dgamma / gsize)[group_of],
+            (dbeta / gsize)[group_of])
 
 
 def update_moving_stats(

@@ -8,11 +8,15 @@ initialization, training and evaluation all dispatch through it.
 The engine holds every replica's activations in one array with a leading
 replica axis, [N, b, ...], and walks the layers once: each layer makes one
 call that computes all replicas, so batch-normalization layers can share
-statistics across their replica groups. Parameter gradients stay per
-replica, [N, *shape], for the trainer's all-reduce; the backward walk skips
-the input gradient of a conv layer that reads the model input. All replicas
-read one parameter list: synchronous replicas apply the same update to the
-same all-reduced gradient, so their weights are equal by construction.
+statistics across their replica groups (a [G, S] replica array that only
+distbn reads). Parameter gradients stay per replica, [N, *shape], for the
+trainer's all-reduce: the nn and distbn kernels return them that way (distbn
+splits BN's group-summed gamma/beta evenly across each group), and a conv
+bias's is its output gradient summed over the replica's batch. The backward
+walk skips the input gradient of a conv layer that reads the model input.
+All replicas read one parameter list: synchronous replicas apply the same
+update to the same all-reduced gradient, so their weights are equal by
+construction.
 Evaluation is the same forward walk over stacked eval shards, with BN
 normalizing by the moving statistics.
 
@@ -31,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import distbn, nn, precision
-from .collectives import GroupAssignment, all_reduce, assign_groups_1d
+from .collectives import all_reduce, assign_groups_1d
 from .nn import Parameter
 from .rng import stream, truncated_normal
 
@@ -149,7 +153,7 @@ class _Pass:
     bn_moving: dict[str, tuple[np.ndarray, np.ndarray]]
     policy: precision.PrecisionPolicy
     bn_eps: float
-    assignment: GroupAssignment | None  # None: inference, BN uses moving stats
+    groups: np.ndarray | None  # [G, S] BN replica groups; None: inference
     labels: np.ndarray | None = None  # [N, b]
     input_layer: str | None = None  # name of the layer reading the model input
     losses: list[float] = field(default_factory=list)
@@ -273,25 +277,18 @@ def _pool_backward(l, run, x, gy):
 
 def _bn_forward(l, run, x):
     gamma, beta = run.value(l, "gamma"), run.value(l, "beta")
-    if run.assignment is None:
+    if run.groups is None:
         return distbn.bn_inference(x, gamma, beta, *run.bn_moving[l.name],
                                    run.bn_eps), None
     y, mean, var, xhat, inv = distbn.group_bn_forward(
-        x, run.assignment.members, gamma, beta, run.bn_eps)
+        x, run.groups, gamma, beta, run.bn_eps)
     run.bn_saved[l.name] = (mean, var)
     return y, (xhat, inv)
 
 
 def _bn_backward(l, run, saved, gy):
-    a = run.assignment
-    gx, dgamma, dbeta = distbn.group_bn_backward(
-        *saved, gy, a.members, run.value(l, "gamma"))
-    # Group-reduced affine grads split evenly so the later all-replica
-    # mean recovers the full-group sum exactly once.
-    gsize = dgamma.dtype.type(a.group_size)
-    group_of = np.asarray(a.group_of)
-    run.grads[f"{l.name}/gamma"] = (dgamma / gsize)[group_of]
-    run.grads[f"{l.name}/beta"] = (dbeta / gsize)[group_of]
+    gx, run.grads[f"{l.name}/gamma"], run.grads[f"{l.name}/beta"] = (
+        distbn.group_bn_backward(*saved, gy, run.groups, run.value(l, "gamma")))
     return gx
 
 
@@ -361,7 +358,7 @@ def distributed_forward_backward(
     bn_moving: dict[str, tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,
     labels: np.ndarray,
-    assignment: GroupAssignment,
+    groups: np.ndarray,
     policy: precision.PrecisionPolicy = precision.FP32_ONLY,
     bn_eps: float = distbn.DEFAULT_EPS,
     forward_only: bool = False,
@@ -369,18 +366,13 @@ def distributed_forward_backward(
     """One synchronized forward (and optionally backward) pass.
 
     x is [N, b, ...] and labels [N, b]: replica r consumes batch x[r] with the
-    shared parameters; BN layers normalize over their replica group. Returned
-    gradients are per-replica local contributions, [N, *shape]: their
-    all-reduce mean is the gradient of the mean per-replica loss.
+    shared parameters; BN layers normalize over each replica's group in
+    `groups`, the [G, S] replica array. Returned gradients are per-replica
+    local contributions, [N, *shape]: their all-reduce mean is the gradient
+    of the mean per-replica loss.
     """
-    n = len(x)
-    if assignment.num_replicas != n:
-        raise ValueError(
-            f"group assignment covers {assignment.num_replicas} replicas, "
-            f"engine got {n}"
-        )
     validate_model(layers)
-    run = _Pass({p.name: p for p in params}, bn_moving, policy, bn_eps, assignment,
+    run = _Pass({p.name: p for p in params}, bn_moving, policy, bn_eps, groups,
                 labels, layers[0].name)
     acts, saved = x, []
     for layer in layers:
@@ -440,13 +432,13 @@ def grad_check(
     ]
     shards = np.asarray(x, dtype=np.float64).reshape(num_replicas, -1, *x.shape[1:])
     label_shards = np.asarray(labels).reshape(num_replicas, -1)
-    assignment = assign_groups_1d(num_replicas, group_size or num_replicas)
+    groups = assign_groups_1d(num_replicas, group_size or num_replicas)
     moving = init_bn_moving(layers, x.shape[1:], dtype=np.float64)
 
     def run(forward_only: bool) -> EngineResult:
         return distributed_forward_backward(
             layers, params64, moving, shards, label_shards,
-            assignment, bn_eps=bn_eps, forward_only=forward_only)
+            groups, bn_eps=bn_eps, forward_only=forward_only)
 
     base = run(forward_only=False)
     if not np.isfinite(base.mean_loss):

@@ -206,6 +206,11 @@ class ScheduleSpec:
                 f"need 0 <= warmup ({self.warmup_epochs}) <= total "
                 f"({self.total_epochs})"
             )
+        # A polynomial "decay" ending above the peak would raise the rate.
+        if isinstance(self.decay, PolynomialDecay) and self.decay.end_lr > self.peak_lr:
+            raise ValueError(
+                f"end_lr {self.decay.end_lr} must not exceed the peak rate "
+                f"{self.peak_lr} (lr_per_256 * global_batch / 256)")
 
     @property
     def peak_lr(self) -> float:

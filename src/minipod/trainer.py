@@ -1,7 +1,7 @@
 """Synchronized data-parallel training and evaluation loop.
 
 TrainConfig is where every config key is defined and checked: constructing one
-builds the BN group assignment, optimizer config and precision policy that
+builds the BN replica groups, optimizer config and precision policy that
 training reads, so a bad key fails before any data is read. The run loop goes
 over whole epochs and evaluates every eval_every_epochs of them and after the
 last step.
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distbn, perfmodel
-from .collectives import ReplicaTopology, all_reduce, assign_groups_1d, assign_groups_2d
+from .collectives import all_reduce, assign_groups_1d, assign_groups_2d
 from .data import Dataset, gen_synthetic, load_idx
 from .model import (
     LayerSpec,
@@ -104,7 +104,7 @@ class TrainConfig:
     def __post_init__(self):
         """Check every key, and build what training reads from them once.
 
-        The group assignment, optimizer config, precision policy and schedule
+        The BN groups, optimizer config, precision policy and schedule
         check their own keys as they are built, so a bad value is rejected
         here, before any data is read. They are plain attributes, not fields,
         so the config keys, equality and serialization stay the fields' own.
@@ -117,7 +117,7 @@ class TrainConfig:
                 f"of num_replicas {self.num_replicas}"
             )
         if self.bn_grouping == "1d":
-            self.assignment = assign_groups_1d(self.num_replicas, self.bn_group_size)
+            self.bn_groups = assign_groups_1d(self.num_replicas, self.bn_group_size)
         elif self.bn_grouping == "2d":
             if self.tile_rows is None or self.tile_cols is None:
                 raise ValueError("2d grouping requires tile_rows and tile_cols")
@@ -130,8 +130,8 @@ class TrainConfig:
             if (self.grid_rows is None) != (self.grid_cols is None):
                 raise ValueError("grid_rows and grid_cols must be given together")
             grid = None if self.grid_rows is None else (self.grid_rows, self.grid_cols)
-            self.assignment = assign_groups_2d(
-                ReplicaTopology(self.num_replicas, grid), (self.tile_rows, self.tile_cols))
+            self.bn_groups = assign_groups_2d(
+                self.num_replicas, (self.tile_rows, self.tile_cols), grid)
         else:
             raise ValueError(f"bn_grouping must be 1d or 2d, got {self.bn_grouping!r}")
         if not 0.0 <= self.bn_momentum <= 1.0:
@@ -146,17 +146,21 @@ class TrainConfig:
         if not (math.isfinite(self.total_epochs) and self.total_epochs >= 0):
             raise ValueError(
                 f"total_epochs must be a finite number >= 0, got {self.total_epochs}")
+        if not math.isfinite(self.warmup_epochs):
+            raise ValueError(f"warmup_epochs must be finite, got {self.warmup_epochs}")
         if self.eval_batch is not None and self.eval_batch < 1:
             raise ValueError(f"eval_batch must be >= 1 when set, got {self.eval_batch}")
-        if self.optimizer == "rmsprop":
-            self.optimizer_config = RmsPropConfig(
-                decay=self.rmsprop_decay, momentum=self.momentum, eps=self.rmsprop_eps)
-        elif self.optimizer == "lars":
-            self.optimizer_config = LarsConfig(
+        # Both optimizers are built, so the other one's keys are checked too.
+        optimizers = {
+            "rmsprop": RmsPropConfig(
+                decay=self.rmsprop_decay, momentum=self.momentum, eps=self.rmsprop_eps),
+            "lars": LarsConfig(
                 eta=self.lars_eta, momentum=self.momentum,
-                weight_decay=self.lars_weight_decay)
-        else:
+                weight_decay=self.lars_weight_decay),
+        }
+        if self.optimizer not in optimizers:
             raise ValueError(f"optimizer must be rmsprop or lars, got {self.optimizer!r}")
+        self.optimizer_config = optimizers[self.optimizer]
         self.policy = PrecisionPolicy(self.precision)
         # The run builds the schedule again once it knows steps_per_epoch.
         self.schedule(steps_per_epoch=1)
@@ -171,20 +175,20 @@ class TrainConfig:
         return self.per_core_batch if self.eval_batch is None else self.eval_batch
 
     def schedule(self, steps_per_epoch: int) -> ScheduleSpec:
-        if self.decay == "exponential":
-            d = ExponentialDecay(self.decay_rate, self.epochs_per_decay)
-        elif self.decay == "polynomial":
-            d = PolynomialDecay(self.poly_power, self.end_lr)
-        else:
+        # Both decays are built, so the other one's keys are checked too.
+        decays = {"exponential": ExponentialDecay(self.decay_rate, self.epochs_per_decay),
+                  "polynomial": PolynomialDecay(self.poly_power, self.end_lr)}
+        if self.decay not in decays:
             raise ValueError(f"decay must be exponential or polynomial, got {self.decay!r}")
         return ScheduleSpec(
             lr_per_256=self.lr_per_256,
             global_batch=self.global_batch,
-            # warmup cannot outlast the run (degenerate for total_epochs=0)
+            # A finite warmup longer than the run covers all of it (the
+            # total_epochs = 0 case needs this).
             warmup_epochs=min(self.warmup_epochs, self.total_epochs),
             steps_per_epoch=steps_per_epoch,
             total_epochs=self.total_epochs,
-            decay=d,
+            decay=decays[self.decay],
         )
 
 
@@ -286,7 +290,7 @@ def train_step(state: TrainState, batches, lr: float) -> float:
         state.bn_moving,
         np.stack([b[0] for b in batches]),
         np.stack([b[1] for b in batches]),
-        cfg.assignment,
+        cfg.bn_groups,
         policy=cfg.policy,
         bn_eps=cfg.bn_eps,
     )

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from minipod import nn, perfmodel
-from minipod.collectives import ReplicaTopology, assign_groups_2d
+from minipod.collectives import assign_groups_2d
 from minipod.config import preset_config
 from minipod.data import gen_synthetic
 from minipod.distbn import group_bn_forward
@@ -129,9 +129,9 @@ def test_criterion_2_distributed_bn_oracle():
                      and m1.tobytes() == m_ref.tobytes()
                      and v1.tobytes() == v_ref.tobytes())
 
-    tiles = assign_groups_2d(ReplicaTopology(16, (4, 4)), (2, 2))
-    tiling_ok = list(tiles.members) == [
-        (0, 1, 4, 5), (2, 3, 6, 7), (8, 9, 12, 13), (10, 11, 14, 15)]
+    tiles = assign_groups_2d(16, (2, 2), grid=(4, 4))
+    tiling_ok = tiles.tolist() == [
+        [0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]
 
     report(2, full_ok and local_ok and tiling_ok,
            f"distributed BN: G=8 concat oracle {full_ok}, G=1 bitwise "

@@ -1,11 +1,9 @@
-"""Replica topology, group assignment, all-reduce, and batch padding tests."""
+"""Replica grids, BN group arrays, all-reduce, and batch padding tests."""
 
 import numpy as np
 import pytest
 
 from minipod.collectives import (
-    GroupAssignment,
-    ReplicaTopology,
     all_reduce,
     assign_groups_1d,
     assign_groups_2d,
@@ -15,15 +13,15 @@ from minipod.collectives import (
 
 
 def test_topology_default_grid_most_square():
-    assert ReplicaTopology(16).grid == (4, 4)
-    assert ReplicaTopology(8).grid == (2, 4)
+    assert most_square_grid(16) == (4, 4)
+    assert most_square_grid(8) == (2, 4)
     assert most_square_grid(1024) == (32, 32)
     assert most_square_grid(7) == (1, 7)
 
 
 def test_topology_bad_grid():
-    with pytest.raises(ValueError):
-        ReplicaTopology(8, (3, 3))
+    with pytest.raises(ValueError, match="does not hold 8 replicas"):
+        assign_groups_2d(8, (1, 1), grid=(3, 3))
 
 
 @pytest.mark.parametrize("n,g,expected", [
@@ -32,8 +30,7 @@ def test_topology_bad_grid():
     (8, 4, [(0, 1, 2, 3), (4, 5, 6, 7)]),
 ])
 def test_assign_groups_1d(n, g, expected):
-    asg = assign_groups_1d(n, g)
-    assert list(asg.members) == expected
+    assert assign_groups_1d(n, g).tolist() == [list(m) for m in expected]
 
 
 def test_assign_groups_1d_non_divisor():
@@ -42,35 +39,46 @@ def test_assign_groups_1d_non_divisor():
 
 
 def test_assign_groups_2d_tiling():
-    asg = assign_groups_2d(ReplicaTopology(16, (4, 4)), (2, 2))
-    assert list(asg.members) == [
-        (0, 1, 4, 5), (2, 3, 6, 7), (8, 9, 12, 13), (10, 11, 14, 15)]
+    assert assign_groups_2d(16, (2, 2), grid=(4, 4)).tolist() == [
+        [0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]
 
 
 def test_assign_groups_2d_degenerate_tiles():
-    topo = ReplicaTopology(16, (4, 4))
-    assert list(assign_groups_2d(topo, (4, 4)).members) == [tuple(range(16))]
-    assert list(assign_groups_2d(topo, (1, 1)).members) == [(i,) for i in range(16)]
+    assert assign_groups_2d(16, (4, 4), grid=(4, 4)).tolist() == [list(range(16))]
+    assert assign_groups_2d(16, (1, 1), grid=(4, 4)).tolist() == [[i] for i in range(16)]
 
 
 def test_assign_groups_2d_non_divisor_tile():
     with pytest.raises(ValueError, match="tile"):
-        assign_groups_2d(ReplicaTopology(16, (4, 4)), (3, 2))
+        assign_groups_2d(16, (3, 2), grid=(4, 4))
 
 
 @pytest.mark.parametrize("n,g", [(8, 2), (8, 8), (12, 4), (16, 1)])
 def test_group_partition_invariants(n, g):
-    asg = assign_groups_1d(n, g)
-    seen = [r for grp in asg.members for r in grp]
-    assert sorted(seen) == list(range(n))
-    assert all(len(grp) == g for grp in asg.members)
+    groups = assign_groups_1d(n, g)
+    assert groups.shape == (n // g, g)
+    assert sorted(groups.ravel().tolist()) == list(range(n))
 
 
 @pytest.mark.parametrize("n,g", [(8, 2), (8, 4), (6, 3)])
 def test_2d_rowtile_on_flat_grid_equals_1d(n, g):
-    flat = assign_groups_2d(ReplicaTopology(n, (1, n)), (1, g))
-    assert flat.members == assign_groups_1d(n, g).members
-    assert flat.group_of == assign_groups_1d(n, g).group_of
+    flat = assign_groups_2d(n, (1, g), grid=(1, n))
+    assert flat.tolist() == assign_groups_1d(n, g).tolist()
+
+
+@pytest.mark.parametrize("n,grid,tile", [
+    (16, (4, 4), (2, 2)), (8, (2, 4), (1, 2)), (8, (2, 4), (2, 2)),
+    (64, None, (4, 8))])
+def test_assign_groups_2d_matches_loop_oracle(n, grid, tile):
+    # Replica (r, c) of the row-major grid is in tile (r // tr, c // tc),
+    # numbered row-major; each tile lists its members in ascending order.
+    rows, cols = grid or most_square_grid(n)
+    tr, tc = tile
+    want = [[] for _ in range(n // (tr * tc))]
+    for rep in range(n):
+        r, c = divmod(rep, cols)
+        want[(r // tr) * (cols // tc) + c // tc].append(rep)
+    assert assign_groups_2d(n, tile, grid=grid).tolist() == want
 
 
 def test_all_reduce_sum_hand_case():
@@ -82,7 +90,7 @@ def test_all_reduce_sum_hand_case():
 def test_all_reduce_group_mean_hand_case():
     vals = [np.array([float(v)], np.float32) for v in (1, 2, 3, 4)]
     out = [all_reduce([vals[r] for r in members], "mean")
-           for members in assign_groups_1d(4, 2).members]
+           for members in assign_groups_1d(4, 2)]
     assert [float(t[0]) for t in out] == [1.5, 3.5]
 
 
@@ -111,13 +119,6 @@ def test_all_reduce_shape_mismatch():
 def test_all_reduce_unknown_op():
     with pytest.raises(ValueError, match="op"):
         all_reduce([np.zeros(2, np.float32)], "max")
-
-
-def test_group_assignment_validation():
-    with pytest.raises(ValueError, match="members"):
-        GroupAssignment(4, 2, (0, 0, 0, 1))
-    with pytest.raises(ValueError, match="partition"):
-        GroupAssignment(4, 2, (0, 0, 2, 2))
 
 
 @pytest.mark.parametrize("b,padded,util", [

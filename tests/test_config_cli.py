@@ -112,6 +112,13 @@ _FLOAT_KEYS = [  # key, preset that reads it, quantity its error names
     (_LARS, "end_lr = -0.1", "end_lr .* got -0.1$"),
     (_RMSPROP, "lr_per_256 = 0", "lr_per_256 .* got 0.0$"),
     (_RMSPROP, "warmup_epochs = -1", r"warmup \(-1.0\)"),
+    (_RMSPROP, "warmup_epochs = inf", "warmup_epochs .* got inf$"),
+    (_LARS, "end_lr = 5", r"end_lr 5.0 must not exceed the peak rate 0.4 "),
+    # Keys only the unselected optimizer or decay reads.
+    (_RMSPROP, "lars_eta = nan", "lars eta .* got nan$"),
+    (_RMSPROP, "poly_power = -1", "polynomial power .* got -1.0$"),
+    (_LARS, "rmsprop_decay = 1.5", "rmsprop decay .* got 1.5$"),
+    (_LARS, "decay_rate = 7", "decay rate .* got 7.0$"),
     (_RMSPROP, "bn_grouping = 2d\ntile_rows = 2\ntile_cols = 2\nbn_group_size = 4\n"
                "grid_rows = 2", "grid_rows and grid_cols"),
     (_RMSPROP, "bn_grouping = 2d\ntile_rows = 3\ntile_cols = 1\nbn_group_size = 3",
@@ -188,7 +195,7 @@ def test_parse_2d_grouping_keys():
         "preset = toy-rmsprop-512\ndataset = synthetic\nbn_grouping = 2d\n"
         "bn_group_size = 4\n"
         "grid_rows = 2\ngrid_cols = 4\ntile_rows = 1\ntile_cols = 4\n")
-    assert list(cfg.assignment.members) == [(0, 1, 2, 3), (4, 5, 6, 7)]
+    assert cfg.bn_groups.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
 
 def test_presets_roundtrip_serialize_parse():

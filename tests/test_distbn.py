@@ -146,9 +146,10 @@ def test_groups_in_one_call_match_separate_calls_bitwise():
         gx1, dgamma1, dbeta1 = group_bn_backward(xhat1, inv1, g[m], [(0, 1)], gamma)
         assert y[m].tobytes() == y1.tobytes() and gx[m].tobytes() == gx1.tobytes()
         assert xhat[m].tobytes() == xhat1.tobytes()
-        for got, want in ((mean, mean1), (var, var1), (inv, inv1), (dgamma, dgamma1),
-                          (dbeta, dbeta1)):
+        for got, want in ((mean, mean1), (var, var1), (inv, inv1)):
             assert got[gid].tobytes() == want[0].tobytes()
+        assert dgamma[m].tobytes() == dgamma1.tobytes()
+        assert dbeta[m].tobytes() == dbeta1.tobytes()
 
 
 def test_gamma_zero_outputs_beta():
@@ -165,8 +166,8 @@ def test_shape_mismatch_and_empty_group():
     with pytest.raises(ValueError, match=r"\[N, b, H, W, C\]"):
         group_bn_forward(np.zeros((2, 2, 2, 1), np.float32), [(0, 1)], gamma, beta, EPS)
     x = np.zeros((3, 2, 2, 2, 1), np.float32)
-    # no group, unequal groups, a replica twice, a replica left out
-    for members in ([], [(0,), (1, 2)], [(0, 1, 1)], [(0, 1)]):
+    # no group, unequal groups, a replica twice, a replica left out, no group axis
+    for members in ([], [(0,), (1, 2)], [(0, 1, 1)], [(0, 1)], np.arange(3)):
         with pytest.raises(ValueError, match="equal groups"):
             group_bn_forward(x, members, gamma, beta, EPS)
     with pytest.raises(ValueError, match="non-empty"):
@@ -226,7 +227,8 @@ def test_backward_matches_finite_differences(group):
         worst = max(worst, abs(num - aflat[j]) / max(abs(num), abs(aflat[j]), 1e-8))
     assert worst < 1e-3
 
-    for arr, analytic in ((gamma, dgamma[0]), (beta, dbeta[0])):
+    # The per-replica shares of the affine gradients add up to the group's.
+    for arr, analytic in ((gamma, dgamma.sum(axis=0)), (beta, dbeta.sum(axis=0))):
         for j in range(arr.size):
             orig = arr[j]
             arr[j] = orig + eps

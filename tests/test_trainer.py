@@ -311,8 +311,7 @@ def test_config_2d_grouping_assignment():
     cfg = tiny_config(num_replicas=8, global_batch=64, bn_grouping="2d",
                       bn_group_size=4, grid_rows=2, grid_cols=4,
                       tile_rows=2, tile_cols=2)
-    asg = cfg.assignment
-    assert list(asg.members) == [(0, 1, 4, 5), (2, 3, 6, 7)]
+    assert cfg.bn_groups.tolist() == [[0, 1, 4, 5], [2, 3, 6, 7]]
 
 
 def test_run_with_2d_groups_and_mixed_precision():
