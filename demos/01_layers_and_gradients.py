@@ -14,7 +14,6 @@ from minipod.model import (
     distributed_forward_backward,
     grad_check,
     infer_shapes,
-    init_bn_moving,
     init_params,
 )
 from minipod.collectives import assign_groups_1d
@@ -30,9 +29,8 @@ params = init_params(layers, ds.images.shape[1:], seed=0)
 print(f"\nparameters: {sum(p.value.size for p in params)} elements in "
       f"{len(params)} tensors")
 
-res = distributed_forward_backward(
-    layers, params, init_bn_moving(layers, ds.images.shape[1:]),
-    ds.images[None], ds.labels[None], assign_groups_1d(1, 1))  # one replica
+res = distributed_forward_backward(  # one replica
+    layers, params, ds.images[None], ds.labels[None], assign_groups_1d(1, 1))
 print(f"loss on random init: {res.mean_loss:.4f} (uniform would be "
       f"{np.log(4):.4f})")
 

@@ -29,7 +29,7 @@ rng = np.random.default_rng(0)
 x = rng.random((1, 4, 16, 16, 8)).astype(np.float32)  # [replicas, batch, H, W, C]
 k = rng.random((3, 3, 8, 8)).astype(np.float32)
 # conv -> pool -> head: the logits are the per-channel means of the conv output
-layers = [conv2d("conv", 8, 3, use_bias=False), global_avg_pool("pool"),
+layers = [conv2d("conv", 8, 3), global_avg_pool("pool"),
           softmax_xent_head("head", 8)]
 params = [Parameter("conv/kernel", k)]
 exact = eval_forward(layers, params, {}, x, FP32_ONLY)

@@ -11,7 +11,7 @@ for name in ("toy-rmsprop-512", "toy-lars-2048"):
     print(f"== {name}: {cfg.num_replicas} replicas, global batch "
           f"{cfg.global_batch}, {cfg.optimizer}, lr/256 {cfg.lr_per_256}, "
           f"{cfg.decay} decay, warmup {cfg.warmup_epochs} epochs")
-    records = run(cfg)
+    records, _ = run(cfg)
     evals = [(r.epoch, r.eval_top1) for r in records if r.eval_top1 is not None]
     for epoch, top1 in evals:
         print(f"   epoch {epoch:5.1f}  top-1 {top1:.4f}")
@@ -21,6 +21,6 @@ for name in ("toy-rmsprop-512", "toy-lars-2048"):
           f"all-reduce {records[0].allreduce_frac:.2f}%)\n")
 
 print("determinism: the identical config trains to bit-identical metrics")
-a = format_metrics_csv(run(preset_config("toy-rmsprop-512", total_epochs=2.0)))
-b = format_metrics_csv(run(preset_config("toy-rmsprop-512", total_epochs=2.0)))
+a = format_metrics_csv(run(preset_config("toy-rmsprop-512", total_epochs=2.0))[0])
+b = format_metrics_csv(run(preset_config("toy-rmsprop-512", total_epochs=2.0))[0])
 print(f"  two fresh runs, CSV bytes equal: {a == b}")

@@ -26,7 +26,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; this CLI reserves 2 for runtime errors.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,7 +66,7 @@ def _read_config(path: Path) -> trainer.TrainConfig:
 
 def _cmd_train(args) -> int:
     config = _read_config(args.config)
-    records, state = trainer.run_with_state(config)
+    records, state = trainer.run(config)
     trainer.write_metrics_csv(records, args.out)
     if args.weights_out:
         trainer.save_weights(state, args.weights_out)
@@ -167,10 +167,8 @@ def main(argv: list[str] | None = None) -> int:
             print(presets_table())
             return 0
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return RUNTIME_ERROR
-    except (ValueError, RuntimeError, OSError) as e:
+    # ConfigError is a ValueError; FloatingPointError is grad_check's non-finite loss.
+    except (ValueError, RuntimeError, OSError, FloatingPointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return RUNTIME_ERROR
 

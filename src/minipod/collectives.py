@@ -55,26 +55,18 @@ def assign_groups_2d(num_replicas: int, tile: tuple[int, int],
             .transpose(0, 2, 1, 3).reshape(-1, tr * tc))
 
 
-def all_reduce(per_replica, op: str = "sum") -> np.ndarray:
-    """Reduce over the leading member axis of one scope; returns the result once.
+def all_reduce(per_replica: np.ndarray, op: str = "sum") -> np.ndarray:
+    """Reduce one scope's [members, *shape] array over its leading member axis.
 
-    per_replica[i] is member i's tensor: pass one array whose first axis is
-    the member axis (a stacked [N, *shape] gradient, or [group size, G, C]
-    sums that reduce every BN group at once), or a list of equal-shape
-    arrays. Every participant would receive the same tensor, so it is handed
-    back a single time. The reduction adds one member at a time in ascending
-    order, so the result is bit-deterministic; ndarray.sum over the axis
-    would choose its own summation order.
+    per_replica[i] is member i's tensor: a stacked [N, *shape] gradient, or
+    [group size, G, C] sums that reduce every BN group at once. Every
+    participant would receive the same tensor, so it is handed back a single
+    time. The reduction adds one member at a time in ascending order, so the
+    result is bit-deterministic; ndarray.sum over the axis would choose its
+    own summation order.
     """
     if op not in ("sum", "mean"):
         raise ValueError(f"unsupported reduce op {op!r}")
-    shape = per_replica[0].shape
-    for i, t in enumerate(per_replica):
-        if t.shape != shape:
-            raise ValueError(
-                f"all_reduce shape mismatch: replica 0 has {shape}, "
-                f"replica {i} has {t.shape}"
-            )
     acc = per_replica[0].copy()
     for t in per_replica[1:]:
         acc += t

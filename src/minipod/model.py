@@ -11,8 +11,7 @@ call that computes all replicas, so batch-normalization layers can share
 statistics across their replica groups (a [G, S] replica array that only
 distbn reads). Parameter gradients stay per replica, [N, *shape], for the
 trainer's all-reduce: the nn and distbn kernels return them that way (distbn
-splits BN's group-summed gamma/beta evenly across each group), and a conv
-bias's is its output gradient summed over the replica's batch. The backward
+splits BN's group-summed gamma/beta evenly across each group). The backward
 walk skips the input gradient of a conv layer that reads the model input.
 All replicas read one parameter list: synchronous replicas apply the same
 update to the same all-reduced gradient, so their weights are equal by
@@ -50,21 +49,16 @@ class LayerSpec:
     padding: str = "same"
     out_features: int | None = None
     num_classes: int | None = None
-    use_bias: bool = True
 
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
 
 
-def conv2d(name, out_channels, kernel_hw, stride=1, padding="same",
-           use_bias=True) -> LayerSpec:
-    # A conv feeding straight into BN should set use_bias=False: BN removes
-    # any per-channel constant, leaving the bias with an exactly-zero gradient.
+def conv2d(name, out_channels, kernel_hw, stride=1, padding="same") -> LayerSpec:
     kh, kw = (kernel_hw, kernel_hw) if isinstance(kernel_hw, int) else kernel_hw
     return LayerSpec("conv2d", name, out_channels=out_channels,
-                     kernel_hw=(kh, kw), stride=stride, padding=padding,
-                     use_bias=use_bias)
+                     kernel_hw=(kh, kw), stride=stride, padding=padding)
 
 
 def depthwise_conv2d(name, kernel_hw, stride=1, padding="same") -> LayerSpec:
@@ -133,10 +127,10 @@ def init_params(
 
 
 def init_bn_moving(
-    layers: list[LayerSpec], input_shape: tuple[int, ...], dtype=nn.DTYPE
+    layers: list[LayerSpec], input_shape: tuple[int, ...]
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Fresh moving statistics (mean 0, var 1) for every BN layer."""
-    return {l.name: LAYER_OPS[l.kind].moving(l, shape, dtype)
+    return {l.name: LAYER_OPS[l.kind].moving(l, shape)
             for l, shape in _layer_inputs(layers, input_shape)
             if LAYER_OPS[l.kind].moving is not None}
 
@@ -150,10 +144,10 @@ class _Pass:
     """What one engine or eval call shares across its layers."""
 
     params: dict[str, Parameter]
-    bn_moving: dict[str, tuple[np.ndarray, np.ndarray]]
     policy: precision.PrecisionPolicy
     bn_eps: float
     groups: np.ndarray | None  # [G, S] BN replica groups; None: inference
+    bn_moving: dict[str, tuple[np.ndarray, np.ndarray]] | None = None  # inference
     labels: np.ndarray | None = None  # [N, b]
     input_layer: str | None = None  # name of the layer reading the model input
     losses: list[float] = field(default_factory=list)
@@ -194,15 +188,10 @@ def _kernel(l, seed, shape, gain, fan_in) -> Parameter:
                      tag="kernel")
 
 
-def _bias(l, n) -> Parameter:
-    return Parameter(f"{l.name}/bias", np.zeros(n, dtype=nn.DTYPE), tag="bias")
-
-
 def _conv2d_params(l, shape, seed):
     kh, kw = l.kernel_hw
     cin = shape[2]
-    kernel = _kernel(l, seed, (kh, kw, cin, l.out_channels), 2.0, kh * kw * cin)
-    return [kernel, _bias(l, l.out_channels)] if l.use_bias else [kernel]
+    return [_kernel(l, seed, (kh, kw, cin, l.out_channels), 2.0, kh * kw * cin)]
 
 
 def _depthwise_params(l, shape, seed):
@@ -212,8 +201,9 @@ def _depthwise_params(l, shape, seed):
 
 def _dense_params(l, shape, seed):
     fan_in = int(np.prod(shape))
+    bias = np.zeros(l.out_features, dtype=nn.DTYPE)
     return [_kernel(l, seed, (fan_in, l.out_features), 1.0, fan_in),
-            _bias(l, l.out_features)]
+            Parameter(f"{l.name}/bias", bias, tag="bias")]
 
 
 def _bn_params(l, shape, seed):
@@ -231,11 +221,7 @@ def _conv_forward(l, run, x):
     # conv2d and depthwise_conv2d: nn.<kind>_forward, looked up per call.
     k = _conv_operand(run, run.value(l, "kernel"))
     x = _conv_operand(run, x)
-    y = getattr(nn, f"{l.kind}_forward")(x, k, l.stride, l.padding)
-    bias = run.params.get(f"{l.name}/bias")  # depthwise and use_bias=False have none
-    if bias is not None:
-        y = y + bias.value
-    return y, (x, k)
+    return getattr(nn, f"{l.kind}_forward")(x, k, l.stride, l.padding), (x, k)
 
 
 def _conv_backward(l, run, saved, gy):
@@ -243,8 +229,6 @@ def _conv_backward(l, run, saved, gy):
     # Nothing consumes the gradient of the model's input.
     gx, run.grads[f"{l.name}/kernel"] = getattr(nn, f"{l.kind}_backward")(
         x, k, gy, l.stride, l.padding, input_grad=l.name != run.input_layer)
-    if f"{l.name}/bias" in run.params:
-        run.grads[f"{l.name}/bias"] = gy.sum(axis=(1, 2, 3))
     return gx
 
 
@@ -303,7 +287,7 @@ class LayerOps(NamedTuple):
 
     shape: Callable  # (layer, input shape) -> output shape
     params: Callable  # (layer, input shape, seed) -> [Parameter]
-    moving: Callable | None  # (layer, input shape, dtype) -> (mean, var)
+    moving: Callable | None  # (layer, input shape) -> (mean, var)
     forward: Callable
     backward: Callable
 
@@ -322,7 +306,7 @@ LAYER_OPS: dict[str, LayerOps] = {
         _dense_forward, _dense_backward),
     "batchnorm": LayerOps(
         lambda l, shape: _hwc(l, shape, "batchnorm"), _bn_params,
-        lambda l, shape, dtype: (np.zeros(shape[2], dtype), np.ones(shape[2], dtype)),
+        lambda l, shape: (np.zeros(shape[2], nn.DTYPE), np.ones(shape[2], nn.DTYPE)),
         _bn_forward, _bn_backward),
     "swish": LayerOps(
         lambda l, shape: shape, _no_params, None, _swish_forward, _swish_backward),
@@ -355,7 +339,6 @@ class EngineResult:
 def distributed_forward_backward(
     layers: list[LayerSpec],
     params: list[Parameter],
-    bn_moving: dict[str, tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,
     labels: np.ndarray,
     groups: np.ndarray,
@@ -372,8 +355,8 @@ def distributed_forward_backward(
     of the mean per-replica loss.
     """
     validate_model(layers)
-    run = _Pass({p.name: p for p in params}, bn_moving, policy, bn_eps, groups,
-                labels, layers[0].name)
+    run = _Pass({p.name: p for p in params}, policy, bn_eps, groups,
+                labels=labels, input_layer=layers[0].name)
     acts, saved = x, []
     for layer in layers:
         acts, s = LAYER_OPS[layer.kind].forward(layer, run, acts)
@@ -397,7 +380,7 @@ def eval_forward(
     """Inference pass over stacked [N, b, ...] inputs; BN uses moving
     statistics. Returns logits [N, b, K]."""
     validate_model(layers)
-    run = _Pass({p.name: p for p in params}, bn_moving, policy, bn_eps, None)
+    run = _Pass({p.name: p for p in params}, policy, bn_eps, None, bn_moving)
     for layer in layers[:-1]:  # what a layer saves for backward is dropped at once
         x = LAYER_OPS[layer.kind].forward(layer, run, x)[0]
     return x
@@ -423,8 +406,8 @@ def grad_check(
     differencing would drown small gradients in rounding noise). Relative
     error per element is |a - n| / max(|a|, |n|, 1e-8).
     """
-    if eps <= 0:
-        raise ValueError(f"grad_check eps must be > 0, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"grad_check eps must be finite and > 0, got {eps}")
     if len(x) % num_replicas != 0:
         raise ValueError("batch must divide evenly across replicas")
     params64 = [
@@ -433,11 +416,10 @@ def grad_check(
     shards = np.asarray(x, dtype=np.float64).reshape(num_replicas, -1, *x.shape[1:])
     label_shards = np.asarray(labels).reshape(num_replicas, -1)
     groups = assign_groups_1d(num_replicas, group_size or num_replicas)
-    moving = init_bn_moving(layers, x.shape[1:], dtype=np.float64)
 
     def run(forward_only: bool) -> EngineResult:
         return distributed_forward_backward(
-            layers, params64, moving, shards, label_shards,
+            layers, params64, shards, label_shards,
             groups, bn_eps=bn_eps, forward_only=forward_only)
 
     base = run(forward_only=False)
@@ -473,7 +455,7 @@ def grad_check(
 
 def _toy_cnn(num_classes: int) -> list[LayerSpec]:
     return [
-        conv2d("conv1", 8, 3, stride=2, padding="same", use_bias=False),
+        conv2d("conv1", 8, 3, stride=2, padding="same"),
         batchnorm("bn1"),
         swish("act1"),
         dense("fc", num_classes),
@@ -483,7 +465,7 @@ def _toy_cnn(num_classes: int) -> list[LayerSpec]:
 
 def _toy_cnn_pool(num_classes: int) -> list[LayerSpec]:
     return [
-        conv2d("conv1", 8, 3, stride=1, padding="same", use_bias=False),
+        conv2d("conv1", 8, 3, stride=1, padding="same"),
         batchnorm("bn1"),
         swish("act1"),
         global_avg_pool("pool"),
@@ -494,10 +476,10 @@ def _toy_cnn_pool(num_classes: int) -> list[LayerSpec]:
 
 def _standin_b2(num_classes: int) -> list[LayerSpec]:
     return [
-        conv2d("conv1", 8, 3, stride=2, padding="same", use_bias=False),
+        conv2d("conv1", 8, 3, stride=2, padding="same"),
         batchnorm("bn1"),
         swish("act1"),
-        conv2d("conv2", 16, 3, stride=2, padding="same", use_bias=False),
+        conv2d("conv2", 16, 3, stride=2, padding="same"),
         batchnorm("bn2"),
         swish("act2"),
         global_avg_pool("pool"),
@@ -508,13 +490,13 @@ def _standin_b2(num_classes: int) -> list[LayerSpec]:
 
 def _standin_b5(num_classes: int) -> list[LayerSpec]:
     return [
-        conv2d("conv1", 8, 3, stride=2, padding="same", use_bias=False),
+        conv2d("conv1", 8, 3, stride=2, padding="same"),
         batchnorm("bn1"),
         swish("act1"),
         depthwise_conv2d("dwconv2", 3, stride=1, padding="same"),
         batchnorm("bn2"),
         swish("act2"),
-        conv2d("conv3", 16, 3, stride=2, padding="same", use_bias=False),
+        conv2d("conv3", 16, 3, stride=2, padding="same"),
         batchnorm("bn3"),
         swish("act3"),
         global_avg_pool("pool"),

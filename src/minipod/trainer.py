@@ -264,7 +264,6 @@ class TrainState:
     bn_moving: dict
     opt_state: OptimizerState
     config: TrainConfig
-    step_count: int = 0
 
     def param_count(self) -> int:
         return int(sum(p.value.size for p in self.params))
@@ -287,7 +286,6 @@ def train_step(state: TrainState, batches, lr: float) -> float:
     res = distributed_forward_backward(
         state.layers,
         state.params,
-        state.bn_moving,
         np.stack([b[0] for b in batches]),
         np.stack([b[1] for b in batches]),
         cfg.bn_groups,
@@ -300,7 +298,6 @@ def train_step(state: TrainState, batches, lr: float) -> float:
     for lname, (means, variances) in res.bn_saved.items():
         state.bn_moving[lname] = distbn.update_moving_stats(
             *state.bn_moving[lname], means, variances, cfg.bn_momentum)
-    state.step_count += 1
     return res.mean_loss
 
 
@@ -376,19 +373,14 @@ def build_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
     raise ValueError(f"unknown dataset spec {spec!r}")
 
 
-def run(config: TrainConfig) -> list[MetricsRecord]:
-    """Train per the config, interleaving distributed evaluation.
+def run(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState]:
+    """Train per the config, interleaving distributed evaluation; returns the
+    metrics records and the final TrainState (for weights dumps).
 
     Fully deterministic for a fixed (config, seed), including the modeled
     timing fields. A non-finite loss aborts with the records collected so far
     attached to the raised error.
     """
-    records, _ = run_with_state(config)
-    return records
-
-
-def run_with_state(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState]:
-    """run(), but also hands back the final TrainState (for weights dumps)."""
     train_ds, eval_ds = build_datasets(config)
     input_shape = train_ds.images.shape[1:]
     state = init_train_state(config, input_shape, train_ds.num_classes)

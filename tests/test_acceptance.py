@@ -262,7 +262,7 @@ def test_criterion_6_bf16():
 
     xi = rng.standard_normal((2, 8, 8, 3)).astype(np.float32)
     k = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-    layers = [conv2d("c", 4, 3, stride=2, padding="same", use_bias=False),
+    layers = [conv2d("c", 4, 3, stride=2, padding="same"),
               global_avg_pool("p"), softmax_xent_head("h", 4)]
     engine = eval_forward(layers, [Parameter("c/kernel", k)], {}, xi[None], FP32_ONLY)
     bitwise_ok = (engine.tobytes() == nn.global_avg_pool_forward(
@@ -275,12 +275,12 @@ def test_criterion_6_bf16():
 
 def test_criterion_7_toy_training():
     t0 = time.time()
-    rms = run(preset_config("toy-rmsprop-512"))
+    rms, _ = run(preset_config("toy-rmsprop-512"))
     rms_top1 = [r.eval_top1 for r in rms if r.eval_top1 is not None][-1]
     rms_elapsed = time.time() - t0
 
     t0 = time.time()
-    lars = run(preset_config("toy-lars-2048"))
+    lars, _ = run(preset_config("toy-lars-2048"))
     lars_top1 = [r.eval_top1 for r in lars if r.eval_top1 is not None][-1]
     lars_elapsed = time.time() - t0
 

@@ -82,28 +82,28 @@ def test_assign_groups_2d_matches_loop_oracle(n, grid, tile):
 
 
 def test_all_reduce_sum_hand_case():
-    a = [np.array([1.0, 2.0], np.float32), np.array([3.0, 4.0], np.float32)]
+    a = np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)
     out = all_reduce(a, "sum")
     assert np.array_equal(out, np.array([4.0, 6.0], np.float32))
 
 
 def test_all_reduce_group_mean_hand_case():
-    vals = [np.array([float(v)], np.float32) for v in (1, 2, 3, 4)]
-    out = [all_reduce([vals[r] for r in members], "mean")
-           for members in assign_groups_1d(4, 2)]
-    assert [float(t[0]) for t in out] == [1.5, 3.5]
+    vals = np.array([[1.0], [2.0], [3.0], [4.0]], np.float32)
+    # [member, group, 1]: every group reduced by one call
+    out = all_reduce(vals[assign_groups_1d(4, 2).T], "mean")
+    assert out[:, 0].tolist() == [1.5, 3.5]
 
 
 def test_all_reduce_single_replica_identity():
-    x = np.array([5.0, -1.0], np.float32)
-    out = all_reduce([x], "sum")
-    assert np.array_equal(out, x)
-    assert out is not x  # reduced value delivered as a fresh tensor
+    x = np.array([[5.0, -1.0]], np.float32)
+    out = all_reduce(x, "sum")
+    assert np.array_equal(out, x[0])
+    assert not np.shares_memory(out, x)  # reduced value delivered as a fresh tensor
 
 
 def test_all_reduce_equals_sequential_sum():
     rng = np.random.default_rng(0)
-    vals = [rng.standard_normal(7).astype(np.float32) for _ in range(6)]
+    vals = rng.standard_normal((6, 7)).astype(np.float32)
     acc = vals[0].copy()
     for v in vals[1:]:
         acc += v
@@ -111,14 +111,9 @@ def test_all_reduce_equals_sequential_sum():
     assert out.tobytes() == acc.tobytes()
 
 
-def test_all_reduce_shape_mismatch():
-    with pytest.raises(ValueError, match="shape"):
-        all_reduce([np.zeros(2, np.float32), np.zeros(3, np.float32)], "sum")
-
-
 def test_all_reduce_unknown_op():
     with pytest.raises(ValueError, match="op"):
-        all_reduce([np.zeros(2, np.float32)], "max")
+        all_reduce(np.zeros((1, 2), np.float32), "max")
 
 
 @pytest.mark.parametrize("b,padded,util", [

@@ -1,11 +1,15 @@
 """Config parsing, preset catalog, and command-line surface tests."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from minipod import config
+from minipod import cli, config
 from minipod.cli import main
 from minipod.config import (
     PRESETS,
@@ -16,6 +20,8 @@ from minipod.config import (
 )
 from minipod.data import gen_synthetic, write_idx
 from minipod.trainer import TrainConfig
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -248,11 +254,12 @@ def test_cli_no_args(capsys):
     assert main([]) == 1
 
 
+GRADCHECK_CONFIG = ("model = toy_cnn_pool\ndataset = synthetic\noptimizer = rmsprop\n"
+                    "lr_per_256 = 0.1\nnum_replicas = 1\nglobal_batch = 64\n")
+
+
 def test_cli_gradcheck_passes(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        "model = toy_cnn_pool\ndataset = synthetic\noptimizer = rmsprop\n"
-        "lr_per_256 = 0.1\nnum_replicas = 1\nglobal_batch = 64\n")
+    cfg = write_config(tmp_path, GRADCHECK_CONFIG)
     assert main(["gradcheck", "--config", str(cfg)]) == 0
     assert "max relative error" in capsys.readouterr().out
 
@@ -285,8 +292,40 @@ def test_cli_train_bad_config_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err.lower()
 
 
-def test_cli_train_missing_required_flag():
+def test_cli_train_missing_required_flag(capsys):
     assert main(["train", "--config", "whatever.cfg"]) == 1
+    err = capsys.readouterr().err
+    assert "minipod train: error: the following arguments are required: --out" in err
+
+
+def test_cli_gradcheck_invalid_eps_is_a_usage_error(capsys):
+    assert main(["gradcheck", "--config", "whatever.cfg", "--eps", "abc"]) == 1
+    err = capsys.readouterr().err
+    assert "minipod gradcheck: error: argument --eps: invalid float value: 'abc'" in err
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+def test_cli_gradcheck_rejects_eps_outside_0_inf(tmp_path, eps):
+    # A process of its own: the exit code and stderr a user sees.
+    cfg = write_config(tmp_path, GRADCHECK_CONFIG)
+    proc = subprocess.run(
+        [sys.executable, "-m", "minipod.cli", "gradcheck", "--config", str(cfg),
+         "--eps", eps],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: grad_check eps must be finite and > 0, got {float(eps)}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_gradcheck_non_finite_loss_is_a_runtime_error(tmp_path, capsys, monkeypatch):
+    def non_finite(*args, **kwargs):
+        raise FloatingPointError("non-finite loss in grad_check")
+
+    monkeypatch.setattr(cli, "grad_check", non_finite)
+    cfg = write_config(tmp_path, GRADCHECK_CONFIG)
+    assert main(["gradcheck", "--config", str(cfg)]) == 2
+    assert "error: non-finite loss in grad_check" in capsys.readouterr().err
 
 
 def test_cli_bench(tmp_path, capsys):

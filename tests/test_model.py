@@ -77,9 +77,9 @@ def test_init_params_deterministic_and_tagged():
 
 def test_init_independent_of_param_order_stream():
     # each parameter has its own stream: adding a layer leaves others unchanged
-    small = [conv2d("conv1", 4, 3, use_bias=False), batchnorm("bn1"),
+    small = [conv2d("conv1", 4, 3), batchnorm("bn1"),
              global_avg_pool("p"), dense("fc", 2), softmax_xent_head("h", 2)]
-    big = [conv2d("conv1", 4, 3, use_bias=False), batchnorm("bn1"), swish("s"),
+    big = [conv2d("conv1", 4, 3), batchnorm("bn1"), swish("s"),
            global_avg_pool("p"), dense("fc", 2), softmax_xent_head("h", 2)]
     pa = {p.name: p for p in init_params(small, (8, 8, 1), seed=7)}
     pb = {p.name: p for p in init_params(big, (8, 8, 1), seed=7)}
@@ -90,10 +90,8 @@ def test_engine_mean_loss_matches_replica_mean(small_data):
     x, labels = small_data
     layers = build_model("toy_cnn_pool", 4)
     params = init_params(layers, x.shape[1:], seed=0)
-    moving = init_bn_moving(layers, x.shape[1:])
     res = distributed_forward_backward(
-        layers, params, moving,
-        x.reshape(2, 4, *x.shape[1:]), labels.reshape(2, 4),
+        layers, params, x.reshape(2, 4, *x.shape[1:]), labels.reshape(2, 4),
         assign_groups_1d(2, 2))
     assert res.mean_loss == sum(res.losses) / 2
     assert len(res.losses) == 2
@@ -112,8 +110,7 @@ def test_engine_skips_only_the_model_input_gradient(monkeypatch):
     layers = build_model("b5", 10)
     params = init_params(layers, (8, 8, 1), seed=4)
     distributed_forward_backward(
-        layers, params, init_bn_moving(layers, (8, 8, 1)),
-        ds.images.reshape(2, 4, 8, 8, 1), ds.labels.reshape(2, 4),
+        layers, params, ds.images.reshape(2, 4, 8, 8, 1), ds.labels.reshape(2, 4),
         assign_groups_1d(2, 2))
     assert calls == [("conv2d", True), ("depthwise_conv2d", True), ("conv2d", False)]
 
@@ -132,8 +129,7 @@ def test_engine_makes_one_bn_all_reduce_per_layer_and_pass(monkeypatch):
     layers = build_model("b5", 10)
     params = init_params(layers, (8, 8, 1), seed=5)
     distributed_forward_backward(
-        layers, params, init_bn_moving(layers, (8, 8, 1)),
-        ds.images.reshape(4, 4, 8, 8, 1), ds.labels.reshape(4, 4),
+        layers, params, ds.images.reshape(4, 4, 8, 8, 1), ds.labels.reshape(4, 4),
         assign_groups_1d(4, 2))
     forward = [(2, 2, 2, 8), (2, 2, 2, 8), (2, 2, 2, 16)]  # [group size, G, 2, C]
     assert shapes == forward + forward[::-1]
@@ -146,13 +142,12 @@ def test_engine_stacked_replicas_match_single_replica_calls(policy):
     ds = gen_synthetic(10, 20, 8, 8, 1, seed=12)
     layers = build_model("b5", 10)
     params = init_params(layers, (8, 8, 1), seed=12)
-    moving = init_bn_moving(layers, (8, 8, 1))
     x, labels = ds.images.reshape(4, 5, 8, 8, 1), ds.labels.reshape(4, 5)
     stacked = distributed_forward_backward(
-        layers, params, moving, x, labels, assign_groups_1d(4, 1), policy=policy)
+        layers, params, x, labels, assign_groups_1d(4, 1), policy=policy)
     for r in range(4):
         one = distributed_forward_backward(
-            layers, params, moving, x[r:r + 1], labels[r:r + 1],
+            layers, params, x[r:r + 1], labels[r:r + 1],
             assign_groups_1d(1, 1), policy=policy)
         assert one.losses == [stacked.losses[r]]
         for g_all, g_one in zip(stacked.grads, one.grads):

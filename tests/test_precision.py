@@ -12,7 +12,6 @@ from minipod.model import (
     distributed_forward_backward,
     eval_forward,
     global_avg_pool,
-    init_bn_moving,
     init_params,
     softmax_xent_head,
 )
@@ -87,7 +86,7 @@ def test_policy_validation():
 def conv_model(kernel, stride=1, padding="valid"):
     """[conv, global_avg_pool, head] with one class per conv output channel."""
     co = kernel.shape[-1]
-    layers = [conv2d("c", co, kernel.shape[:2], stride, padding, use_bias=False),
+    layers = [conv2d("c", co, kernel.shape[:2], stride, padding),
               global_avg_pool("p"), softmax_xent_head("h", co)]
     return layers, [Parameter("c/kernel", kernel.copy())]
 
@@ -95,7 +94,7 @@ def conv_model(kernel, stride=1, padding="valid"):
 def engine(layers, params, x, labels, policy):
     """One replica with batch x."""
     return distributed_forward_backward(
-        layers, params, {}, x[None], labels[None], assign_groups_1d(1, 1),
+        layers, params, x[None], labels[None], assign_groups_1d(1, 1),
         policy=policy)
 
 
@@ -152,9 +151,8 @@ def b5_step(policy):
     layers = build_model("b5", 10)
     params = init_params(layers, (8, 8, 1), seed=6)
     return distributed_forward_backward(
-        layers, params, init_bn_moving(layers, (8, 8, 1)),
-        ds.images.reshape(4, 4, 8, 8, 1), ds.labels.reshape(4, 4), assign_groups_1d(4, 2),
-        policy=policy)
+        layers, params, ds.images.reshape(4, 4, 8, 8, 1), ds.labels.reshape(4, 4),
+        assign_groups_1d(4, 2), policy=policy)
 
 
 def test_mixed_backward_uses_rounded_operands(monkeypatch):

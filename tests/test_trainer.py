@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from minipod.data import Dataset, gen_synthetic
-from minipod.model import build_model, init_bn_moving, init_params
+from minipod.model import MODELS, build_model, init_bn_moving, init_params
 from minipod.optim import lr_at
 from minipod.trainer import (
     METRICS_HEADER,
@@ -19,11 +19,11 @@ from minipod.trainer import (
     init_train_state,
     load_weights,
     run,
-    run_with_state,
     save_weights,
     shard_train_data,
     time_to_peak,
     train_step,
+    _weights_arrays,
     write_metrics_csv,
 )
 
@@ -109,13 +109,13 @@ def test_train_step_single_vs_two_replicas():
 
 def test_mixed_precision_training_runs_and_is_deterministic():
     cfg = tiny_config(precision="mixed_bf16", total_epochs=0.5)
-    recs_a = run(cfg)
-    recs_b = run(tiny_config(precision="mixed_bf16", total_epochs=0.5))
+    recs_a, _ = run(cfg)
+    recs_b, _ = run(tiny_config(precision="mixed_bf16", total_epochs=0.5))
     assert format_metrics_csv(recs_a) == format_metrics_csv(recs_b)
     assert all(math.isfinite(r.train_loss) for r in recs_a)
     assert recs_a[-1].train_loss < recs_a[0].train_loss
     # rounding the conv path must actually change the numbers
-    recs_fp32 = run(tiny_config(total_epochs=0.5))
+    recs_fp32, _ = run(tiny_config(total_epochs=0.5))
     assert recs_fp32[-1].train_loss != recs_a[-1].train_loss
 
 
@@ -208,21 +208,21 @@ def test_distributed_eval_single_replica_plain():
 
 def test_run_zero_epochs_single_eval_record():
     cfg = tiny_config(total_epochs=0.0)
-    records = run(cfg)
+    records, _ = run(cfg)
     assert len(records) == 1
     assert records[0].eval_top1 is not None
     assert math.isnan(records[0].train_loss)
 
 
 def test_run_metrics_deterministic():
-    csv_a = format_metrics_csv(run(tiny_config()))
-    csv_b = format_metrics_csv(run(tiny_config()))
+    csv_a = format_metrics_csv(run(tiny_config())[0])
+    csv_b = format_metrics_csv(run(tiny_config())[0])
     assert csv_a == csv_b
 
 
 def test_run_records_structure(tmp_path):
     cfg = tiny_config(total_epochs=2.0, eval_every_epochs=1.0)
-    records = run(cfg)
+    records, _ = run(cfg)
     spe = 8192 // cfg.global_batch
     assert len(records) == 2 * spe
     assert records[0].lr == lr_at(cfg.schedule(spe), 0)
@@ -266,7 +266,7 @@ def test_time_to_peak():
 
 def test_save_load_weights_roundtrip(tmp_path):
     cfg = tiny_config(total_epochs=1.0)
-    records, state = run_with_state(cfg)
+    records, state = run(cfg)
     path = tmp_path / "w.npz"
     save_weights(state, path)
     params, moving = load_weights(path, state.layers, (16, 16, 1))
@@ -280,9 +280,36 @@ def test_save_load_weights_roundtrip(tmp_path):
         assert moving[lname][1].tobytes() == mv.tobytes()
 
 
+def _bn_keys(i, kernel):
+    return [f"param/kernel/{kernel}/kernel", f"param/bn_gamma/bn{i}/gamma",
+            f"param/bn_beta/bn{i}/beta"]
+
+
+_FC_KEYS = ["param/kernel/fc/kernel", "param/bias/fc/bias"]
+_TOY_KEYS = _bn_keys(1, "conv1") + _FC_KEYS + ["bn_mean/bn1", "bn_var/bn1"]
+# The npz format: the archive keys of each model, in file order.
+WEIGHTS_KEYS = {
+    "toy_cnn": _TOY_KEYS,
+    "toy_cnn_pool": _TOY_KEYS,
+    "b2": _bn_keys(1, "conv1") + _bn_keys(2, "conv2") + _FC_KEYS
+          + ["bn_mean/bn1", "bn_var/bn1", "bn_mean/bn2", "bn_var/bn2"],
+    "b5": _bn_keys(1, "conv1") + _bn_keys(2, "dwconv2") + _bn_keys(3, "conv3")
+          + _FC_KEYS + ["bn_mean/bn1", "bn_var/bn1", "bn_mean/bn2", "bn_var/bn2",
+                        "bn_mean/bn3", "bn_var/bn3"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_weights_archive_keys_of_every_model(name):
+    layers = build_model(name, 10)
+    arrays = _weights_arrays(init_params(layers, (16, 16, 1), seed=0),
+                             init_bn_moving(layers, (16, 16, 1)))
+    assert list(arrays) == WEIGHTS_KEYS[name]
+
+
 def test_load_weights_rejects_a_negative_bn_variance(tmp_path):
     cfg = tiny_config(total_epochs=0.0)
-    _, state = run_with_state(cfg)
+    _, state = run(cfg)
     lname = next(iter(state.bn_moving))
     mv = state.bn_moving[lname][1]
     mv[1] = -1.0
@@ -319,11 +346,11 @@ def test_run_with_2d_groups_and_mixed_precision():
                       bn_group_size=4, grid_rows=2, grid_cols=4,
                       tile_rows=2, tile_cols=2,
                       precision="mixed_bf16", total_epochs=0.5)
-    records = run(cfg)
+    records, _ = run(cfg)
     assert all(math.isfinite(r.train_loss) for r in records)
     assert records[-1].train_loss < records[0].train_loss
     assert records[-1].eval_top1 is not None
     # tiled groups genuinely change BN statistics vs full-pod grouping
-    full = run(tiny_config(num_replicas=8, global_batch=256, bn_group_size=8,
-                           precision="mixed_bf16", total_epochs=0.5))
+    full, _ = run(tiny_config(num_replicas=8, global_batch=256, bn_group_size=8,
+                              precision="mixed_bf16", total_epochs=0.5))
     assert records[0].train_loss != full[0].train_loss
