@@ -418,9 +418,11 @@ def grad_check(
     groups = assign_groups_1d(num_replicas, group_size or num_replicas)
 
     def run(forward_only: bool) -> EngineResult:
-        return distributed_forward_backward(
-            layers, params64, shards, label_shards,
-            groups, bn_eps=bn_eps, forward_only=forward_only)
+        # A diverging pass is reported once, by the finiteness checks below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return distributed_forward_backward(
+                layers, params64, shards, label_shards,
+                groups, bn_eps=bn_eps, forward_only=forward_only)
 
     base = run(forward_only=False)
     if not np.isfinite(base.mean_loss):

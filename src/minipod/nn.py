@@ -16,9 +16,12 @@ BLAS's order, as dense layers do. Backward is one product per replica for
 each gradient: patches^T @ grad_out for the kernel, grad_out @ kernel^T for
 the patch matrix, whose taps then add back into the input gradient in
 ascending row, then column order. Depthwise convolutions accumulate taps in
-that order; a replica's kernel gradient is one product per channel over its
-patch matrix. Float64 inputs are accepted everywhere and processed in
-float64, which the test oracles rely on; training always runs float32.
+that order, starting from zeros, in both directions: each tap's input window
+(or output gradient) times its kernel row, tiled once per call across the
+output width so that every product runs over whole W*C rows. A replica's
+kernel gradient is one product per channel over its patch matrix. Float64
+inputs are accepted everywhere and processed in float64, which the test
+oracles rely on; training always runs float32.
 """
 
 from __future__ import annotations
@@ -185,14 +188,23 @@ def conv2d_backward(
     return _unpad(grad_xp, x, corner), grad_k
 
 
+def _kernel_rows(kernel, width):
+    """The [kh, kw, C] depthwise kernel tiled to [kh*kw, width, C], one row
+    per tap, so that each tap's product runs over whole width*C rows rather
+    than broadcasting a C-element row."""
+    kh, kw, c = kernel.shape
+    return np.tile(kernel.reshape(kh * kw, 1, c), (1, width, 1))
+
+
 def depthwise_conv2d_forward(
     x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: str = "same"
 ) -> np.ndarray:
     """Per-channel convolution with a [kh, kw, C] kernel (multiplier 1)."""
     xp, out_shape, taps, _ = _conv_setup(x, kernel, stride, padding, True)
     out = np.zeros(out_shape, dtype=x.dtype)
-    for i, j, win in taps:
-        out += xp[win] * kernel[i, j]
+    prod = np.empty(out_shape, dtype=np.result_type(x, kernel))
+    for (_, _, win), row in zip(taps, _kernel_rows(kernel, out_shape[3])):
+        out += np.multiply(xp[win], row, out=prod)
     return out
 
 
@@ -220,8 +232,9 @@ def depthwise_conv2d_backward(
     if not input_grad:
         return None, grad_k
     grad_xp = np.zeros_like(xp)
-    for i, j, win in taps:
-        grad_xp[win] += grad_out * kernel[i, j]
+    prod = np.empty(out_shape, dtype=np.result_type(grad_out, kernel))
+    for (_, _, win), row in zip(taps, _kernel_rows(kernel, out_shape[3])):
+        grad_xp[win] += np.multiply(grad_out, row, out=prod)
     return _unpad(grad_xp, x, corner), grad_k
 
 

@@ -42,13 +42,24 @@ MIXED_BF16_CONV = PrecisionPolicy("mixed_bf16")
 def to_bf16(x) -> np.ndarray:
     """Round fp32 values to the nearest bfloat16-representable fp32 value.
 
-    Round-to-nearest-even on the 16 discarded mantissa bits; NaNs pass
-    through unchanged, infinities are preserved, and finite values beyond
-    the bf16 range round to infinity as RNE requires.
+    Round-to-nearest-even on the 16 discarded mantissa bits: bits + 0x7FFF
+    + (lowest kept bit), then the low 16 bits cleared, computed in place in
+    one uint32 buffer. NaNs pass through unchanged (copied back only when
+    there are any), infinities are preserved, and finite values beyond the
+    bf16 range round to infinity as RNE requires. Other dtypes are converted
+    to fp32 first. The result is a new C-contiguous fp32 array of x's shape;
+    x is never written.
     """
-    arr = np.asarray(x, dtype=np.float32)
-    flat = np.ascontiguousarray(arr).reshape(-1)
+    arr = np.asarray(x, dtype=np.float32, order="C")
+    flat = arr.reshape(-1)
     bits = flat.view(np.uint32)
-    rounded = (bits + _HALF_ULP + ((bits >> _SIXTEEN) & _ONE)) & _HI_MASK
-    out = np.where(np.isnan(flat), flat, rounded.view(np.float32))
+    out = bits >> _SIXTEEN
+    out &= _ONE
+    out += _HALF_ULP
+    out += bits
+    out &= _HI_MASK
+    out = out.view(np.float32)
+    nan = np.isnan(flat)
+    if nan.any():
+        out[nan] = flat[nan]
     return out.reshape(arr.shape)

@@ -283,21 +283,23 @@ def train_step(state: TrainState, batches, lr: float) -> float:
     """One synchronized step over per-replica (images, labels) batches,
     stacked on a leading replica axis for the engine."""
     cfg = state.config
-    res = distributed_forward_backward(
-        state.layers,
-        state.params,
-        np.stack([b[0] for b in batches]),
-        np.stack([b[1] for b in batches]),
-        cfg.bn_groups,
-        policy=cfg.policy,
-        bn_eps=cfg.bn_eps,
-    )
-    grads = [all_reduce(g, "mean") for g in res.grads]
-    step_fn = rmsprop_step if cfg.optimizer == "rmsprop" else lars_step
-    step_fn(state.params, grads, lr, cfg.optimizer_config, state.opt_state)
-    for lname, (means, variances) in res.bn_saved.items():
-        state.bn_moving[lname] = distbn.update_moving_stats(
-            *state.bn_moving[lname], means, variances, cfg.bn_momentum)
+    # A diverging step is reported once, by run's check of the loss.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = distributed_forward_backward(
+            state.layers,
+            state.params,
+            np.stack([b[0] for b in batches]),
+            np.stack([b[1] for b in batches]),
+            cfg.bn_groups,
+            policy=cfg.policy,
+            bn_eps=cfg.bn_eps,
+        )
+        grads = [all_reduce(g, "mean") for g in res.grads]
+        step_fn = rmsprop_step if cfg.optimizer == "rmsprop" else lars_step
+        step_fn(state.params, grads, lr, cfg.optimizer_config, state.opt_state)
+        for lname, (means, variances) in res.bn_saved.items():
+            state.bn_moving[lname] = distbn.update_moving_stats(
+                *state.bn_moving[lname], means, variances, cfg.bn_momentum)
     return res.mean_loss
 
 

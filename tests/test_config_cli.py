@@ -328,6 +328,19 @@ def test_cli_gradcheck_non_finite_loss_is_a_runtime_error(tmp_path, capsys, monk
     assert "error: non-finite loss in grad_check" in capsys.readouterr().err
 
 
+def test_cli_gradcheck_diverging_passes_print_only_the_error(tmp_path):
+    # eps = 1e300 overflows group BN: numpy's RuntimeWarnings must not reach
+    # the user ahead of the one error line.
+    cfg = write_config(tmp_path, GRADCHECK_CONFIG)
+    proc = subprocess.run(
+        [sys.executable, "-m", "minipod.cli", "gradcheck", "--config", str(cfg),
+         "--eps", "1e300"],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: non-finite loss in grad_check\n"
+
+
 def test_cli_bench(tmp_path, capsys):
     table = tmp_path / "rows.csv"
     table.write_text(

@@ -175,6 +175,47 @@ def test_conv_matches_direct_loop_oracle(depthwise, kernel_hw, stride, padding):
     np.testing.assert_allclose(gk, gk_ref, rtol=1e-12, atol=1e-12)
 
 
+def depthwise_per_tap(x, k, stride, padding, grad_out):
+    """Forward output and input gradient of depthwise conv2d in the per-tap
+    form: each tap's strided window times its [C] kernel row, added into
+    zeros in ascending (row, column) order."""
+    h, w = x.shape[2:4]
+    kh, kw = k.shape[:2]
+    ho, wo, (pt, pb, pl, pr) = nn._conv_geometry(h, w, kh, kw, stride, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr), (0, 0)))
+    y = np.zeros(grad_out.shape, x.dtype)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            win = (slice(None), slice(None),
+                   slice(i, i + stride * (ho - 1) + 1, stride),
+                   slice(j, j + stride * (wo - 1) + 1, stride))
+            y += xp[win] * k[i, j]
+            gxp[win] += grad_out * k[i, j]
+    return y, gxp[:, :, pt : pt + h, pl : pl + w]
+
+
+@pytest.mark.parametrize("kernel_hw", [(3, 3), (1, 3)])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+def test_depthwise_matches_per_tap_form_bitwise(kernel_hw, stride, padding):
+    # Same IEEE multiplies and adds in the same order, so the same bytes;
+    # signed zeros check the sign of zero products and sums too.
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((3, 2, 7, 6, 5)).astype(np.float32)
+    k = rng.standard_normal(kernel_hw + (5,)).astype(np.float32)
+    x[0, 0, :2] = -0.0
+    k[0, 0, 1] = -0.0
+    y = nn.depthwise_conv2d_forward(x, k, stride, padding)
+    g = rng.standard_normal(y.shape).astype(np.float32)
+    g[1, :, 0] = -0.0
+    y_ref, gx_ref = depthwise_per_tap(x, k, stride, padding, g)
+    gx, _ = nn.depthwise_conv2d_backward(x, k, g, stride, padding)
+    assert y.dtype == gx.dtype == np.float32
+    assert y.tobytes() == y_ref.tobytes()
+    assert gx.tobytes() == gx_ref.tobytes()
+
+
 @pytest.mark.parametrize("depthwise,kernel_hw,stride,padding", _CONV_CASES)
 def test_conv_kernel_grad_alone_and_stacked_replicas_bitwise(
         depthwise, kernel_hw, stride, padding):

@@ -74,6 +74,47 @@ def test_special_values():
     assert to_bf16(big) == np.inf
 
 
+def to_bf16_reference(x) -> np.ndarray:
+    """to_bf16 as one expression with an np.where, for bitwise comparison."""
+    arr = np.asarray(x, dtype=np.float32)
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    bits = flat.view(np.uint32)
+    rounded = (bits + np.uint32(0x7FFF) + ((bits >> np.uint32(16)) & np.uint32(1))
+               ) & np.uint32(0xFFFF0000)
+    return np.where(np.isnan(flat), flat, rounded.view(np.float32)).reshape(arr.shape)
+
+
+HOSTILE_BITS = np.array([
+    0x7F800001, 0x7FBFFFFF, 0x7FC00000, 0x7FC0FFFF, 0x7FFFFFFF,  # NaN payloads
+    0xFF800001, 0xFFBFFFFF, 0xFFC00000, 0xFFC18000, 0xFFFFFFFF,  # negative NaNs
+    0x7F800000, 0xFF800000,                                      # +-inf
+    0x7F7FFFFF, 0xFF7FFFFF, 0x7F7F8000, 0x7F7F7FFF,              # overflow edge
+    0x00000001, 0x80000001, 0x00008000, 0x00018000, 0x007FFFFF,  # subnormals
+    0x807FFFFF, 0x00800000, 0x00000000, 0x80000000,              # normal min, +-0
+], dtype=np.uint32)
+
+
+def test_to_bf16_bitwise_equals_reference():
+    rng = np.random.default_rng(3)
+    bits = np.concatenate([HOSTILE_BITS, rng.integers(
+        0, 2**32, size=100_000, dtype=np.uint64).astype(np.uint32)])
+    x = bits.view(np.float32)
+    x_before = x.copy()
+    out = to_bf16(x)
+    assert out.view(np.uint32).tobytes() == to_bf16_reference(x).view(np.uint32).tobytes()
+    assert x.tobytes() == x_before.tobytes() and not np.shares_memory(out, x)
+    big = x[: 100 * 1000].reshape(100, 1000)
+    for case in (np.float32(0.1), np.array(np.float32(np.nan)), x[0],  # 0-d
+                 big[::3, 1::7], big.T,                              # strided
+                 np.array([np.nan, -np.nan, np.inf, -np.inf, 3.3961e38,  # float64
+                           1e-40, -1e-45, 0.0, -0.0, 1 / 3]),
+                 rng.standard_normal((4, 5)), [1.5, -2.25]):
+        got, want = to_bf16(case), to_bf16_reference(case)
+        assert type(got) is np.ndarray and got.dtype == np.float32
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
 def test_policy_validation():
     with pytest.raises(ValueError):
         PrecisionPolicy("fp16")

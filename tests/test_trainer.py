@@ -241,7 +241,6 @@ def test_run_records_structure(tmp_path):
     assert len(text) == 1 + len(records)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow is the point
 def test_run_nonfinite_loss_aborts_with_records():
     # BN makes the net scale-invariant, so RMSProp blowups stay finite; the
     # LARS trust ratio multiplies weight norms per step and overflows fast.
