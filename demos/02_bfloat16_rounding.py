@@ -7,7 +7,7 @@ accumulation keeps it tame.
 import numpy as np
 
 from minipod import nn
-from minipod.model import conv2d, eval_forward, global_avg_pool, softmax_xent_head
+from minipod.model import conv2d, eval_forward, global_avg_pool
 from minipod.nn import Parameter
 from minipod.precision import FP32_ONLY, MIXED_BF16_CONV, to_bf16
 
@@ -28,9 +28,8 @@ print(f"  1 + 2^-7 + 2^-8   -> {float(to_bf16(np.float32(1 + 2**-7 + 2**-8)))!r}
 rng = np.random.default_rng(0)
 x = rng.random((1, 4, 16, 16, 8)).astype(np.float32)  # [replicas, batch, H, W, C]
 k = rng.random((3, 3, 8, 8)).astype(np.float32)
-# conv -> pool -> head: the logits are the per-channel means of the conv output
-layers = [conv2d("conv", 8, 3), global_avg_pool("pool"),
-          softmax_xent_head("head", 8)]
+# conv -> pool: the logits are the per-channel means of the conv output
+layers = [conv2d("conv", 8, 3), global_avg_pool("pool")]
 params = [Parameter("conv/kernel", k)]
 exact = eval_forward(layers, params, {}, x, FP32_ONLY)
 mixed = eval_forward(layers, params, {}, x, MIXED_BF16_CONV)

@@ -66,6 +66,10 @@ def _read_config(path: Path) -> trainer.TrainConfig:
 
 def _cmd_train(args) -> int:
     config = _read_config(args.config)
+    # Checked before any data is read, so a bad path fails before training.
+    for flag, path in (("--out", args.out), ("--weights-out", args.weights_out)):
+        if path is not None and not path.parent.is_dir():
+            raise ValueError(f"{flag} {path}: directory {path.parent} does not exist")
     records, state = trainer.run(config)
     trainer.write_metrics_csv(records, args.out)
     if args.weights_out:
@@ -83,8 +87,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _read_config(args.config)
-    _, eval_ds = trainer.build_datasets(config)
-    layers = build_model(config.model, eval_ds.num_classes)
+    train_ds, eval_ds = trainer.build_datasets(config)
+    layers = build_model(config.model, train_ds.num_classes)
     params, bn_moving = trainer.load_weights(
         args.weights, layers, eval_ds.images.shape[1:])
     top1 = trainer.distributed_eval(

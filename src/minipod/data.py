@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,13 +45,14 @@ class Dataset:
 
 
 def _read_exact(f, nbytes: int, path, what: str) -> bytes:
-    buf = f.read(nbytes)
-    if len(buf) != nbytes:
+    # Sized against the file first: a header may claim far more than it holds.
+    have = os.fstat(f.fileno()).st_size - f.tell()
+    if have < nbytes:
         raise IdxFormatError(
             f"{path}: truncated file while reading {what} "
-            f"({len(buf)} of {nbytes} bytes)"
+            f"({have} of {nbytes} bytes)"
         )
-    return buf
+    return f.read(nbytes)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
@@ -65,6 +67,8 @@ def load_idx(images_path, labels_path) -> Dataset:
                 f"{images_path}: bad image magic 0x{magic:08x}, "
                 f"expected 0x{IDX_IMAGES_MAGIC:08x}"
             )
+        if rows < 1 or cols < 1:
+            raise IdxFormatError(f"{images_path}: images of {rows}x{cols} pixels")
         raw = _read_exact(f, n * rows * cols, images_path, f"{n} images")
     with open(labels_path, "rb") as f:
         magic, n_labels = struct.unpack(

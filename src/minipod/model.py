@@ -1,9 +1,11 @@
 """Model definitions, the layer-op table and the lockstep multi-replica engine.
 
-A model is an ordered list of LayerSpec ending in a softmax cross-entropy
-head. LAYER_OPS maps each layer kind to its output-shape rule, its parameter
-and moving-statistic init, its forward and its backward; shape inference,
-initialization, training and evaluation all dispatch through it.
+A model is an ordered list of LayerSpec, each mapping activations to
+activations; the last one emits the logits. LAYER_OPS maps each layer kind to
+its output-shape rule, parameter and moving-statistic init, forward and
+backward; shape inference, initialization, training and evaluation all
+dispatch through it. The loss is no layer: the engine applies nn.softmax_xent
+to the logits and starts the backward walk from its gradient.
 
 The engine holds every replica's activations in one array with a leading
 replica axis, [N, b, ...], and walks the layers once: each layer makes one
@@ -48,10 +50,9 @@ class LayerSpec:
     stride: int = 1
     padding: str = "same"
     out_features: int | None = None
-    num_classes: int | None = None
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in LAYER_OPS:
             raise ValueError(f"unknown layer kind {self.kind!r}")
 
 
@@ -83,19 +84,12 @@ def global_avg_pool(name) -> LayerSpec:
     return LayerSpec("global_avg_pool", name)
 
 
-def softmax_xent_head(name, num_classes) -> LayerSpec:
-    return LayerSpec("softmax_xent_head", name, num_classes=num_classes)
-
-
 def validate_model(layers: list[LayerSpec]) -> None:
+    if not layers:
+        raise ValueError("model must have at least one layer")
     names = [l.name for l in layers]
     if len(set(names)) != len(names):
         raise ValueError("layer names must be unique within a model")
-    if not layers or layers[-1].kind != "softmax_xent_head":
-        raise ValueError("model must end in a softmax_xent_head layer")
-    for l in layers[:-1]:
-        if l.kind == "softmax_xent_head":
-            raise ValueError("softmax_xent_head must be the final layer")
 
 
 def infer_shapes(layers: list[LayerSpec], input_shape: tuple[int, ...]):
@@ -148,9 +142,7 @@ class _Pass:
     bn_eps: float
     groups: np.ndarray | None  # [G, S] BN replica groups; None: inference
     bn_moving: dict[str, tuple[np.ndarray, np.ndarray]] | None = None  # inference
-    labels: np.ndarray | None = None  # [N, b]
     input_layer: str | None = None  # name of the layer reading the model input
-    losses: list[float] = field(default_factory=list)
     grads: dict[str, np.ndarray] = field(default_factory=dict)  # [N, *shape]
     bn_saved: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
@@ -173,12 +165,6 @@ def _conv_shape(l, shape):
     h, w, c = _hwc(l, shape, "conv")
     ho, wo, _ = nn._conv_geometry(h, w, *l.kernel_hw, l.stride, l.padding)
     return (ho, wo, c if l.out_channels is None else l.out_channels)
-
-
-def _head_shape(l, shape):
-    if shape != (l.num_classes,):
-        raise ValueError(f"{l.name}: head expects {l.num_classes} features, has {shape}")
-    return shape
 
 
 def _kernel(l, seed, shape, gain, fan_in) -> Parameter:
@@ -276,12 +262,6 @@ def _bn_backward(l, run, saved, gy):
     return gx
 
 
-def _head_forward(l, run, x):
-    losses, grad = nn.softmax_xent(x, run.labels)
-    run.losses = [float(v) for v in losses]
-    return x, grad  # the head emits no activation
-
-
 class LayerOps(NamedTuple):
     """Everything minipod does with one layer kind."""
 
@@ -313,11 +293,7 @@ LAYER_OPS: dict[str, LayerOps] = {
     "global_avg_pool": LayerOps(
         lambda l, shape: (_hwc(l, shape, "pooling")[2],), _no_params, None,
         _pool_forward, _pool_backward),
-    "softmax_xent_head": LayerOps(
-        _head_shape, _no_params, None, _head_forward,
-        lambda l, run, grad_logits, gys: grad_logits),
 }
-LAYER_KINDS = tuple(LAYER_OPS)
 
 
 # ---------------------------------------------------------------------------
@@ -352,21 +328,22 @@ def distributed_forward_backward(
     shared parameters; BN layers normalize over each replica's group in
     `groups`, the [G, S] replica array. Returned gradients are per-replica
     local contributions, [N, *shape]: their all-reduce mean is the gradient
-    of the mean per-replica loss.
+    of the mean per-replica softmax cross-entropy of the last layer's output.
     """
     validate_model(layers)
     run = _Pass({p.name: p for p in params}, policy, bn_eps, groups,
-                labels=labels, input_layer=layers[0].name)
+                input_layer=layers[0].name)
     acts, saved = x, []
     for layer in layers:
         acts, s = LAYER_OPS[layer.kind].forward(layer, run, acts)
         saved.append(s)
+    losses, grad = nn.softmax_xent(acts, labels)
+    losses = [float(v) for v in losses]
     if forward_only:
-        return EngineResult(run.losses, None, run.bn_saved)
-    grad = None
+        return EngineResult(losses, None, run.bn_saved)
     for layer, s in zip(reversed(layers), reversed(saved)):
         grad = LAYER_OPS[layer.kind].backward(layer, run, s, grad)
-    return EngineResult(run.losses, [run.grads[p.name] for p in params], run.bn_saved)
+    return EngineResult(losses, [run.grads[p.name] for p in params], run.bn_saved)
 
 
 def eval_forward(
@@ -378,10 +355,10 @@ def eval_forward(
     bn_eps: float = distbn.DEFAULT_EPS,
 ) -> np.ndarray:
     """Inference pass over stacked [N, b, ...] inputs; BN uses moving
-    statistics. Returns logits [N, b, K]."""
+    statistics. Returns the last layer's output, logits [N, b, K]."""
     validate_model(layers)
     run = _Pass({p.name: p for p in params}, policy, bn_eps, None, bn_moving)
-    for layer in layers[:-1]:  # what a layer saves for backward is dropped at once
+    for layer in layers:  # what a layer saves for backward is dropped at once
         x = LAYER_OPS[layer.kind].forward(layer, run, x)[0]
     return x
 
@@ -461,7 +438,6 @@ def _toy_cnn(num_classes: int) -> list[LayerSpec]:
         batchnorm("bn1"),
         swish("act1"),
         dense("fc", num_classes),
-        softmax_xent_head("head", num_classes),
     ]
 
 
@@ -472,7 +448,6 @@ def _toy_cnn_pool(num_classes: int) -> list[LayerSpec]:
         swish("act1"),
         global_avg_pool("pool"),
         dense("fc", num_classes),
-        softmax_xent_head("head", num_classes),
     ]
 
 
@@ -486,7 +461,6 @@ def _standin_b2(num_classes: int) -> list[LayerSpec]:
         swish("act2"),
         global_avg_pool("pool"),
         dense("fc", num_classes),
-        softmax_xent_head("head", num_classes),
     ]
 
 
@@ -503,7 +477,6 @@ def _standin_b5(num_classes: int) -> list[LayerSpec]:
         swish("act3"),
         global_avg_pool("pool"),
         dense("fc", num_classes),
-        softmax_xent_head("head", num_classes),
     ]
 
 

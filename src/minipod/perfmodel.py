@@ -112,10 +112,14 @@ def calibrate(
     ar_x, ar_y = [], []  # (bw coef, lat coef) -> all-reduce ms
     for n, batch, thr, frac in rows:
         n, batch, thr, frac = int(n), int(batch), float(thr), float(frac)
+        if n < 1:
+            raise ValueError(f"row needs cores >= 1, got {n}")
         if batch % n != 0:
             raise ValueError(f"row batch {batch} not divisible by {n} cores")
-        if thr <= 0 or not 0 <= frac < 100:
-            raise ValueError(f"bad throughput/fraction row ({thr}, {frac})")
+        if not 0 < thr < math.inf or not 0 <= frac < 100:
+            raise ValueError(
+                f"row needs a finite throughput > 0 and an allreduce_pct in "
+                f"[0, 100), got ({thr}, {frac})")
         step = batch / thr
         ar = step * frac / 100.0
         comp = step - ar

@@ -370,7 +370,16 @@ def build_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
                 "[,eval_images,eval_labels]"
             )
         train = load_idx(paths[0], paths[1])
-        evalset = load_idx(paths[2], paths[3]) if len(paths) == 4 else train
+        if len(paths) == 2:
+            return train, train
+        evalset = load_idx(paths[2], paths[3])
+        # The train split sets the class count; eval classes beyond it could
+        # never be hits.
+        if evalset.num_classes > train.num_classes:
+            raise ValueError(
+                f"eval labels {paths[3]} reach class {evalset.num_classes - 1}, "
+                f"but train labels {paths[1]} have {train.num_classes} classes "
+                f"(0..{train.num_classes - 1})")
         return train, evalset
     raise ValueError(f"unknown dataset spec {spec!r}")
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -401,3 +402,88 @@ def test_cli_eval_weights_not_npz(tmp_path, capsys):
     assert main(["eval", "--weights", str(weights), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert str(weights) in err and "allow_pickle" not in err
+
+
+# ---------------------------------------------------------------------------
+# hostile inputs: each exits 2 with one error line and no traceback
+
+
+def single_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def idx_split(tmp_path, prefix, num_classes, seed):
+    ds = gen_synthetic(num_classes, 64, 8, 8, 1, seed=seed)
+    images, labels = tmp_path / f"{prefix}i.idx", tmp_path / f"{prefix}l.idx"
+    write_idx((ds.images * 255).round().astype(np.uint8), ds.labels, images, labels)
+    return f"{images},{labels}"
+
+
+def idx_config(tmp_path, train_classes, eval_classes):
+    spec = (f"{idx_split(tmp_path, 't', train_classes, 0)},"
+            f"{idx_split(tmp_path, 'e', eval_classes, 1)}")
+    return write_config(
+        tmp_path, f"model = toy_cnn\ndataset = idx:{spec}\noptimizer = rmsprop\n"
+                  "lr_per_256 = 0.05\nnum_replicas = 1\nglobal_batch = 32\n"
+                  "total_epochs = 1\n")
+
+
+def test_cli_train_rejects_eval_classes_beyond_the_train_split(tmp_path, capsys):
+    # Eval classes 8 and 9 could never be hits for an 8-class model.
+    cfg = idx_config(tmp_path, train_classes=8, eval_classes=10)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 2
+    err = single_error(capsys)
+    assert f"{tmp_path}/el.idx reach class 9" in err
+    assert f"{tmp_path}/tl.idx have 8 classes" in err
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_cli_eval_sizes_the_model_from_the_train_split(tmp_path, capsys):
+    cfg = idx_config(tmp_path, train_classes=10, eval_classes=8)
+    weights = tmp_path / "w.npz"
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.csv"),
+                 "--weights-out", str(weights)]) == 0
+    assert main(["eval", "--weights", str(weights), "--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("b2,0,4096,57.57,2.1", "cores >= 1, got 0"),
+    ("b2,128,4096,nan,2.1", "finite throughput > 0"),
+    ("b2,128,4096,inf,2.1", "finite throughput > 0"),
+])
+def test_cli_bench_rejects_bad_rows(tmp_path, capsys, row, reason):
+    table = tmp_path / "rows.csv"
+    table.write_text("model,cores,global_batch,throughput,allreduce_pct\n"
+                     f"{row}\nb2,256,8192,113.73,2.6\n")
+    assert main(["bench", "--table", str(table)]) == 2
+    assert reason in single_error(capsys)
+
+
+def test_cli_train_rejects_an_idx_header_larger_than_its_file(tmp_path, capsys):
+    images = tmp_path / "i.idx"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, 2**31, 16, 16) + bytes(256))
+    cfg = write_config(tmp_path, "preset = toy-rmsprop-512\n"
+                                 f"dataset = idx:{images},{images}\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 2
+    assert "truncated file while reading 2147483648 images" in single_error(capsys)
+
+
+@pytest.mark.parametrize("flag", ["--out", "--weights-out"])
+def test_cli_train_checks_output_directories_before_training(
+        tmp_path, capsys, monkeypatch, flag):
+    def never(config):
+        raise AssertionError("trainer.run called")
+
+    monkeypatch.setattr(cli.trainer, "run", never)
+    cfg = write_config(tmp_path, "preset = toy-rmsprop-512\ndataset = synthetic\n")
+    paths = {"--out": tmp_path / "m.csv", "--weights-out": tmp_path / "w.npz"}
+    paths[flag] = tmp_path / "nodir" / "a"
+    argv = ["train", "--config", str(cfg)]
+    for f, p in paths.items():
+        argv += [f, str(p)]
+    assert main(argv) == 2
+    assert f"{flag} {tmp_path}/nodir/a: directory {tmp_path}/nodir does not exist" in (
+        single_error(capsys))

@@ -64,6 +64,20 @@ def test_load_idx_truncated(idx_pair):
         load_idx(ip, lp)
 
 
+def test_load_idx_checks_header_sizes_before_reading(tmp_path):
+    # 2^31 images of 16x16 in a 272-byte file: rejected from the file size,
+    # without a 512 GiB read.
+    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+    ip.write_bytes(struct.pack(">IIII", 0x00000803, 2**31, 16, 16) + bytes(256))
+    lp.write_bytes(struct.pack(">II", 0x00000801, 1) + bytes(1))
+    with pytest.raises(IdxFormatError, match=r"\(256 of 549755813888 bytes\)"):
+        load_idx(ip, lp)
+    for rows, cols in ((0, 16), (16, 0)):
+        ip.write_bytes(struct.pack(">IIII", 0x00000803, 1, rows, cols))
+        with pytest.raises(IdxFormatError, match=f"images of {rows}x{cols} pixels"):
+            load_idx(ip, lp)
+
+
 def test_load_idx_count_mismatch(idx_pair, tmp_path):
     images, _, ip, _ = idx_pair
     lp3 = tmp_path / "three.idx"

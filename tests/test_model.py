@@ -19,7 +19,6 @@ from minipod.model import (
     infer_shapes,
     init_bn_moving,
     init_params,
-    softmax_xent_head,
     swish,
 )
 
@@ -39,23 +38,9 @@ def test_infer_shapes_toy_model():
 
 
 def test_duplicate_layer_names_rejected():
-    layers = [conv2d("x", 4, 3), batchnorm("x"), softmax_xent_head("h", 2)]
+    layers = [conv2d("x", 4, 3), batchnorm("x")]
     with pytest.raises(ValueError, match="unique"):
         infer_shapes(layers, (8, 8, 1))
-
-
-def test_head_must_be_last():
-    with pytest.raises(ValueError, match="softmax_xent_head"):
-        infer_shapes([softmax_xent_head("h", 2), dense("d", 2)], (8, 8, 1))
-    with pytest.raises(ValueError, match="final"):
-        infer_shapes([softmax_xent_head("h", 2), softmax_xent_head("h2", 2)],
-                     (2,))
-
-
-def test_head_feature_count_checked():
-    layers = [dense("d", 3), softmax_xent_head("h", 2)]
-    with pytest.raises(ValueError, match="head expects"):
-        infer_shapes(layers, (4, 4, 1))
 
 
 def test_init_params_deterministic_and_tagged():
@@ -78,9 +63,9 @@ def test_init_params_deterministic_and_tagged():
 def test_init_independent_of_param_order_stream():
     # each parameter has its own stream: adding a layer leaves others unchanged
     small = [conv2d("conv1", 4, 3), batchnorm("bn1"),
-             global_avg_pool("p"), dense("fc", 2), softmax_xent_head("h", 2)]
+             global_avg_pool("p"), dense("fc", 2)]
     big = [conv2d("conv1", 4, 3), batchnorm("bn1"), swish("s"),
-           global_avg_pool("p"), dense("fc", 2), softmax_xent_head("h", 2)]
+           global_avg_pool("p"), dense("fc", 2)]
     pa = {p.name: p for p in init_params(small, (8, 8, 1), seed=7)}
     pb = {p.name: p for p in init_params(big, (8, 8, 1), seed=7)}
     assert pa["conv1/kernel"].value.tobytes() == pb["conv1/kernel"].value.tobytes()
@@ -157,9 +142,29 @@ def test_engine_stacked_replicas_match_single_replica_calls(policy):
             assert var[r].tobytes() == one.bn_saved[name][1][0].tobytes()
 
 
+def test_engine_loss_is_softmax_xent_of_eval_logits(small_data):
+    # Without BN, training and inference run the same layers, so the engine's
+    # losses are nn.softmax_xent of eval_forward's logits, bit for bit.
+    x, labels = small_data
+    layers = [conv2d("c", 4, 3), global_avg_pool("p")]
+    params = init_params(layers, x.shape[1:], seed=9)
+    x, labels = x.reshape(2, 4, *x.shape[1:]), labels.reshape(2, 4)
+    res = distributed_forward_backward(layers, params, x, labels,
+                                       assign_groups_1d(2, 1))
+    losses, _ = model.nn.softmax_xent(eval_forward(layers, params, {}, x), labels)
+    assert np.array(res.losses, np.float32).tobytes() == losses.tobytes()
+
+
+def test_layer_ops_map_activations_only():
+    assert sorted(model.LAYER_OPS) == ["batchnorm", "conv2d", "dense",
+                                       "depthwise_conv2d", "global_avg_pool", "swish"]
+    with pytest.raises(ValueError, match="at least one layer"):
+        infer_shapes([], (8, 8, 1))
+
+
 def test_gradcheck_linear_model(small_data):
     x, labels = small_data
-    layers = [dense("fc", 4), softmax_xent_head("head", 4)]
+    layers = [dense("fc", 4)]
     params = init_params(layers, x.shape[1:], seed=5)
     assert grad_check(layers, params, x, labels, eps=1e-4) < 1e-6
 

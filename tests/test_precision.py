@@ -13,7 +13,6 @@ from minipod.model import (
     eval_forward,
     global_avg_pool,
     init_params,
-    softmax_xent_head,
 )
 from minipod.nn import Parameter
 from minipod.precision import (
@@ -125,10 +124,9 @@ def test_policy_validation():
 
 
 def conv_model(kernel, stride=1, padding="valid"):
-    """[conv, global_avg_pool, head] with one class per conv output channel."""
+    """[conv, global_avg_pool]: one logit per conv output channel."""
     co = kernel.shape[-1]
-    layers = [conv2d("c", co, kernel.shape[:2], stride, padding),
-              global_avg_pool("p"), softmax_xent_head("h", co)]
+    layers = [conv2d("c", co, kernel.shape[:2], stride, padding), global_avg_pool("p")]
     return layers, [Parameter("c/kernel", kernel.copy())]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from minipod.data import Dataset, gen_synthetic
-from minipod.model import MODELS, build_model, init_bn_moving, init_params
+from minipod.model import MODELS, build_model, infer_shapes, init_bn_moving, init_params
 from minipod.optim import lr_at
 from minipod.trainer import (
     METRICS_HEADER,
@@ -304,6 +304,7 @@ def test_weights_archive_keys_of_every_model(name):
     arrays = _weights_arrays(init_params(layers, (16, 16, 1), seed=0),
                              init_bn_moving(layers, (16, 16, 1)))
     assert list(arrays) == WEIGHTS_KEYS[name]
+    assert infer_shapes(layers, (16, 16, 1))[-1] == (10,)  # one logit per class
 
 
 def test_load_weights_rejects_a_negative_bn_variance(tmp_path):
