@@ -39,6 +39,6 @@ print("\nmixed vs fp32 conv on positive inputs (pooled logits):")
 print(f"  max relative error {rel.max():.2e}")
 print(f"  bound 2^-7 * accumulation length = {2**-7 * acc_len:.2e}")
 
-plain = nn.global_avg_pool_forward(nn.conv2d_forward(x, k))
+plain = nn.global_avg_pool_forward(nn.conv2d_forward(nn.im2col(x, k), k))
 same = exact.tobytes() == plain.tobytes()
 print(f"  fp32 policy bitwise identical to nn: {same}")

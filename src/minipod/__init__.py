@@ -35,7 +35,7 @@ from .model import (
     infer_shapes,
     init_params,
 )
-from .nn import Parameter, conv2d_backward, conv2d_forward, softmax_xent
+from .nn import Parameter, conv2d_backward, conv2d_forward, im2col, softmax_xent
 from .optim import (
     ExponentialDecay,
     LarsConfig,

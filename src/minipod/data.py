@@ -95,11 +95,16 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 
 def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:
-    """Write u8 images/labels in IDX format (inverse of load_idx)."""
+    """Write u8 images/labels in IDX format (inverse of load_idx).
+
+    Every pixel and label must be a whole number in 0..255, so that the file
+    holds the values given; any dtype is accepted.
+    """
     if images.ndim != 4 or images.shape[3] != 1:
         raise ValueError(f"writer expects [n,H,W,1] u8 images, got {images.shape}")
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    images, labels = _as_u8(images, "pixel"), _as_u8(labels, "label")
+    if labels.shape != (len(images),):
+        raise ValueError(f"{len(images)} images but labels of shape {labels.shape}")
     n, rows, cols, _ = images.shape
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
@@ -107,6 +112,15 @@ def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) 
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABELS_MAGIC, len(labels)))
         f.write(labels.tobytes())
+
+
+def _as_u8(values, what: str) -> np.ndarray:
+    values = np.asarray(values)
+    bad = ~((values >= 0) & (values <= 255) & (values == np.floor(values)))
+    if bad.any():
+        raise ValueError(f"write_idx: {what} {values[bad][0]} is not "
+                         f"a whole number in 0..255")
+    return np.ascontiguousarray(values, dtype=np.uint8)
 
 
 def class_templates(
@@ -140,8 +154,12 @@ def gen_synthetic(
         raise ValueError("all synthetic dataset dimensions must be >= 1")
     templates = class_templates(num_classes, height, width, channels, seed)
     labels = np.arange(n, dtype=np.int64) % num_classes
-    noise = stream(seed, "noise", noise_stream).standard_normal(
+    # One float64 buffer, worked in place: template + 0.1 * noise, clamped.
+    pixels = stream(seed, "noise", noise_stream).standard_normal(
         (n, height, width, channels)
     )
-    images = np.clip(templates[labels] + 0.1 * noise, 0.0, 1.0).astype(np.float32)
-    return Dataset(images=images, labels=labels, num_classes=num_classes)
+    pixels *= 0.1
+    pixels += templates[labels]
+    np.clip(pixels, 0.0, 1.0, out=pixels)
+    return Dataset(images=pixels.astype(np.float32), labels=labels,
+                   num_classes=num_classes)

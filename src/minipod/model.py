@@ -15,6 +15,9 @@ distbn reads). Parameter gradients stay per replica, [N, *shape], for the
 trainer's all-reduce: the nn and distbn kernels return them that way (distbn
 splits BN's group-summed gamma/beta evenly across each group). The backward
 walk skips the input gradient of a conv layer that reads the model input.
+A conv2d layer saves the patch matrix its forward built with nn.im2col, and
+its backward computes both gradients from it; the walk drops each layer's
+saved tensors as soon as that layer's backward is done.
 All replicas read one parameter list: synchronous replicas apply the same
 update to the same all-reduced gradient, so their weights are equal by
 construction.
@@ -23,7 +26,8 @@ normalizing by the moving statistics.
 
 Under the mixed-precision policy the conv and depthwise entries round their
 operands to bfloat16: the shared kernel once per engine call and the stacked
-input once per layer in forward; backward reuses the rounded tensors.
+input once per layer in forward, before im2col; backward reuses the rounded
+tensors.
 Entries look nn, distbn and precision functions up on their modules at call
 time, so a wrapper installed on a module attribute sees every call.
 """
@@ -203,17 +207,31 @@ def _bn_params(l, shape, seed):
 # parameter grads [N, *shape] go into pass.grads.
 
 
-def _conv_forward(l, run, x):
-    # conv2d and depthwise_conv2d: nn.<kind>_forward, looked up per call.
+def _conv2d_forward(l, run, x):
+    # The input is rounded before im2col; backward reuses its patch matrix.
+    k = _conv_operand(run, run.value(l, "kernel"))
+    patches = nn.im2col(_conv_operand(run, x), k, l.stride, l.padding)
+    return nn.conv2d_forward(patches, k), (patches, k, x.shape)
+
+
+def _conv2d_backward(l, run, saved, gy):
+    patches, k, x_shape = saved
+    # Nothing consumes the gradient of the model's input.
+    gx, run.grads[f"{l.name}/kernel"] = nn.conv2d_backward(
+        patches, k, gy, x_shape, l.stride, l.padding,
+        input_grad=l.name != run.input_layer)
+    return gx
+
+
+def _depthwise_forward(l, run, x):
     k = _conv_operand(run, run.value(l, "kernel"))
     x = _conv_operand(run, x)
-    return getattr(nn, f"{l.kind}_forward")(x, k, l.stride, l.padding), (x, k)
+    return nn.depthwise_conv2d_forward(x, k, l.stride, l.padding), (x, k)
 
 
-def _conv_backward(l, run, saved, gy):
+def _depthwise_backward(l, run, saved, gy):
     x, k = saved
-    # Nothing consumes the gradient of the model's input.
-    gx, run.grads[f"{l.name}/kernel"] = getattr(nn, f"{l.kind}_backward")(
+    gx, run.grads[f"{l.name}/kernel"] = nn.depthwise_conv2d_backward(
         x, k, gy, l.stride, l.padding, input_grad=l.name != run.input_layer)
     return gx
 
@@ -278,9 +296,9 @@ def _no_params(l, shape, seed):
 
 LAYER_OPS: dict[str, LayerOps] = {
     "conv2d": LayerOps(
-        _conv_shape, _conv2d_params, None, _conv_forward, _conv_backward),
+        _conv_shape, _conv2d_params, None, _conv2d_forward, _conv2d_backward),
     "depthwise_conv2d": LayerOps(
-        _conv_shape, _depthwise_params, None, _conv_forward, _conv_backward),
+        _conv_shape, _depthwise_params, None, _depthwise_forward, _depthwise_backward),
     "dense": LayerOps(
         lambda l, shape: (l.out_features,), _dense_params, None,
         _dense_forward, _dense_backward),
@@ -341,8 +359,8 @@ def distributed_forward_backward(
     losses = [float(v) for v in losses]
     if forward_only:
         return EngineResult(losses, None, run.bn_saved)
-    for layer, s in zip(reversed(layers), reversed(saved)):
-        grad = LAYER_OPS[layer.kind].backward(layer, run, s, grad)
+    for layer in reversed(layers):  # each layer's saved tensors die as it is done
+        grad = LAYER_OPS[layer.kind].backward(layer, run, saved.pop(), grad)
     return EngineResult(losses, [run.grads[p.name] for p in params], run.bn_saved)
 
 

@@ -8,24 +8,27 @@ as [N, *parameter shape]: each replica's contribution is reduced over its own
 batch only, and the sum across replicas is left to the all-reduce.
 
 Every operation is a pure function and bit-deterministic, and no replica's
-values depend on N or on the other replicas' data. A convolution copies each
-replica's input windows once into a contiguous im2col patch matrix,
-[b*Ho*Wo, kh*kw*Cin] with taps in kernel (row, column, channel) order, and
-runs one matrix product per replica, accumulating over K = kh*kw*Cin in
-BLAS's order, as dense layers do. Backward is one product per replica for
-each gradient: patches^T @ grad_out for the kernel, grad_out @ kernel^T for
-the patch matrix, whose taps then add back into the input gradient in
-ascending row, then column order. Depthwise convolutions accumulate taps in
-that order, starting from zeros, in both directions: each tap's input window
-(or output gradient) times its kernel row, tiled once per call across the
-output width so that every product runs over whole W*C rows. A replica's
-kernel gradient is one product per channel over its patch matrix. Float64
-inputs are accepted everywhere and processed in float64, which the test
-oracles rely on; training always runs float32.
+values depend on N or on the other replicas' data. A convolution is an
+im2col copy and a GEMM: im2col copies each replica's input windows once into
+a contiguous patch matrix, [b*Ho*Wo, kh*kw*Cin] with taps in kernel (row,
+column, channel) order, and conv2d_forward runs one matrix product per
+replica over it, accumulating over K = kh*kw*Cin in BLAS's order, as dense
+layers do. conv2d_backward takes the forward's patch matrix rather than the
+input and is one product per replica for each gradient: patches^T @ grad_out
+for the kernel, grad_out @ kernel^T for the patch matrix, whose taps then add
+back into zeros of the padded input's shape in ascending row, then column
+order. Depthwise convolutions accumulate taps in that order, starting from
+zeros, in both directions: each tap's input window (or output gradient)
+times its kernel row, tiled once per call across the output width so that
+every product runs over whole W*C rows. A replica's kernel gradient is one
+product per channel over its patch matrix. Float64 inputs are accepted
+everywhere and processed in float64, which the test oracles rely on;
+training always runs float32.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,34 +106,39 @@ def _conv_geometry(h, w, kh, kw, stride, padding):
     return ho, wo, pads
 
 
-def _conv_setup(x, kernel, stride, padding, depthwise, grad_out=None):
-    """Checks the arguments; returns the padded input, the output shape and
-    the input window each kernel tap (i, j) reads."""
-    if x.ndim != 5:
-        raise ValueError(f"conv input must be [N, b, H, W, C], got shape {x.shape}")
+def _conv_setup(x_shape, kernel, stride, padding, depthwise, grad_out=None):
+    """Checks the arguments; returns the output shape, the (top, bottom,
+    left, right) padding and the padded-input window each kernel tap (i, j)
+    reads."""
+    if len(x_shape) != 5:
+        raise ValueError(f"conv input must be [N, b, H, W, C], got shape {x_shape}")
     want = 3 if depthwise else 4
     if kernel.ndim != want:
         raise ValueError(f"conv kernel must have {want} dims, got {kernel.shape}")
-    if kernel.shape[2] != x.shape[4]:
+    if kernel.shape[2] != x_shape[4]:
         raise ValueError(
-            f"channel mismatch: input has {x.shape[4]} channels, "
+            f"channel mismatch: input has {x_shape[4]} channels, "
             f"kernel expects {kernel.shape[2]}"
         )
-    n, b, h, w, c = x.shape
+    n, b, h, w, c = x_shape
     kh, kw = kernel.shape[:2]
-    ho, wo, (pt, pb, pl, pr) = _conv_geometry(h, w, kh, kw, stride, padding)
+    ho, wo, pads = _conv_geometry(h, w, kh, kw, stride, padding)
     out_shape = (n, b, ho, wo, c if depthwise else kernel.shape[3])
     if grad_out is not None and grad_out.shape != out_shape:
         raise ValueError(
             f"grad_out shape {grad_out.shape} does not match forward "
             f"output {out_shape}"
         )
-    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr), (0, 0)))
     taps = [(i, j, (slice(None), slice(None),
                     slice(i, i + stride * (ho - 1) + 1, stride),
                     slice(j, j + stride * (wo - 1) + 1, stride)))
             for i in range(kh) for j in range(kw)]
-    return xp, out_shape, taps, (pt, pl)
+    return out_shape, pads, taps
+
+
+def _pad(x, pads):
+    pt, pb, pl, pr = pads
+    return np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr), (0, 0)))
 
 
 def _windows(xp, out_shape, kernel, stride):
@@ -142,50 +150,67 @@ def _windows(xp, out_shape, kernel, stride):
         (sn, sb, sh * stride, sw * stride, sh, sw, sc), writeable=False)
 
 
-def _unpad(grad_xp, x, corner):
-    pt, pl = corner
-    h, w = x.shape[2:4]
+def _unpad(grad_xp, x_shape, pads):
+    pt, _, pl, _ = pads
+    h, w = x_shape[2:4]
     return np.ascontiguousarray(grad_xp[:, :, pt : pt + h, pl : pl + w, :])
 
 
-def conv2d_forward(
+def im2col(
     x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: str = "same"
 ) -> np.ndarray:
-    """Cross-correlation of [N, b, H, W, Cin] input with a [kh, kw, Cin, Cout] kernel."""
-    xp, out_shape, _, _ = _conv_setup(x, kernel, stride, padding, False)
-    kh, kw, ci, co = kernel.shape
-    # im2col: each replica's windows copied once into a contiguous
-    # [b*Ho*Wo, kh*kw*Cin] patch matrix, then one GEMM per replica.
-    patches = _windows(xp, out_shape, kernel, stride).reshape(len(x), -1, kh * kw * ci)
-    return (patches @ kernel.reshape(-1, co)).reshape(out_shape)
+    """The patch matrix of a [N, b, H, W, Cin] input for a [kh, kw, Cin, Cout]
+    kernel: each output position's input window copied once, contiguous, as
+    [N, b, Ho, Wo, kh*kw*Cin]. conv2d_forward and conv2d_backward both read it."""
+    out_shape, pads, _ = _conv_setup(x.shape, kernel, stride, padding, False)
+    windows = _windows(_pad(x, pads), out_shape, kernel, stride)
+    return np.ascontiguousarray(windows).reshape(out_shape[:4] + (-1,))
+
+
+def _gemm_operands(patches, kernel):
+    """The [N, b*Ho*Wo, K] view of the patches and the [K, Cout] kernel matrix."""
+    if (kernel.ndim != 4 or patches.ndim != 5
+            or patches.shape[4] != math.prod(kernel.shape[:3])):
+        raise ValueError(f"patches of shape {patches.shape} do not fit "
+                         f"a kernel of shape {kernel.shape}")
+    k = kernel.reshape(-1, kernel.shape[3])
+    return patches.reshape(len(patches), -1, len(k)), k
+
+
+def conv2d_forward(patches: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Cross-correlation with a [kh, kw, Cin, Cout] kernel, given im2col's
+    patches of the input: one GEMM per replica, [N, b, Ho, Wo, Cout]."""
+    cols, k = _gemm_operands(patches, kernel)
+    return (cols @ k).reshape(patches.shape[:4] + kernel.shape[3:])
 
 
 def conv2d_backward(
-    x: np.ndarray,
+    patches: np.ndarray,
     kernel: np.ndarray,
     grad_out: np.ndarray,
+    x_shape: tuple[int, ...],
     stride: int = 1,
     padding: str = "same",
     input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    """Exact gradients of conv2d_forward w.r.t. the input (None when
-    input_grad is false) and, per replica, the kernel ([N, kh, kw, Cin, Cout])."""
-    xp, out_shape, taps, corner = _conv_setup(
-        x, kernel, stride, padding, False, grad_out)
-    n = len(x)
-    kh, kw, ci, co = kernel.shape
-    windows = _windows(xp, out_shape, kernel, stride)
-    gy = grad_out.reshape(n, -1, co)
-    grad_k = (windows.reshape(n, -1, kh * kw * ci).transpose(0, 2, 1) @ gy).reshape(
-        (n,) + kernel.shape)
+    """Exact gradients of conv2d_forward w.r.t. its [N, b, H, W, Cin] input of
+    shape x_shape (None when input_grad is false) and, per replica, the kernel
+    ([N, kh, kw, Cin, Cout]); patches are the forward's, from im2col."""
+    out_shape, pads, taps = _conv_setup(x_shape, kernel, stride, padding, False, grad_out)
+    cols, k = _gemm_operands(patches, kernel)
+    n = len(cols)
+    gy = grad_out.reshape(n, -1, k.shape[1])
+    grad_k = (cols.transpose(0, 2, 1) @ gy).reshape((n,) + kernel.shape)
     if not input_grad:
         return None, grad_k
     # col2im: the patch-matrix gradient, each tap added back into its window
-    grad_cols = (gy @ kernel.reshape(-1, co).T).reshape(windows.shape)
-    grad_xp = np.zeros_like(xp)
+    grad_cols = (gy @ k.T).reshape(out_shape[:4] + kernel.shape[:3])
+    _, b, h, w, c = x_shape
+    pt, pb, pl, pr = pads
+    grad_xp = np.zeros((n, b, pt + h + pb, pl + w + pr, c), dtype=patches.dtype)
     for i, j, win in taps:
         grad_xp[win] += grad_cols[:, :, :, :, i, j]
-    return _unpad(grad_xp, x, corner), grad_k
+    return _unpad(grad_xp, x_shape, pads), grad_k
 
 
 def _kernel_rows(kernel, width):
@@ -200,7 +225,8 @@ def depthwise_conv2d_forward(
     x: np.ndarray, kernel: np.ndarray, stride: int = 1, padding: str = "same"
 ) -> np.ndarray:
     """Per-channel convolution with a [kh, kw, C] kernel (multiplier 1)."""
-    xp, out_shape, taps, _ = _conv_setup(x, kernel, stride, padding, True)
+    out_shape, pads, taps = _conv_setup(x.shape, kernel, stride, padding, True)
+    xp = _pad(x, pads)
     out = np.zeros(out_shape, dtype=x.dtype)
     prod = np.empty(out_shape, dtype=np.result_type(x, kernel))
     for (_, _, win), row in zip(taps, _kernel_rows(kernel, out_shape[3])):
@@ -216,8 +242,8 @@ def depthwise_conv2d_backward(
     padding: str = "same",
     input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray]:
-    xp, out_shape, taps, corner = _conv_setup(
-        x, kernel, stride, padding, True, grad_out)
+    out_shape, pads, taps = _conv_setup(x.shape, kernel, stride, padding, True, grad_out)
+    xp = _pad(x, pads)
     n = len(x)
     kh, kw, c = kernel.shape
     # One product per (replica, channel): its [kh*kw, b*Ho*Wo] patch matrix
@@ -235,7 +261,7 @@ def depthwise_conv2d_backward(
     prod = np.empty(out_shape, dtype=np.result_type(grad_out, kernel))
     for (_, _, win), row in zip(taps, _kernel_rows(kernel, out_shape[3])):
         grad_xp[win] += np.multiply(grad_out, row, out=prod)
-    return _unpad(grad_xp, x, corner), grad_k
+    return _unpad(grad_xp, x.shape, pads), grad_k
 
 
 # ---------------------------------------------------------------------------

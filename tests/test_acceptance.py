@@ -264,7 +264,7 @@ def test_criterion_6_bf16():
     layers = [conv2d("c", 4, 3, stride=2, padding="same"), global_avg_pool("p")]
     engine = eval_forward(layers, [Parameter("c/kernel", k)], {}, xi[None], FP32_ONLY)
     bitwise_ok = (engine.tobytes() == nn.global_avg_pool_forward(
-        nn.conv2d_forward(xi[None], k, 2, "same")).tobytes())
+        nn.conv2d_forward(nn.im2col(xi[None], k, 2, "same"), k)).tobytes())
 
     report(6, roundtrip_ok and idem_ok and mono_ok and bitwise_ok,
            f"bf16: 2^16 round-trip {roundtrip_ok}, idempotent {idem_ok}, "

@@ -39,6 +39,41 @@ def test_load_idx_roundtrip(idx_pair):
     assert out_l.read_bytes() == lp.read_bytes()
 
 
+@pytest.mark.parametrize("pixels,labels,message", [
+    (0.0, [300, 1], "label 300 "),
+    (0.0, [-1, 1], "label -1 "),
+    (0.0, [1.5, 1], "label 1.5 "),
+    (300.7, [0, 1], "pixel 300.7 "),
+    (256.0, [0, 1], "pixel 256.0 "),
+    (-1.0, [0, 1], "pixel -1.0 "),
+    (3.5, [0, 1], "pixel 3.5 "),
+    (np.nan, [0, 1], "pixel nan "),
+])
+def test_write_idx_rejects_values_a_byte_cannot_hold(tmp_path, pixels, labels, message):
+    # A uint8 cast would wrap 300 to 44 and truncate 3.5 to 3.
+    ip, lp = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
+    with pytest.raises(ValueError, match=f"{message}is not a whole number in 0..255"):
+        write_idx(np.full((2, 2, 2, 1), pixels), np.array(labels), ip, lp)
+    assert not ip.exists() and not lp.exists()
+
+
+def test_write_idx_rejects_a_label_count_unlike_the_image_count(tmp_path):
+    # load_idx would reject the pair only when it is read back.
+    with pytest.raises(ValueError, match=r"2 images but labels of shape \(3,\)"):
+        write_idx(np.zeros((2, 2, 2, 1)), np.array([0, 1, 2]),
+                  tmp_path / "i.idx", tmp_path / "l.idx")
+
+
+def test_write_idx_takes_whole_floats_from_quantized_images(tmp_path):
+    ds = gen_synthetic(3, 4, 5, 4, 1, seed=2)
+    ip, lp = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
+    write_idx(np.rint(ds.images * 255.0), ds.labels, ip, lp)
+    back = load_idx(ip, lp)
+    np.testing.assert_array_equal(np.rint(back.images * np.float32(255.0)),
+                                  np.rint(ds.images * 255.0))
+    np.testing.assert_array_equal(back.labels, ds.labels)
+
+
 def test_load_idx_bad_image_magic(idx_pair):
     _, _, ip, lp = idx_pair
     raw = bytearray(ip.read_bytes())

@@ -1,5 +1,7 @@
 """Model pipeline, initialization, engine, and gradient-checker tests."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,33 @@ def test_engine_skips_only_the_model_input_gradient(monkeypatch):
         layers, params, ds.images.reshape(2, 4, 8, 8, 1), ds.labels.reshape(2, 4),
         assign_groups_1d(2, 2))
     assert calls == [("conv2d", True), ("depthwise_conv2d", True), ("conv2d", False)]
+
+
+def test_engine_frees_each_patch_matrix_once_its_layer_is_done(monkeypatch):
+    # b2: conv1, bn1, act1, conv2, bn2, act2, pool, fc. conv2's backward
+    # consumes its patch matrix before act1, the layer below, runs its own.
+    patches, alive = [], []
+
+    def im2col(*args, fn=model.nn.im2col, **kw):
+        out = fn(*args, **kw)
+        patches.append(weakref.ref(out))
+        return out
+
+    def swish_backward(*args, fn=model.nn.swish_backward):
+        alive.append([ref() is not None for ref in patches])
+        return fn(*args)
+
+    monkeypatch.setattr(model.nn, "im2col", im2col)
+    monkeypatch.setattr(model.nn, "swish_backward", swish_backward)
+    ds = gen_synthetic(10, 8, 8, 8, 1, seed=4)
+    layers = build_model("b2", 10)
+    params = init_params(layers, (8, 8, 1), seed=4)
+    distributed_forward_backward(
+        layers, params, ds.images.reshape(2, 4, 8, 8, 1), ds.labels.reshape(2, 4),
+        assign_groups_1d(2, 2))
+    # act2, then act1; patches of conv1, conv2
+    assert alive == [[True, True], [True, False]]
+    assert [ref() for ref in patches] == [None, None]
 
 
 def test_engine_makes_one_bn_all_reduce_per_layer_and_pass(monkeypatch):

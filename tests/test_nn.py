@@ -36,47 +36,60 @@ def max_rel(a, b, floor=1e-8):
 # conv2d
 
 
+def conv(x, k, stride=1, padding="same"):
+    """conv2d of an input: its patch matrix, then the GEMM."""
+    return nn.conv2d_forward(nn.im2col(x, k, stride, padding), k)
+
+
+def conv_backward(x, k, grad_out, stride=1, padding="same", input_grad=True):
+    return nn.conv2d_backward(nn.im2col(x, k, stride, padding), k, grad_out,
+                              x.shape, stride, padding, input_grad)
+
+
 def test_conv_1x1_identity_kernel():
     rng = np.random.default_rng(0)
     x = rng.random((1, 2, 5, 5, 3)).astype(np.float32)
     k = np.zeros((1, 1, 3, 3), np.float32)
     k[0, 0] = np.eye(3)
-    out = nn.conv2d_forward(x, k, 1, "valid")
+    out = conv(x, k, 1, "valid")
     assert np.array_equal(out, x)
 
 
 def test_conv_all_ones_single_window():
     x = np.ones((1, 1, 3, 3, 1), np.float32)
     k = np.ones((3, 3, 1, 1), np.float32)
-    out = nn.conv2d_forward(x, k, 1, "valid")
+    out = conv(x, k, 1, "valid")
     assert out.shape == (1, 1, 1, 1, 1)
     assert out.reshape(()) == np.float32(9.0)
 
 
 def test_conv_valid_output_shape():
-    out = nn.conv2d_forward(np.zeros((1, 1, 4, 4, 1), np.float32),
-                            np.zeros((3, 3, 1, 1), np.float32), 1, "valid")
+    out = conv(np.zeros((1, 1, 4, 4, 1), np.float32),
+               np.zeros((3, 3, 1, 1), np.float32), 1, "valid")
     assert out.shape == (1, 1, 2, 2, 1)
 
 
 def test_conv_channel_mismatch():
     with pytest.raises(ValueError, match="channel"):
-        nn.conv2d_forward(np.zeros((1, 1, 4, 4, 2), np.float32),
-                          np.zeros((3, 3, 1, 1), np.float32))
+        nn.im2col(np.zeros((1, 1, 4, 4, 2), np.float32),
+                  np.zeros((3, 3, 1, 1), np.float32))
+    patches = nn.im2col(np.zeros((1, 1, 4, 4, 2), np.float32),
+                        np.zeros((3, 3, 2, 1), np.float32))
+    with pytest.raises(ValueError, match="do not fit"):
+        nn.conv2d_forward(patches, np.zeros((1, 1, 2, 1), np.float32))
 
 
 def test_conv_zero_size_output():
     with pytest.raises(ValueError, match="zero-size"):
-        nn.conv2d_forward(np.zeros((1, 1, 2, 2, 1), np.float32),
-                          np.zeros((3, 3, 1, 1), np.float32), 1, "valid")
+        nn.im2col(np.zeros((1, 1, 2, 2, 1), np.float32),
+                  np.zeros((3, 3, 1, 1), np.float32), 1, "valid")
 
 
 def test_conv_backward_zero_grad_out():
     rng = np.random.default_rng(1)
     x = rng.random((1, 1, 4, 4, 2)).astype(np.float32)
     k = rng.random((3, 3, 2, 2)).astype(np.float32)
-    gx, gk = nn.conv2d_backward(x, k, np.zeros((1, 1, 2, 2, 2), np.float32),
-                                1, "valid")
+    gx, gk = conv_backward(x, k, np.zeros((1, 1, 2, 2, 2), np.float32), 1, "valid")
     assert not gx.any() and not gk.any()
 
 
@@ -85,15 +98,15 @@ def test_conv_backward_identity_kernel_passthrough():
     x = rng.random((1, 2, 4, 4, 1)).astype(np.float32)
     k = np.ones((1, 1, 1, 1), np.float32)
     g = rng.random((1, 2, 4, 4, 1)).astype(np.float32)
-    gx, _ = nn.conv2d_backward(x, k, g, 1, "valid")
+    gx, _ = conv_backward(x, k, g, 1, "valid")
     assert np.array_equal(gx, g)
 
 
 def test_conv_backward_grad_out_shape_error():
     with pytest.raises(ValueError, match="grad_out"):
-        nn.conv2d_backward(np.zeros((1, 1, 4, 4, 1), np.float32),
-                           np.zeros((3, 3, 1, 1), np.float32),
-                           np.zeros((1, 1, 4, 4, 1), np.float32), 1, "valid")
+        conv_backward(np.zeros((1, 1, 4, 4, 1), np.float32),
+                      np.zeros((3, 3, 1, 1), np.float32),
+                      np.zeros((1, 1, 4, 4, 1), np.float32), 1, "valid")
 
 
 @pytest.mark.parametrize("stride,padding", [(1, "valid"), (1, "same"),
@@ -103,14 +116,14 @@ def test_conv_backward_matches_finite_differences(stride, padding):
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((1, 1, 3, 3, 1))
         k = rng.standard_normal((3, 3, 1, 2))
-        out_shape = nn.conv2d_forward(x, k, stride, padding).shape
+        out_shape = conv(x, k, stride, padding).shape
         w = rng.standard_normal(out_shape)
 
-        gx, (gk,) = nn.conv2d_backward(x, k, w, stride, padding)
-        num_gx = fd_grad(lambda v: float(
-            (nn.conv2d_forward(v, k, stride, padding) * w).sum()), x, eps=1e-3)
-        num_gk = fd_grad(lambda v: float(
-            (nn.conv2d_forward(x, v, stride, padding) * w).sum()), k, eps=1e-3)
+        gx, (gk,) = conv_backward(x, k, w, stride, padding)
+        num_gx = fd_grad(lambda v: float((conv(v, k, stride, padding) * w).sum()),
+                         x, eps=1e-3)
+        num_gk = fd_grad(lambda v: float((conv(x, v, stride, padding) * w).sum()),
+                         k, eps=1e-3)
         assert max_rel(gx, num_gx) < 1e-3, f"seed {seed}"
         assert max_rel(gk, num_gk) < 1e-3, f"seed {seed}"
 
@@ -150,8 +163,8 @@ def conv_case(depthwise, kernel_hw, stride, padding, seed, n=2, dtype=np.float64
     x = rng.standard_normal((n, 3, 5, 6, 3)).astype(dtype)
     channels = (3,) if depthwise else (3, 4)
     k = rng.standard_normal(tuple(kernel_hw) + channels).astype(dtype)
-    kind = "depthwise_conv2d" if depthwise else "conv2d"
-    fwd, bwd = getattr(nn, f"{kind}_forward"), getattr(nn, f"{kind}_backward")
+    fwd, bwd = ((nn.depthwise_conv2d_forward, nn.depthwise_conv2d_backward)
+                if depthwise else (conv, conv_backward))
     g = rng.standard_normal(fwd(x, k, stride, padding).shape).astype(dtype)
     return x, k, g, fwd, bwd
 
@@ -214,6 +227,60 @@ def test_depthwise_matches_per_tap_form_bitwise(kernel_hw, stride, padding):
     assert y.dtype == gx.dtype == np.float32
     assert y.tobytes() == y_ref.tobytes()
     assert gx.tobytes() == gx_ref.tobytes()
+
+
+def conv_from_windows(x, k, stride, padding, grad_out, input_grad):
+    """conv2d forward output and gradients with the patch matrix rebuilt from
+    a strided window view of the padded input in each direction."""
+    n, b, h, w, c = x.shape
+    kh, kw, ci, co = k.shape
+    ho, wo, (pt, pb, pl, pr) = nn._conv_geometry(h, w, kh, kw, stride, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr), (0, 0)))
+    sn, sb, sh, sw, sc = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (n, b, ho, wo, kh, kw, c), (sn, sb, sh * stride, sw * stride, sh, sw, sc),
+        writeable=False)
+    y = (windows.reshape(n, -1, kh * kw * ci) @ k.reshape(-1, co)).reshape(
+        grad_out.shape)
+    gy = grad_out.reshape(n, -1, co)
+    gk = (windows.reshape(n, -1, kh * kw * ci).transpose(0, 2, 1) @ gy).reshape(
+        (n,) + k.shape)
+    if not input_grad:
+        return y, None, gk
+    grad_cols = (gy @ k.reshape(-1, co).T).reshape(windows.shape)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i : i + stride * (ho - 1) + 1 : stride,
+                j : j + stride * (wo - 1) + 1 : stride] += grad_cols[:, :, :, :, i, j]
+    return y, np.ascontiguousarray(gxp[:, :, pt : pt + h, pl : pl + w]), gk
+
+
+@pytest.mark.parametrize("kernel_hw", [(3, 3), (1, 3)])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("cin", [1, 8])
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_conv_patch_matrix_matches_window_form_bitwise(
+        kernel_hw, stride, padding, cin, input_grad):
+    # One patch matrix from im2col feeds the forward GEMM and the kernel
+    # gradient GEMM: the same products on the same bytes as rebuilding it.
+    rng = np.random.default_rng(15)
+    x = rng.standard_normal((3, 2, 7, 6, cin)).astype(np.float32)
+    k = rng.standard_normal(kernel_hw + (cin, 4)).astype(np.float32)
+    x[0, 0, :2] = -0.0
+    k[0, 0, 0, 1] = -0.0
+    patches = nn.im2col(x, k, stride, padding)
+    y = nn.conv2d_forward(patches, k)
+    g = rng.standard_normal(y.shape).astype(np.float32)
+    g[1, :, 0] = -0.0
+    y_ref, gx_ref, gk_ref = conv_from_windows(x, k, stride, padding, g, input_grad)
+    gx, gk = nn.conv2d_backward(patches, k, g, x.shape, stride, padding, input_grad)
+    assert patches.flags.c_contiguous
+    assert y.dtype == gk.dtype == np.float32
+    assert y.tobytes() == y_ref.tobytes()
+    assert gk.tobytes() == gk_ref.tobytes()
+    assert gx is None if gx_ref is None else gx.tobytes() == gx_ref.tobytes()
 
 
 @pytest.mark.parametrize("depthwise,kernel_hw,stride,padding", _CONV_CASES)
@@ -351,9 +418,9 @@ def test_ops_bit_deterministic_across_runs():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((2, 4, 8, 8, 3)).astype(np.float32)
     k = rng.standard_normal((3, 3, 3, 5)).astype(np.float32)
-    a = nn.conv2d_forward(x, k, 2, "same")
-    b = nn.conv2d_forward(x.copy(), k.copy(), 2, "same")
+    a = conv(x, k, 2, "same")
+    b = conv(x.copy(), k.copy(), 2, "same")
     assert a.tobytes() == b.tobytes()
-    ga, gka = nn.conv2d_backward(x, k, a, 2, "same")
-    gb, gkb = nn.conv2d_backward(x, k, a.copy(), 2, "same")
+    ga, gka = conv_backward(x, k, a, 2, "same")
+    gb, gkb = conv_backward(x, k, a.copy(), 2, "same")
     assert ga.tobytes() == gb.tobytes() and gka.tobytes() == gkb.tobytes()

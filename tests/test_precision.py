@@ -144,10 +144,12 @@ def test_fp32_policy_is_bitwise_identity():
     labels = np.array([0, 3])
     layers, params = conv_model(k, 2, "same")
     res = engine(layers, params, x, labels, FP32_ONLY)
-    y = nn.conv2d_forward(x[None], k, 2, "same")
+    patches = nn.im2col(x[None], k, 2, "same")
+    y = nn.conv2d_forward(patches, k)
     logits = nn.global_avg_pool_forward(y)
     (loss,), g = nn.softmax_xent(logits, labels[None])
-    _, gk = nn.conv2d_backward(x[None], k, nn.global_avg_pool_backward(y, g), 2, "same")
+    _, gk = nn.conv2d_backward(patches, k, nn.global_avg_pool_backward(y, g),
+                               x[None].shape, 2, "same")
     assert eval_forward(layers, params, {}, x[None]).tobytes() == logits.tobytes()
     assert res.losses == [float(loss)]
     assert res.grads[0].tobytes() == gk.tobytes()
@@ -196,7 +198,8 @@ def b5_step(policy):
 
 def test_mixed_backward_uses_rounded_operands(monkeypatch):
     # The engine rounds each operand once; the reference is the fp32 engine
-    # with every nn conv call rounding both operands, in forward and backward.
+    # with every nn conv call rounding both operands, in forward and backward;
+    # conv2d's first operand is the patch matrix, a copy of the input.
     got = b5_step(MIXED_BF16_CONV)
     assert got.losses != b5_step(FP32_ONLY).losses  # the rounding shows
     for name in ("conv2d_forward", "conv2d_backward",
