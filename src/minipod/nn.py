@@ -9,7 +9,8 @@ batch only, and the sum across replicas is left to the all-reduce.
 
 Every operation is a pure function and bit-deterministic, and no replica's
 values depend on N or on the other replicas' data. A convolution is an
-im2col copy and a GEMM: im2col copies each replica's input windows once into
+im2col gather and a GEMM: im2col zero-pads the input once and gathers each
+output position's window from it, one pixel of Cin channels at a time, into
 a contiguous patch matrix, [b*Ho*Wo, kh*kw*Cin] with taps in kernel (row,
 column, channel) order, and conv2d_forward runs one matrix product per
 replica over it, accumulating over K = kh*kw*Cin in BLAS's order, as dense
@@ -137,8 +138,12 @@ def _conv_setup(x_shape, kernel, stride, padding, depthwise, grad_out=None):
 
 
 def _pad(x, pads):
+    """A new zero array of the padded shape with x copied into its middle."""
     pt, pb, pl, pr = pads
-    return np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr), (0, 0)))
+    n, b, h, w, c = x.shape
+    xp = np.zeros((n, b, pt + h + pb, pl + w + pr, c), dtype=x.dtype)
+    xp[:, :, pt : pt + h, pl : pl + w] = x
+    return xp
 
 
 def _windows(xp, out_shape, kernel, stride):
@@ -161,10 +166,21 @@ def im2col(
 ) -> np.ndarray:
     """The patch matrix of a [N, b, H, W, Cin] input for a [kh, kw, Cin, Cout]
     kernel: each output position's input window copied once, contiguous, as
-    [N, b, Ho, Wo, kh*kw*Cin]. conv2d_forward and conv2d_backward both read it."""
+    [N, b, Ho, Wo, kh*kw*Cin]. conv2d_forward and conv2d_backward both read it.
+
+    One gather: every image's padded input is a row of Hp*Wp pixels of Cin
+    contiguous channels, and one index of Ho*Wo*kh*kw pixel offsets, in
+    (ho, wo, i, j) order, takes each window's pixels from it."""
     out_shape, pads, _ = _conv_setup(x.shape, kernel, stride, padding, False)
-    windows = _windows(_pad(x, pads), out_shape, kernel, stride)
-    return np.ascontiguousarray(windows).reshape(out_shape[:4] + (-1,))
+    xp = _pad(x, pads)
+    n, b, hp, wp, c = xp.shape
+    ho, wo = out_shape[2:4]
+    kh, kw = kernel.shape[:2]
+    rows = np.add.outer(np.arange(ho) * stride, np.arange(kh))  # [Ho, kh]
+    cols = np.add.outer(np.arange(wo) * stride, np.arange(kw))  # [Wo, kw]
+    index = rows[:, None, :, None] * wp + cols[None, :, None, :]
+    pixels = xp.reshape(n * b, hp * wp, c)
+    return np.take(pixels, index, axis=1).reshape(out_shape[:4] + (-1,))
 
 
 def _gemm_operands(patches, kernel):

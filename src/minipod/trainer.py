@@ -361,8 +361,7 @@ def build_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
         eval_kw = dict(SYNTHETIC_DEFAULTS)
         eval_kw["n"] = SYNTHETIC_EVAL_N
         evalset = gen_synthetic(seed=config.seed, noise_stream=1, **eval_kw)
-        return train, evalset
-    if spec.startswith("idx:"):
+    elif spec.startswith("idx:"):
         paths = spec[len("idx:"):].split(",")
         if len(paths) not in (2, 4):
             raise ValueError(
@@ -370,9 +369,7 @@ def build_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
                 "[,eval_images,eval_labels]"
             )
         train = load_idx(paths[0], paths[1])
-        if len(paths) == 2:
-            return train, train
-        evalset = load_idx(paths[2], paths[3])
+        evalset = train if len(paths) == 2 else load_idx(paths[2], paths[3])
         # The train split sets the class count; eval classes beyond it could
         # never be hits.
         if evalset.num_classes > train.num_classes:
@@ -380,8 +377,16 @@ def build_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
                 f"eval labels {paths[3]} reach class {evalset.num_classes - 1}, "
                 f"but train labels {paths[1]} have {train.num_classes} classes "
                 f"(0..{train.num_classes - 1})")
-        return train, evalset
-    raise ValueError(f"unknown dataset spec {spec!r}")
+    else:
+        raise ValueError(f"unknown dataset spec {spec!r}")
+    # Beyond one replica's share of the eval set, a larger eval batch only
+    # adds padding, and far beyond it more padding than memory holds.
+    share = math.ceil(len(evalset) / config.num_replicas)
+    if config.eval_batch is not None and config.eval_batch > share:
+        raise ValueError(
+            f"eval_batch {config.eval_batch} exceeds {share}, one replica's share "
+            f"of {len(evalset)} eval examples over {config.num_replicas} replicas")
+    return train, evalset
 
 
 def run(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState]:

@@ -414,8 +414,8 @@ def single_error(capsys) -> str:
     return err
 
 
-def idx_split(tmp_path, prefix, num_classes, seed):
-    ds = gen_synthetic(num_classes, 64, 8, 8, 1, seed=seed)
+def idx_split(tmp_path, prefix, num_classes, seed, n=64):
+    ds = gen_synthetic(num_classes, n, 8, 8, 1, seed=seed)
     images, labels = tmp_path / f"{prefix}i.idx", tmp_path / f"{prefix}l.idx"
     write_idx((ds.images * 255).round().astype(np.uint8), ds.labels, images, labels)
     return f"{images},{labels}"
@@ -447,6 +447,32 @@ def test_cli_eval_sizes_the_model_from_the_train_split(tmp_path, capsys):
                  "--weights-out", str(weights)]) == 0
     assert main(["eval", "--weights", str(weights), "--config", str(cfg)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_cli_rejects_eval_batch_beyond_one_replicas_share(tmp_path, capsys):
+    # 16 eval examples over 2 replicas: a share of 8 each.
+    spec = f"{idx_split(tmp_path, 't', 10, 0)},{idx_split(tmp_path, 'e', 10, 1, n=16)}"
+    text = (f"model = toy_cnn\ndataset = idx:{spec}\noptimizer = rmsprop\n"
+            "lr_per_256 = 0.05\nnum_replicas = 2\nglobal_batch = 64\n"
+            "total_epochs = 1\n")
+    weights = tmp_path / "w.npz"
+    # The default eval batch, the per-core batch of 32, is never rejected.
+    assert main(["train", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(tmp_path / "m.csv"), "--weights-out", str(weights)]) == 0
+    for eval_batch, code in ((8, 0), (9, 2), (1000000000, 2)):
+        cfg = write_config(tmp_path, text + f"eval_batch = {eval_batch}\n")
+        capsys.readouterr()
+        assert main(["eval", "--weights", str(weights), "--config", str(cfg)]) == code
+        if code == 0:
+            assert capsys.readouterr().err == ""
+            continue
+        message = (f"eval_batch {eval_batch} exceeds 8, one replica's share "
+                   "of 16 eval examples over 2 replicas")
+        assert message in single_error(capsys)
+        out = tmp_path / f"m{eval_batch}.csv"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in single_error(capsys)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("row, reason", [

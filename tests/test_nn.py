@@ -283,6 +283,53 @@ def test_conv_patch_matrix_matches_window_form_bitwise(
     assert gx is None if gx_ref is None else gx.tobytes() == gx_ref.tobytes()
 
 
+def im2col_window_copy(x, k, stride, padding):
+    """The patch matrix as a contiguous copy of the strided window view of
+    the np.pad-ded input."""
+    h, w = x.shape[2:4]
+    ho, wo, (pt, pb, pl, pr) = nn._conv_geometry(h, w, *k.shape[:2], stride, padding)
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr), (0, 0)))
+    out_shape = x.shape[:2] + (ho, wo)
+    return np.ascontiguousarray(nn._windows(xp, out_shape, k, stride)).reshape(
+        out_shape + (-1,))
+
+
+# Under "same" a 5x5 kernel is larger than the 4x6 input; under "valid" it
+# has no output row.
+@pytest.mark.parametrize("kernel_hw,padding", [
+    (hw, p) for hw in [(3, 3), (1, 3), (3, 1), (5, 5)] for p in ["same", "valid"]
+    if (hw, p) != ((5, 5), "valid")])
+@pytest.mark.parametrize("stride", [1, 2, 3])
+def test_im2col_gather_matches_window_copy_bitwise(kernel_hw, padding, stride):
+    rng = np.random.default_rng(16)
+    for dtype in (np.float32, np.float64):
+        for cin in (1, 3, 8):
+            x = rng.standard_normal((2, 3, 4, 6, cin)).astype(dtype)
+            x[0, 0, :2] = -0.0
+            x[1, 2, :, 3:] = -0.0
+            k = np.zeros(kernel_hw + (cin, 2), dtype)
+            patches = nn.im2col(x, k, stride, padding)
+            ref = im2col_window_copy(x, k, stride, padding)
+            assert patches.dtype == dtype and patches.shape == ref.shape
+            assert patches.tobytes() == ref.tobytes()
+            assert patches.flags.c_contiguous
+            assert not np.shares_memory(patches, x)
+
+
+@pytest.mark.parametrize("pads", [(0, 0, 0, 0), (1, 1, 1, 1), (0, 2, 1, 0), (2, 3, 0, 1)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pad_matches_np_pad_bitwise(pads, dtype):
+    rng = np.random.default_rng(17)
+    x = rng.standard_normal((2, 3, 4, 5, 3)).astype(dtype)
+    x[0, 1, 1:3] = -0.0
+    pt, pb, pl, pr = pads
+    ref = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr), (0, 0)))
+    xp = nn._pad(x, pads)
+    assert xp.dtype == dtype and xp.shape == ref.shape
+    assert xp.tobytes() == ref.tobytes()
+    assert not np.shares_memory(xp, x)
+
+
 @pytest.mark.parametrize("depthwise,kernel_hw,stride,padding", _CONV_CASES)
 def test_conv_kernel_grad_alone_and_stacked_replicas_bitwise(
         depthwise, kernel_hw, stride, padding):
