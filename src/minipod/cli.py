@@ -93,7 +93,7 @@ def _cmd_eval(args) -> int:
         args.weights, layers, eval_ds.images.shape[1:])
     top1 = trainer.distributed_eval(
         layers, params, bn_moving, eval_ds, config.num_replicas,
-        config.per_core_eval_batch, config.policy, config.bn_eps)
+        config.eval_batch_for(len(eval_ds)), config.policy, config.bn_eps)
     print(f"top1 {top1:.6f} over {len(eval_ds)} examples "
           f"on {config.num_replicas} replicas")
     return 0

@@ -14,7 +14,8 @@ parameters, optimizer slots and BN moving statistics.
 Evaluation shards a padded eval set across all replicas, one stacked round
 of num_replicas * eval_batch examples per forward call, and all-reduces
 integer counts of hits among the real examples, so the result is exact and
-independent of the replica count.
+independent of the replica count. The eval batch is the per-core batch,
+capped at one replica's share of the eval set (TrainConfig.eval_batch_for).
 
 Records carry modeled timing from the cost model; elapsed_s is cumulative
 *modeled* seconds so that metric streams are bitwise reproducible (wall clock
@@ -58,6 +59,9 @@ from .rng import stream
 
 SYNTHETIC_DEFAULTS = dict(num_classes=10, n=8192, height=16, width=16, channels=1)
 SYNTHETIC_EVAL_N = 2048
+# 64x the paper's largest pod (1,024 replicas); far beyond it, the replica
+# arrays of the BN groups alone would not fit in memory.
+MAX_REPLICAS = 65536
 
 
 class NonFiniteLossError(RuntimeError):
@@ -76,8 +80,6 @@ class TrainConfig:
     global_batch: int = 64
     bn_group_size: int = 1
     bn_grouping: str = "1d"
-    grid_rows: int | None = None
-    grid_cols: int | None = None
     tile_rows: int | None = None
     tile_cols: int | None = None
     bn_momentum: float = distbn.DEFAULT_MOMENTUM
@@ -98,7 +100,6 @@ class TrainConfig:
     precision: str = "fp32"
     total_epochs: float = 350.0
     eval_every_epochs: float = 1.0
-    eval_batch: int | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -109,14 +110,20 @@ class TrainConfig:
         here, before any data is read. They are plain attributes, not fields,
         so the config keys, equality and serialization stay the fields' own.
         """
-        if self.num_replicas < 1:
-            raise ValueError("num_replicas must be >= 1")
+        if not 1 <= self.num_replicas <= MAX_REPLICAS:
+            raise ValueError(
+                f"num_replicas must lie in [1, {MAX_REPLICAS}], got {self.num_replicas}")
         if self.global_batch < 1 or self.global_batch % self.num_replicas != 0:
             raise ValueError(
                 f"global_batch {self.global_batch} must be a positive multiple "
                 f"of num_replicas {self.num_replicas}"
             )
         if self.bn_grouping == "1d":
+            tiled = [k for k in ("tile_rows", "tile_cols") if getattr(self, k) is not None]
+            if tiled:
+                raise ValueError(
+                    f"{' and '.join(tiled)} given, but only bn_grouping = 2d "
+                    "reads a tile; 1d groups are blocks of bn_group_size")
             self.bn_groups = assign_groups_1d(self.num_replicas, self.bn_group_size)
         elif self.bn_grouping == "2d":
             if self.tile_rows is None or self.tile_cols is None:
@@ -127,11 +134,9 @@ class TrainConfig:
                     f"bn_group_size {self.bn_group_size} contradicts the "
                     f"{self.tile_rows}x{self.tile_cols} tile ({tile_area} replicas)"
                 )
-            if (self.grid_rows is None) != (self.grid_cols is None):
-                raise ValueError("grid_rows and grid_cols must be given together")
-            grid = None if self.grid_rows is None else (self.grid_rows, self.grid_cols)
+            # Tiles of the most-square replica grid.
             self.bn_groups = assign_groups_2d(
-                self.num_replicas, (self.tile_rows, self.tile_cols), grid)
+                self.num_replicas, (self.tile_rows, self.tile_cols))
         else:
             raise ValueError(f"bn_grouping must be 1d or 2d, got {self.bn_grouping!r}")
         if not 0.0 <= self.bn_momentum <= 1.0:
@@ -148,8 +153,6 @@ class TrainConfig:
                 f"total_epochs must be a finite number >= 0, got {self.total_epochs}")
         if not math.isfinite(self.warmup_epochs):
             raise ValueError(f"warmup_epochs must be finite, got {self.warmup_epochs}")
-        if self.eval_batch is not None and self.eval_batch < 1:
-            raise ValueError(f"eval_batch must be >= 1 when set, got {self.eval_batch}")
         # Both optimizers are built, so the other one's keys are checked too.
         optimizers = {
             "rmsprop": RmsPropConfig(
@@ -169,10 +172,12 @@ class TrainConfig:
     def per_core_batch(self) -> int:
         return self.global_batch // self.num_replicas
 
-    @property
-    def per_core_eval_batch(self) -> int:
-        """eval_batch, or the per-core training batch when it is unset."""
-        return self.per_core_batch if self.eval_batch is None else self.eval_batch
+    def eval_batch_for(self, n_eval: int) -> int:
+        """Per-replica eval batch for an eval set of n_eval examples: the
+        per-core batch, or one replica's share of the set if that is smaller.
+        Top-1 is an exact count at any eval batch; a larger one only adds
+        padding."""
+        return min(self.per_core_batch, math.ceil(n_eval / self.num_replicas))
 
     def schedule(self, steps_per_epoch: int) -> ScheduleSpec:
         # Both decays are built, so the other one's keys are checked too.
@@ -379,13 +384,6 @@ def build_datasets(config: TrainConfig) -> tuple[Dataset, Dataset]:
                 f"(0..{train.num_classes - 1})")
     else:
         raise ValueError(f"unknown dataset spec {spec!r}")
-    # Beyond one replica's share of the eval set, a larger eval batch only
-    # adds padding, and far beyond it more padding than memory holds.
-    share = math.ceil(len(evalset) / config.num_replicas)
-    if config.eval_batch is not None and config.eval_batch > share:
-        raise ValueError(
-            f"eval_batch {config.eval_batch} exceeds {share}, one replica's share "
-            f"of {len(evalset)} eval examples over {config.num_replicas} replicas")
     return train, evalset
 
 
@@ -412,12 +410,12 @@ def run(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState]:
     step_ms = perfmodel.step_time(config.per_core_batch, config.num_replicas, cost)
     ar_frac = perfmodel.allreduce_fraction(
         config.per_core_batch, config.num_replicas, cost)
+    eval_batch = config.eval_batch_for(len(eval_ds))
 
     def evaluate() -> float:
         return distributed_eval(
             state.layers, state.params, state.bn_moving, eval_ds,
-            config.num_replicas, config.per_core_eval_batch, config.policy,
-            config.bn_eps)
+            config.num_replicas, eval_batch, config.policy, config.bn_eps)
 
     records: list[MetricsRecord] = []
     total_steps = int(round(config.total_epochs * steps_per_epoch))

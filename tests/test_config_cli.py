@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -76,7 +77,7 @@ def test_parse_bad_value_type():
 def test_config_keys_are_train_config_fields():
     fields = {f.name for f in dataclasses.fields(TrainConfig)}
     assert set(config._KEY_TYPES) == fields | {"preset"}
-    assert config._KEY_TYPES["eval_batch"] is int  # `int | None` parses as int
+    assert config._KEY_TYPES["tile_rows"] is int  # `int | None` parses as int
 
 
 @pytest.mark.parametrize("line,key", [
@@ -105,7 +106,7 @@ _FLOAT_KEYS = [  # key, preset that reads it, quantity its error names
 ]
 
 
-@pytest.mark.parametrize("preset,line,pattern", [
+_BAD_VALUES = [  # preset, line, pattern of the error it raises
     # Keys the optimizer, the schedule or the BN grouping check as they are built.
     (_RMSPROP, "rmsprop_decay = 1.5", "rmsprop decay .* got 1.5$"),
     (_RMSPROP, "momentum = 1.0", "momentum .* got 1.0$"),
@@ -126,12 +127,13 @@ _FLOAT_KEYS = [  # key, preset that reads it, quantity its error names
     (_RMSPROP, "poly_power = -1", "polynomial power .* got -1.0$"),
     (_LARS, "rmsprop_decay = 1.5", "rmsprop decay .* got 1.5$"),
     (_LARS, "decay_rate = 7", "decay rate .* got 7.0$"),
-    (_RMSPROP, "bn_grouping = 2d\ntile_rows = 2\ntile_cols = 2\nbn_group_size = 4\n"
-               "grid_rows = 2", "grid_rows and grid_cols"),
     (_RMSPROP, "bn_grouping = 2d\ntile_rows = 3\ntile_cols = 1\nbn_group_size = 3",
      "tile 3x1 .* grid 2x4"),
 ] + [(preset, f"{key} = {value}", f"{quantity} .* got {value}$")
-     for key, preset, quantity in _FLOAT_KEYS for value in ("nan", "inf")])
+     for key, preset, quantity in _FLOAT_KEYS for value in ("nan", "inf")]
+
+
+@pytest.mark.parametrize("preset,line,pattern", _BAD_VALUES)
 def test_parse_rejects_bad_value_before_any_data(preset, line, pattern):
     with pytest.raises(ConfigError, match=pattern):
         parse_config(f"preset = {preset}\ndataset = synthetic\n{line}\n")
@@ -163,16 +165,12 @@ def test_cli_train_fractional_eval_every_epochs(tmp_path, capsys, every):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("line,key", [
-    ("eval_batch = 0", "eval_batch"),  # was silently replaced by the per-core batch
-    ("eval_batch = -4", "eval_batch"),
-    ("total_epochs = inf", "total_epochs"),
-])
-def test_cli_train_rejects_bad_eval_batch_and_total_epochs(tmp_path, capsys, line, key):
-    cfg = write_config(tmp_path, f"preset = toy-rmsprop-512\ndataset = synthetic\n{line}\n")
+def test_cli_train_rejects_infinite_total_epochs(tmp_path, capsys):
+    cfg = write_config(tmp_path, "preset = toy-rmsprop-512\ndataset = synthetic\n"
+                                 "total_epochs = inf\n")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and key in err
+    assert err.startswith("error: ") and "total_epochs" in err
     assert "Traceback" not in err
 
 
@@ -200,8 +198,8 @@ def test_parse_unknown_preset():
 def test_parse_2d_grouping_keys():
     cfg = parse_config(
         "preset = toy-rmsprop-512\ndataset = synthetic\nbn_grouping = 2d\n"
-        "bn_group_size = 4\n"
-        "grid_rows = 2\ngrid_cols = 4\ntile_rows = 1\ntile_cols = 4\n")
+        "bn_group_size = 4\ntile_rows = 1\ntile_cols = 4\n")
+    # Tiles of the most-square grid of 8 replicas, 2x4.
     assert cfg.bn_groups.tolist() == [[0, 1, 2, 3], [4, 5, 6, 7]]
 
 
@@ -214,8 +212,8 @@ def test_presets_roundtrip_serialize_parse():
 
 def test_custom_config_roundtrip():
     cfg = preset_config("toy-rmsprop-512", precision="mixed_bf16",
-                        bn_grouping="2d", bn_group_size=4, grid_rows=2,
-                        grid_cols=4, tile_rows=2, tile_cols=2, eval_batch=32)
+                        bn_grouping="2d", bn_group_size=4, tile_rows=2,
+                        tile_cols=2)
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -414,8 +412,8 @@ def single_error(capsys) -> str:
     return err
 
 
-def idx_split(tmp_path, prefix, num_classes, seed, n=64):
-    ds = gen_synthetic(num_classes, n, 8, 8, 1, seed=seed)
+def idx_split(tmp_path, prefix, num_classes, seed):
+    ds = gen_synthetic(num_classes, 64, 8, 8, 1, seed=seed)
     images, labels = tmp_path / f"{prefix}i.idx", tmp_path / f"{prefix}l.idx"
     write_idx((ds.images * 255).round().astype(np.uint8), ds.labels, images, labels)
     return f"{images},{labels}"
@@ -447,32 +445,6 @@ def test_cli_eval_sizes_the_model_from_the_train_split(tmp_path, capsys):
                  "--weights-out", str(weights)]) == 0
     assert main(["eval", "--weights", str(weights), "--config", str(cfg)]) == 0
     assert capsys.readouterr().err == ""
-
-
-def test_cli_rejects_eval_batch_beyond_one_replicas_share(tmp_path, capsys):
-    # 16 eval examples over 2 replicas: a share of 8 each.
-    spec = f"{idx_split(tmp_path, 't', 10, 0)},{idx_split(tmp_path, 'e', 10, 1, n=16)}"
-    text = (f"model = toy_cnn\ndataset = idx:{spec}\noptimizer = rmsprop\n"
-            "lr_per_256 = 0.05\nnum_replicas = 2\nglobal_batch = 64\n"
-            "total_epochs = 1\n")
-    weights = tmp_path / "w.npz"
-    # The default eval batch, the per-core batch of 32, is never rejected.
-    assert main(["train", "--config", str(write_config(tmp_path, text)),
-                 "--out", str(tmp_path / "m.csv"), "--weights-out", str(weights)]) == 0
-    for eval_batch, code in ((8, 0), (9, 2), (1000000000, 2)):
-        cfg = write_config(tmp_path, text + f"eval_batch = {eval_batch}\n")
-        capsys.readouterr()
-        assert main(["eval", "--weights", str(weights), "--config", str(cfg)]) == code
-        if code == 0:
-            assert capsys.readouterr().err == ""
-            continue
-        message = (f"eval_batch {eval_batch} exceeds 8, one replica's share "
-                   "of 16 eval examples over 2 replicas")
-        assert message in single_error(capsys)
-        out = tmp_path / f"m{eval_batch}.csv"
-        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
-        assert message in single_error(capsys)
-        assert not out.exists()
 
 
 @pytest.mark.parametrize("row, reason", [
@@ -513,3 +485,147 @@ def test_cli_train_checks_output_directories_before_training(
     assert main(argv) == 2
     assert f"{flag} {tmp_path}/nodir/a: directory {tmp_path}/nodir does not exist" in (
         single_error(capsys))
+
+
+# ---------------------------------------------------------------------------
+# every bad input as one table: through cli.main, no exception escapes, the
+# documented exit code, and exactly one `error:` line (none on success)
+
+
+def _train(text):
+    """argv of `train` on a config of `text`; the config is written per case."""
+    def argv(tmp_path):
+        return ["train", "--config", str(write_config(tmp_path, text)),
+                "--out", str(tmp_path / "m.csv")]
+    return argv
+
+
+def _toy(lines):
+    return _train(f"preset = toy-rmsprop-512\ndataset = synthetic\n{lines}\n")
+
+
+def _idx_header_beyond_file(tmp_path):
+    images = tmp_path / "i.idx"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, 2**31, 16, 16) + bytes(256))
+    return _train(f"preset = toy-rmsprop-512\ndataset = idx:{images},{images}\n")(tmp_path)
+
+
+def _bench(row):
+    def argv(tmp_path):
+        table = tmp_path / "rows.csv"
+        table.write_text("model,cores,global_batch,throughput,allreduce_pct\n"
+                         f"{row}\nb2,256,8192,113.73,2.6\n")
+        return ["bench", "--table", str(table)]
+    return argv
+
+
+def _eval_classes_beyond_train(tmp_path):
+    return _train(idx_config(tmp_path, 8, 10).read_text())(tmp_path)
+
+
+def _eval_of_10_class_weights_on_8_class_split(tmp_path):
+    cfg = idx_config(tmp_path, train_classes=10, eval_classes=8)
+    weights = tmp_path / "w.npz"
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.csv"),
+                 "--weights-out", str(weights)]) == 0
+    return ["eval", "--weights", str(weights), "--config", str(cfg)]
+
+
+def _eval_weights_of_another_model(tmp_path):
+    argv = _eval_of_10_class_weights_on_8_class_split(tmp_path)
+    cfg = (tmp_path / "exp.cfg").read_text().replace("toy_cnn", "b2")
+    b2 = write_config(tmp_path, cfg)
+    return argv[:-1] + [str(b2)]
+
+
+def _eval_weights_not_npz(tmp_path):
+    weights = tmp_path / "w.npz"
+    weights.write_text("not an archive\n")
+    return ["eval", "--weights", str(weights), "--config",
+            str(write_config(tmp_path, "preset = toy-rmsprop-512\ndataset = synthetic\n"))]
+
+
+def _out_in_missing_directory(flag):
+    def argv(tmp_path):
+        return _toy("")(tmp_path) + [flag, str(tmp_path / "nodir" / "a")]
+    return argv
+
+
+def _gradcheck(eps):
+    def argv(tmp_path):
+        return ["gradcheck", "--config", str(write_config(tmp_path, GRADCHECK_CONFIG)),
+                "--eps", eps]
+    return argv
+
+
+_TABLE = [  # argv builder, exit code, pattern of the error line
+    # ROADMAP item 2's table, one row each.
+    pytest.param(_idx_header_beyond_file, 2,
+                 "truncated file while reading 2147483648 images", id="idx-header"),
+    pytest.param(_toy("eval_batch = 1000000000"), 2, "unknown key 'eval_batch'",
+                 id="eval_batch-removed"),
+    pytest.param(_bench("b2,0,4096,57.57,2.1"), 2, "cores >= 1, got 0", id="bench-cores-0"),
+    pytest.param(_bench("b2,128,4096,nan,2.1"), 2, "finite throughput > 0",
+                 id="bench-throughput-nan"),
+    pytest.param(_eval_classes_beyond_train, 2, "el.idx reach class 9",
+                 id="eval-classes-beyond-train"),
+    pytest.param(_eval_of_10_class_weights_on_8_class_split, 0, None,
+                 id="eval-8-class-split"),
+    pytest.param(_out_in_missing_directory("--out"), 2, "directory .*/nodir does not exist",
+                 id="out-nodir"),
+    # Replica arrays beyond a stated size, and a tile 1d grouping would ignore.
+    pytest.param(_train("preset = toy-rmsprop-512\ndataset = synthetic\n"
+                        "num_replicas = 1000000000\nglobal_batch = 1000000000\n"),
+                 2, r"num_replicas must lie in \[1, 65536\], got 1000000000",
+                 id="num_replicas-1e9"),
+    pytest.param(_toy("tile_rows = 2\ntile_cols = 2"), 2,
+                 "tile_rows and tile_cols given, but only bn_grouping = 2d", id="tile-1d"),
+    pytest.param(_toy("tile_cols = 4"), 2, "^error: tile_cols given", id="tile_cols-1d"),
+    # Keys this release removed, and the other bad-config cases.
+    pytest.param(_toy("grid_rows = 2\ngrid_cols = 4"), 2, "unknown key 'grid_rows'",
+                 id="grid-removed"),
+    pytest.param(_train("nonsense = 1\n"), 2, "unknown key 'nonsense'", id="unknown-key"),
+    pytest.param(_train("seed = 1\nseed = 2\n"), 2, "duplicate key 'seed'", id="duplicate"),
+    pytest.param(_train("num_replicas = eight\n"), 2, "cannot parse 'eight' as int",
+                 id="bad-int"),
+    pytest.param(_train(""), 2, "required keys missing", id="empty"),
+    pytest.param(_train("preset = toy-rmsprop-512\n"), 2, "required keys missing: dataset",
+                 id="no-dataset"),
+    pytest.param(_train("preset = b9-sgd-1\ndataset = synthetic\n"), 2, "unknown preset",
+                 id="unknown-preset"),
+    pytest.param(_toy("bn_group_size = 3"), 2, "divide", id="group-size"),
+    pytest.param(_toy("eval_every_epochs = 1.5"), 2, "eval_every_epochs", id="eval-every"),
+    pytest.param(_toy("total_epochs = inf"), 2, "total_epochs", id="total-epochs-inf"),
+    pytest.param(_toy("bn_momentum = nan"), 2, "bn_momentum", id="bn-momentum-nan"),
+    pytest.param(_out_in_missing_directory("--weights-out"), 2, "does not exist",
+                 id="weights-out-nodir"),
+    pytest.param(_eval_weights_of_another_model, 2, "conv2/kernel", id="eval-other-model"),
+    pytest.param(_eval_weights_not_npz, 2, "is not an npz archive", id="eval-not-npz"),
+    pytest.param(_bench("b2,128,4096,inf,2.1"), 2, "finite throughput > 0",
+                 id="bench-throughput-inf"),
+    pytest.param(lambda tmp_path: ["bench", "--table", str(tmp_path / "absent.csv")], 2,
+                 "No such file", id="bench-no-table"),
+    pytest.param(_gradcheck("nan"), 2, "grad_check eps must be finite", id="eps-nan"),
+    pytest.param(_gradcheck("abc"), 1, "invalid float value: 'abc'", id="eps-abc"),
+    pytest.param(lambda tmp_path: ["train", "--config", "x.cfg"], 1,
+                 "required: --out", id="no-out"),
+    pytest.param(lambda tmp_path: ["explode"], 1, "invalid choice", id="no-command"),
+] + [pytest.param(_train(f"preset = {preset}\ndataset = synthetic\n{line}\n"), 2, pattern,
+                  id=f"{preset}:{line}") for preset, line, pattern in _BAD_VALUES]
+
+
+@pytest.mark.parametrize("build,code,pattern", _TABLE)
+def test_cli_bad_input_table(tmp_path, capsys, build, code, pattern):
+    argv = build(tmp_path)
+    capsys.readouterr()
+    try:
+        got = main(argv)
+    except (Exception, SystemExit) as e:  # main returns its exit codes
+        pytest.fail(f"{type(e).__name__} escaped cli.main: {e}")
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error: " in line]
+    assert got == code, err
+    assert len(errors) == (code != 0), err
+    assert "Traceback" not in err
+    if pattern is not None:
+        assert re.search(pattern, errors[0]), err

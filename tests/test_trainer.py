@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from minipod.data import Dataset, gen_synthetic
+from minipod import trainer
+from minipod.data import Dataset, gen_synthetic, write_idx
 from minipod.model import MODELS, build_model, infer_shapes, init_bn_moving, init_params
 from minipod.optim import lr_at
 from minipod.trainer import (
@@ -202,6 +203,43 @@ def test_distributed_eval_single_replica_plain():
     assert distributed_eval(layers, params, moving, ds, 1, 3) == 1.0
 
 
+@pytest.mark.parametrize("replicas,global_batch,n_eval,eval_batch", [
+    (1024, 65536, 2048, 2),  # one round of exactly 2,048: no padding
+    (8, 512, 2048, 64),  # train-8x64-fp32: the per-core batch, below a share of 256
+    (64, 512, 2000, 8),  # train-64x8-bf16: the per-core batch, below a share of 32
+    (16, 256, 64, 4),  # a share of 4, below the per-core 16
+])
+def test_eval_batch_is_the_per_core_batch_capped_at_one_share(
+        replicas, global_batch, n_eval, eval_batch):
+    cfg = TrainConfig(num_replicas=replicas, global_batch=global_batch)
+    assert cfg.eval_batch_for(n_eval) == eval_batch
+
+
+def test_run_evaluates_at_one_replicas_share(tmp_path, monkeypatch):
+    # 64 eval examples over 16 replicas x 16: eval batch 4, one round, no
+    # padding, where the per-core batch of 16 would pad 64 examples to 256.
+    paths = []
+    for split, n in (("t", 256), ("e", 64)):
+        ds = gen_synthetic(10, n, 8, 8, 1, seed=len(paths))
+        images, labels = tmp_path / f"{split}i.idx", tmp_path / f"{split}l.idx"
+        write_idx((ds.images * 255).round().astype(np.uint8), ds.labels, images, labels)
+        paths += [str(images), str(labels)]
+    cfg = tiny_config(dataset="idx:" + ",".join(paths), num_replicas=16,
+                      global_batch=256, bn_group_size=16)
+    calls = []
+
+    def spy(*args):
+        calls.append(args[5])
+        return distributed_eval(*args)
+
+    monkeypatch.setattr(trainer, "distributed_eval", spy)
+    records, state = run(cfg)
+    assert calls == [4]
+    eval_ds = build_datasets(cfg)[1]
+    assert records[-1].eval_top1 == distributed_eval(
+        state.layers, state.params, state.bn_moving, eval_ds, 16, 16)
+
+
 # ---------------------------------------------------------------------------
 # run loop and metrics
 
@@ -330,21 +368,18 @@ def test_config_validation_errors():
         tiny_config(bn_grouping="2d")
     with pytest.raises(ValueError, match="contradicts"):
         tiny_config(num_replicas=8, global_batch=64, bn_grouping="2d",
-                    bn_group_size=8, grid_rows=2, grid_cols=4,
-                    tile_rows=2, tile_cols=2)
+                    bn_group_size=8, tile_rows=2, tile_cols=2)
 
 
 def test_config_2d_grouping_assignment():
     cfg = tiny_config(num_replicas=8, global_batch=64, bn_grouping="2d",
-                      bn_group_size=4, grid_rows=2, grid_cols=4,
-                      tile_rows=2, tile_cols=2)
+                      bn_group_size=4, tile_rows=2, tile_cols=2)
     assert cfg.bn_groups.tolist() == [[0, 1, 4, 5], [2, 3, 6, 7]]
 
 
 def test_run_with_2d_groups_and_mixed_precision():
     cfg = tiny_config(num_replicas=8, global_batch=256, bn_grouping="2d",
-                      bn_group_size=4, grid_rows=2, grid_cols=4,
-                      tile_rows=2, tile_cols=2,
+                      bn_group_size=4, tile_rows=2, tile_cols=2,
                       precision="mixed_bf16", total_epochs=0.5)
     records, _ = run(cfg)
     assert all(math.isfinite(r.train_loss) for r in records)
