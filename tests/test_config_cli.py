@@ -165,12 +165,16 @@ def test_cli_train_fractional_eval_every_epochs(tmp_path, capsys, every):
     assert "Traceback" not in err
 
 
-def test_cli_train_rejects_infinite_total_epochs(tmp_path, capsys):
-    cfg = write_config(tmp_path, "preset = toy-rmsprop-512\ndataset = synthetic\n"
-                                 "total_epochs = inf\n")
+@pytest.mark.parametrize("line,key", [
+    ("eval_batch = 0", "eval_batch"),  # the key is gone: rejected as unknown
+    ("eval_batch = -4", "eval_batch"),
+    ("total_epochs = inf", "total_epochs"),
+])
+def test_cli_train_rejects_bad_eval_batch_and_total_epochs(tmp_path, capsys, line, key):
+    cfg = write_config(tmp_path, f"preset = toy-rmsprop-512\ndataset = synthetic\n{line}\n")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "total_epochs" in err
+    assert err.startswith("error: ") and key in err
     assert "Traceback" not in err
 
 
@@ -412,8 +416,8 @@ def single_error(capsys) -> str:
     return err
 
 
-def idx_split(tmp_path, prefix, num_classes, seed):
-    ds = gen_synthetic(num_classes, 64, 8, 8, 1, seed=seed)
+def idx_split(tmp_path, prefix, num_classes, seed, n=64):
+    ds = gen_synthetic(num_classes, n, 8, 8, 1, seed=seed)
     images, labels = tmp_path / f"{prefix}i.idx", tmp_path / f"{prefix}l.idx"
     write_idx((ds.images * 255).round().astype(np.uint8), ds.labels, images, labels)
     return f"{images},{labels}"
@@ -445,6 +449,41 @@ def test_cli_eval_sizes_the_model_from_the_train_split(tmp_path, capsys):
                  "--weights-out", str(weights)]) == 0
     assert main(["eval", "--weights", str(weights), "--config", str(cfg)]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_cli_rejects_eval_batch_beyond_one_replicas_share(tmp_path, capsys, monkeypatch):
+    # 16 eval examples over 2 replicas: a share of 8 each.
+    spec = f"{idx_split(tmp_path, 't', 10, 0)},{idx_split(tmp_path, 'e', 10, 1, n=16)}"
+    text = (f"model = toy_cnn\ndataset = idx:{spec}\noptimizer = rmsprop\n"
+            "lr_per_256 = 0.05\nnum_replicas = 2\nglobal_batch = 64\n"
+            "total_epochs = 1\n")
+    weights = tmp_path / "w.npz"
+    assert main(["train", "--config", str(write_config(tmp_path, text)),
+                 "--out", str(tmp_path / "m.csv"), "--weights-out", str(weights)]) == 0
+    # The worked-out eval batch is one replica's share, not the per-core batch of 32.
+    eval_batches = []
+    distributed_eval = cli.trainer.distributed_eval
+
+    def recording(*args):
+        eval_batches.append(args[5])
+        return distributed_eval(*args)
+
+    monkeypatch.setattr(cli.trainer, "distributed_eval", recording)
+    capsys.readouterr()
+    assert main(["eval", "--weights", str(weights),
+                 "--config", str(write_config(tmp_path, text))]) == 0
+    assert eval_batches == [8]
+    assert capsys.readouterr().err == ""
+    # No config can ask for more: any eval_batch is an unknown key, before any step.
+    for eval_batch in (9, 1000000000):
+        cfg = write_config(tmp_path, text + f"eval_batch = {eval_batch}\n")
+        assert main(["eval", "--weights", str(weights), "--config", str(cfg)]) == 2
+        assert "unknown key 'eval_batch'" in single_error(capsys)
+        out = tmp_path / f"m{eval_batch}.csv"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "unknown key 'eval_batch'" in single_error(capsys)
+        assert not out.exists()
+    assert eval_batches == [8]
 
 
 @pytest.mark.parametrize("row, reason", [
