@@ -28,9 +28,20 @@ replica, [N, C], like every parameter gradient in :mod:`minipod.nn`: each
 replica holds its group's sum divided by S, so the all-replica sum of those
 shares is the sum over groups. Per-channel values are applied over wide rows,
 [N, b*H, W*C], with the [C] values tiled across W.
+
+Because only distbn maps replicas to groups, it also plans how the engine
+splits a step: plan_chunks cuts the [G, S] array into runs of consecutive
+whole groups that fit a byte budget, and gives each chunk its replicas (a
+slice when they form one ascending range, else an index array) and its
+groups renumbered from 0 within the chunk. A kernel call on a chunk then
+sees an N of the chunk's replicas and a G of its groups, so the engine makes
+one all-reduce per pass and chunk; each group still adds its members in
+ascending replica order, so its statistics keep their bytes.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +56,48 @@ def bn_batch_size(group_size: int, per_core_batch: int) -> int:
     return group_size * per_core_batch
 
 
+def _partition(groups, n):
+    """The [G, S] groups as an index array, checked to split 0..n-1."""
+    try:
+        idx = np.asarray(groups)
+    except ValueError:  # rows of unequal length
+        idx = np.empty(0)
+    if idx.ndim != 2 or not np.array_equal(np.sort(idx, axis=None), np.arange(n)):
+        raise ValueError(
+            f"BN groups {groups} must split replicas 0..{n - 1} into equal groups")
+    return idx.astype(np.intp, copy=False)
+
+
+class Chunk(NamedTuple):
+    """Consecutive whole groups that one engine walk computes together."""
+
+    replicas: slice | np.ndarray  # the chunk's replicas, ascending
+    groups: np.ndarray  # [g, S] its groups, numbered within `replicas`
+    rows: slice  # its rows of the [G, S] group array
+
+
+def plan_chunks(groups, n: int, replica_bytes: int, budget: int) -> list[Chunk]:
+    """Split the [G, S] groups of replicas 0..n-1 into chunks of consecutive
+    rows: as many whole groups as keep the chunk's replicas * replica_bytes
+    within budget, and at least one.
+
+    A chunk whose replicas form one ascending range indexes them by a slice
+    (no copy); any other by an index array.
+    """
+    idx = _partition(groups, n)
+    size = idx.shape[1] * max(replica_bytes, 1)
+    per_chunk = max(1, budget // size)
+    chunks = []
+    for g0 in range(0, len(idx), per_chunk):
+        rows = slice(g0, min(g0 + per_chunk, len(idx)))
+        members = np.sort(idx[rows], axis=None)
+        local = np.searchsorted(members, idx[rows])
+        if members[-1] - members[0] + 1 == len(members):
+            members = slice(int(members[0]), int(members[-1]) + 1)
+        chunks.append(Chunk(members, local, rows))
+    return chunks
+
+
 def _groups(x, groups):
     """Checks a stacked BN input and its [G, S] groups; returns the groups as
     an index array and each replica's group id."""
@@ -53,14 +106,7 @@ def _groups(x, groups):
     if x.shape[1] < 1:
         raise ValueError("BN batch must be non-empty")
     n = x.shape[0]
-    try:
-        idx = np.asarray(groups)
-    except ValueError:  # rows of unequal length
-        idx = np.empty(0)
-    if idx.ndim != 2 or not np.array_equal(np.sort(idx, axis=None), np.arange(n)):
-        raise ValueError(
-            f"BN groups {groups} must split replicas 0..{n - 1} into equal groups")
-    idx = idx.astype(np.intp, copy=False)
+    idx = _partition(groups, n)
     group_of = np.empty(n, dtype=np.intp)
     group_of[idx] = np.arange(len(idx))[:, None]
     return idx, group_of

@@ -1,4 +1,4 @@
-"""Model definitions, the layer-op table and the lockstep multi-replica engine.
+"""Model definitions, the layer-op table and the chunked multi-replica engine.
 
 A model is an ordered list of LayerSpec, each mapping activations to
 activations; the last one emits the logits. LAYER_OPS maps each layer kind to
@@ -7,13 +7,20 @@ backward; shape inference, initialization, training and evaluation all
 dispatch through it. The loss is no layer: the engine applies nn.softmax_xent
 to the logits and starts the backward walk from its gradient.
 
-The engine holds every replica's activations in one array with a leading
-replica axis, [N, b, ...], and walks the layers once: each layer makes one
-call that computes all replicas, so batch-normalization layers can share
-statistics across their replica groups (a [G, S] replica array that only
-distbn reads). Parameter gradients stay per replica, [N, *shape], for the
-trainer's all-reduce: the nn and distbn kernels return them that way (distbn
-splits BN's group-summed gamma/beta evenly across each group). The backward
+The engine walks the replicas in chunks of whole batch-normalization groups
+(distbn.plan_chunks over the [G, S] replica array that only distbn reads):
+as many consecutive groups as keep the chunk's largest layer output within
+CHUNK_BYTES, and at least one. Each chunk runs forward, loss and backward
+before the next starts, so one chunk's activations are live at a time.
+Within a chunk the engine is lockstep: it holds the chunk's activations in
+one array with a leading replica axis, [n, b, ...], and walks the layers
+once, each layer making one call that computes all of the chunk's replicas,
+so BN layers share statistics across each group. BN is the only layer that
+couples replicas, and only inside a group, so a replica's values do not
+depend on the chunking. Parameter gradients stay per replica, [N, *shape],
+for the trainer's all-reduce: the nn and distbn kernels return them that way
+(distbn splits BN's group-summed gamma/beta evenly across each group), and
+the engine writes each chunk's rows into them. The backward
 walk skips the input gradient of a conv layer that reads the model input.
 A conv2d layer saves the patch matrix its forward built with nn.im2col, and
 its backward computes both gradients from it; the walk drops each layer's
@@ -25,7 +32,7 @@ Evaluation is the same forward walk over stacked eval shards, with BN
 normalizing by the moving statistics.
 
 Under the mixed-precision policy the conv and depthwise entries round their
-operands to bfloat16: the shared kernel once per engine call and the stacked
+operands to bfloat16: the shared kernel once per chunk and the stacked
 input once per layer in forward, before im2col; backward reuses the rounded
 tensors.
 Entries look nn, distbn and precision functions up on their modules at call
@@ -34,6 +41,7 @@ time, so a wrapper installed on a module attribute sees every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -144,10 +152,10 @@ class _Pass:
     params: dict[str, Parameter]
     policy: precision.PrecisionPolicy
     bn_eps: float
-    groups: np.ndarray | None  # [G, S] BN replica groups; None: inference
+    groups: np.ndarray | None  # one chunk's [g, S] BN groups; None: inference
     bn_moving: dict[str, tuple[np.ndarray, np.ndarray]] | None = None  # inference
     input_layer: str | None = None  # name of the layer reading the model input
-    grads: dict[str, np.ndarray] = field(default_factory=dict)  # [N, *shape]
+    grads: dict[str, np.ndarray] = field(default_factory=dict)  # [n, *shape] per chunk
     bn_saved: dict[str, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
 
     def value(self, layer: LayerSpec, suffix: str) -> np.ndarray:
@@ -315,7 +323,7 @@ LAYER_OPS: dict[str, LayerOps] = {
 
 
 # ---------------------------------------------------------------------------
-# lockstep engine
+# the engine
 
 
 @dataclass
@@ -328,6 +336,18 @@ class EngineResult:
     def mean_loss(self) -> float:
         # Ascending-index sum: the scalar equivalent of an all-reduce mean.
         return sum(self.losses) / len(self.losses)
+
+
+# The largest layer output one chunk of the step may hold. A chunk's
+# activations then stay near cache size, whatever the replica count.
+CHUNK_BYTES = 512 * 1024
+
+
+def _fill(out, key, size, at, part):
+    # Writes one chunk's rows of a [size, ...] result, allocated on first use.
+    if key not in out:
+        out[key] = np.empty((size,) + part.shape[1:], part.dtype)
+    out[key][at] = part
 
 
 def distributed_forward_backward(
@@ -347,21 +367,44 @@ def distributed_forward_backward(
     `groups`, the [G, S] replica array. Returned gradients are per-replica
     local contributions, [N, *shape]: their all-reduce mean is the gradient
     of the mean per-replica softmax cross-entropy of the last layer's output.
+
+    The replicas are walked in chunks of whole groups (distbn.plan_chunks),
+    each holding at most CHUNK_BYTES in its largest layer output; every chunk
+    runs forward, loss and backward before the next starts.
     """
-    validate_model(layers)
-    run = _Pass({p.name: p for p in params}, policy, bn_eps, groups,
-                input_layer=layers[0].name)
-    acts, saved = x, []
+    largest = max(map(math.prod, infer_shapes(layers, x.shape[2:])))
+    n, by_name = len(x), {p.name: p for p in params}
+    out = {}  # [N, ...] losses and gradients, [G, C] BN statistics
+    for chunk in distbn.plan_chunks(groups, n, x.shape[1] * largest * x.dtype.itemsize,
+                                    CHUNK_BYTES):
+        run = _Pass(by_name, policy, bn_eps, chunk.groups, input_layer=layers[0].name)
+        losses = _walk(layers, run, x[chunk.replicas], labels[chunk.replicas],
+                       forward_only)
+        _fill(out, "losses", n, chunk.replicas, losses)
+        for name, g in run.grads.items():
+            _fill(out, name, n, chunk.replicas, g)
+        for name, (mean, var) in run.bn_saved.items():
+            _fill(out, (name, "mean"), len(groups), chunk.rows, mean)
+            _fill(out, (name, "var"), len(groups), chunk.rows, var)
+    bn_saved = {l.name: (out[l.name, "mean"], out[l.name, "var"])
+                for l in layers if (l.name, "mean") in out}
+    grads = None if forward_only else [out[p.name] for p in params]
+    return EngineResult([float(v) for v in out["losses"]], grads, bn_saved)
+
+
+def _walk(layers, run, x, labels, forward_only):
+    """Forward, loss and (unless forward_only) backward of one chunk, in
+    lockstep over its replicas; returns the per-replica losses and leaves
+    the gradients and BN statistics in `run`."""
+    saved = []
     for layer in layers:
-        acts, s = LAYER_OPS[layer.kind].forward(layer, run, acts)
+        x, s = LAYER_OPS[layer.kind].forward(layer, run, x)
         saved.append(s)
-    losses, grad = nn.softmax_xent(acts, labels)
-    losses = [float(v) for v in losses]
-    if forward_only:
-        return EngineResult(losses, None, run.bn_saved)
-    for layer in reversed(layers):  # each layer's saved tensors die as it is done
-        grad = LAYER_OPS[layer.kind].backward(layer, run, saved.pop(), grad)
-    return EngineResult(losses, [run.grads[p.name] for p in params], run.bn_saved)
+    losses, grad = nn.softmax_xent(x, labels)
+    if not forward_only:
+        for layer in reversed(layers):  # each layer's saved tensors die as it is done
+            grad = LAYER_OPS[layer.kind].backward(layer, run, saved.pop(), grad)
+    return losses
 
 
 def eval_forward(

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from minipod import distbn
+from minipod.collectives import assign_groups_1d, assign_groups_2d
 from minipod.distbn import (
     bn_batch_size,
     bn_inference,
     group_bn_backward,
     group_bn_forward,
+    plan_chunks,
     update_moving_stats,
 )
 
@@ -174,6 +176,43 @@ def test_shape_mismatch_and_empty_group():
         group_bn_forward(np.zeros((1, 0, 2, 2, 1), np.float32), [(0,)], gamma, beta, EPS)
     with pytest.raises(ValueError, match="grad_y"):
         group_bn_backward(x, np.ones((1, 1), np.float32), x[:2], [(0, 1, 2)], gamma)
+
+
+@pytest.mark.parametrize("groups", [
+    assign_groups_1d(12, 3), assign_groups_2d(16, (2, 2)), assign_groups_2d(64, (4, 8)),
+    [(3, 1), (0, 2)]], ids=["1d", "tiles-2x2", "tiles-4x8", "unordered"])
+@pytest.mark.parametrize("budget", [1, 100, 700, 10 ** 6])
+def test_plan_chunks_cover_the_group_rows_in_order(groups, budget):
+    idx = np.asarray(groups)
+    n, replica_bytes = idx.size, 50
+    chunks = plan_chunks(groups, n, replica_bytes, budget)
+    assert [c.rows.start for c in chunks] == [0] + [c.rows.stop for c in chunks[:-1]]
+    assert chunks[-1].rows.stop == len(idx)
+    for c in chunks:
+        rows = idx[c.rows]
+        members = np.arange(n)[c.replicas]
+        assert rows.size * replica_bytes <= budget or len(rows) == 1
+        assert np.array_equal(members, np.sort(rows, axis=None))
+        assert np.array_equal(members[c.groups], rows)
+        # a contiguous range is a slice, so the engine indexes it without a copy
+        contiguous = members[-1] - members[0] + 1 == len(members)
+        assert isinstance(c.replicas, slice) == contiguous
+
+
+def test_plan_chunks_of_2d_tiles():
+    # 2x2 tiles of a 4x4 grid are no range; 4x8 tiles of an 8x8 grid are.
+    assert [c.replicas.tolist() for c in plan_chunks(
+        assign_groups_2d(16, (2, 2)), 16, 1, 1)] == [
+        [0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]
+    assert [c.replicas for c in plan_chunks(
+        assign_groups_2d(64, (4, 8)), 64, 8 * 512 * 4, 512 * 1024)] == [
+        slice(0, 32), slice(32, 64)]
+
+
+def test_plan_chunks_rejects_groups_that_do_not_split_the_replicas():
+    for members in ([], [(0,), (1, 2)], [(0, 1, 1)], [(0, 1)], np.arange(3)):
+        with pytest.raises(ValueError, match="must split replicas 0..2 into equal groups"):
+            plan_chunks(members, 3, 1, 1)
 
 
 def test_gamma_and_beta_must_match_the_channels():

@@ -1,12 +1,13 @@
 """Model pipeline, initialization, engine, and gradient-checker tests."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from minipod import model
-from minipod.collectives import assign_groups_1d
+from minipod.collectives import assign_groups_1d, assign_groups_2d
 from minipod.data import gen_synthetic
 from minipod.precision import FP32_ONLY, MIXED_BF16_CONV
 from minipod.model import (
@@ -131,7 +132,7 @@ def test_engine_frees_each_patch_matrix_once_its_layer_is_done(monkeypatch):
 
 def test_engine_makes_one_bn_all_reduce_per_layer_and_pass(monkeypatch):
     # b5 has three BN layers: three forward and three backward reductions,
-    # each over all groups at once.
+    # each over all groups of a chunk at once. Its 4 replicas fit one chunk.
     shapes, reduce = [], model.distbn.all_reduce
 
     def counted(per_replica, op="sum"):
@@ -142,11 +143,83 @@ def test_engine_makes_one_bn_all_reduce_per_layer_and_pass(monkeypatch):
     ds = gen_synthetic(10, 16, 8, 8, 1, seed=5)
     layers = build_model("b5", 10)
     params = init_params(layers, (8, 8, 1), seed=5)
-    distributed_forward_backward(
-        layers, params, ds.images.reshape(4, 4, 8, 8, 1), ds.labels.reshape(4, 4),
-        assign_groups_1d(4, 2))
+
+    def step():
+        shapes.clear()
+        distributed_forward_backward(
+            layers, params, ds.images.reshape(4, 4, 8, 8, 1), ds.labels.reshape(4, 4),
+            assign_groups_1d(4, 2))
+        return shapes
+
     forward = [(2, 2, 2, 8), (2, 2, 2, 8), (2, 2, 2, 16)]  # [group size, G, 2, C]
-    assert shapes == forward + forward[::-1]
+    assert step() == forward + forward[::-1]
+    # A one-byte budget puts each group in a chunk of its own: one reduction
+    # per BN layer, pass and chunk, the chunks one after the other.
+    monkeypatch.setattr(model, "CHUNK_BYTES", 1)
+    forward = [(2, 1, 2, 8), (2, 1, 2, 8), (2, 1, 2, 16)]
+    assert step() == 2 * (forward + forward[::-1])
+
+
+@pytest.mark.parametrize("forward_only", [False, True], ids=["full", "forward_only"])
+@pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
+def test_engine_chunks_of_one_group_match_one_chunk_bitwise(monkeypatch, policy,
+                                                            forward_only):
+    # 2x2 tiles of a 4x4 grid: groups {0, 1, 4, 5}, {2, 3, 6, 7}, ... are no
+    # contiguous range, so each one-group chunk gathers its replicas.
+    ds = gen_synthetic(10, 32, 8, 8, 1, seed=13)
+    layers = build_model("b5", 10)
+    params = init_params(layers, (8, 8, 1), seed=13)
+    x, labels = ds.images.reshape(16, 2, 8, 8, 1), ds.labels.reshape(16, 2)
+    groups = assign_groups_2d(16, (2, 2))
+    plans, plan = [], model.distbn.plan_chunks
+
+    def recorded(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(model.distbn, "plan_chunks", recorded)
+
+    def step(budget):
+        monkeypatch.setattr(model, "CHUNK_BYTES", budget)
+        return distributed_forward_backward(layers, params, x, labels, groups,
+                                            policy=policy, forward_only=forward_only)
+
+    one, chunked = step(2 ** 40), step(1)
+    assert [len(p) for p in plans] == [1, 4]
+    assert [c.replicas.tolist() for c in plans[1]][0] == [0, 1, 4, 5]
+    assert np.array(chunked.losses).tobytes() == np.array(one.losses).tobytes()
+    if forward_only:
+        assert chunked.grads is one.grads is None
+    else:
+        for g_one, g_chunked in zip(one.grads, chunked.grads):
+            assert g_chunked.shape == g_one.shape
+            assert g_chunked.tobytes() == g_one.tobytes()
+    assert list(chunked.bn_saved) == list(one.bn_saved) == ["bn1", "bn2", "bn3"]
+    for name, stats in one.bn_saved.items():
+        for a, b in zip(stats, chunked.bn_saved[name]):
+            assert a.shape == b.shape == (4, a.shape[1])
+            assert a.tobytes() == b.tobytes()
+
+
+def test_engine_chunks_keep_the_step_peak_small(monkeypatch):
+    # toy_cnn on 64 replicas x 64 with groups of 8: a group's conv output is
+    # 1 MiB, so the default budget walks one group at a time.
+    ds = gen_synthetic(10, 64 * 64, 16, 16, 1, seed=14)
+    layers = build_model("toy_cnn", 10)
+    params = init_params(layers, (16, 16, 1), seed=14)
+    x, labels = ds.images.reshape(64, 64, 16, 16, 1), ds.labels.reshape(64, 64)
+    groups = assign_groups_1d(64, 8)
+
+    def peak(budget):
+        monkeypatch.setattr(model, "CHUNK_BYTES", budget)
+        tracemalloc.start()
+        try:
+            distributed_forward_backward(layers, params, x, labels, groups)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(model.CHUNK_BYTES) < peak(2 ** 40) / 4
 
 
 @pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)

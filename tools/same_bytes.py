@@ -4,14 +4,16 @@
     python3 tools/same_bytes.py BASE_REV
 
 Exports BASE_REV of this repository with ``git archive`` into a temporary
-directory, then trains five configs with ``minipod train`` on that tree and
+directory, then trains six configs with ``minipod train`` on that tree and
 on the working tree this script sits in: toy-rmsprop-512 at seed 1,
 toy-lars-2048 for 2 epochs, the b5 / 64-replica / bf16 config of the
 train-64x8-bf16 benchmark workload on the synthetic set, toy-rmsprop-512
 with the b2 model for 2 epochs, the one config whose fp32 step computes a
-conv layer's input gradient (b2's second conv), and toy-lars-2048 on 256
+conv layer's input gradient (b2's second conv), toy-lars-2048 on 256
 replicas x 16 for 2 epochs, whose eval set of 2,048 examples is smaller than
-one round of per-core batches (4,096). Each metrics CSV and
+one round of per-core batches (4,096), and b5 in bf16 on 16 replicas with
+2x2 BN tiles for 1 epoch, the one config whose step walks chunks of replicas
+that are not one contiguous range ({0, 1, 4, 5}, ...). Each metrics CSV and
 ``--weights-out`` archive is compared byte for byte. For each file it prints
 "identical", or the first differing CSV row and the largest relative
 difference per column (per array for the weights). Exit status: 0 when every
@@ -51,6 +53,10 @@ CONFIGS = {
     "lars-256x16": (
         "preset = toy-lars-2048\nnum_replicas = 256\nglobal_batch = 4096\n"
         "total_epochs = 2\ndataset = synthetic\n"),
+    "b5-16x128-tiles": (
+        "preset = toy-lars-2048\nmodel = b5\nnum_replicas = 16\nbn_grouping = 2d\n"
+        "tile_rows = 2\ntile_cols = 2\nbn_group_size = 4\nprecision = mixed_bf16\n"
+        "total_epochs = 1\ndataset = synthetic\n"),
 }
 OUTPUTS = ("metrics.csv", "weights.npz")
 
