@@ -31,12 +31,12 @@ shares is the sum over groups. Per-channel values are applied over wide rows,
 
 Because only distbn maps replicas to groups, it also plans how the engine
 splits a step: plan_chunks cuts the [G, S] array into runs of consecutive
-whole groups that fit a byte budget, and gives each chunk its replicas (a
-slice when they form one ascending range, else an index array) and its
-groups renumbered from 0 within the chunk. A kernel call on a chunk then
-sees an N of the chunk's replicas and a G of its groups, so the engine makes
-one all-reduce per pass and chunk; each group still adds its members in
-ascending replica order, so its statistics keep their bytes.
+whole groups that fit a byte budget, and gives each chunk its replicas as
+an ascending index array and its groups renumbered from 0 within the chunk.
+A kernel call on a chunk then sees an N of the chunk's replicas and a G of
+its groups, so the engine makes one all-reduce per pass and chunk; each
+group still adds its members in ascending replica order, so its statistics
+keep their bytes.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def _partition(groups, n):
 class Chunk(NamedTuple):
     """Consecutive whole groups that one engine walk computes together."""
 
-    replicas: slice | np.ndarray  # the chunk's replicas, ascending
+    replicas: np.ndarray  # the chunk's replicas, ascending
     groups: np.ndarray  # [g, S] its groups, numbered within `replicas`
     rows: slice  # its rows of the [G, S] group array
 
@@ -79,11 +79,7 @@ class Chunk(NamedTuple):
 def plan_chunks(groups, n: int, replica_bytes: int, budget: int) -> list[Chunk]:
     """Split the [G, S] groups of replicas 0..n-1 into chunks of consecutive
     rows: as many whole groups as keep the chunk's replicas * replica_bytes
-    within budget, and at least one.
-
-    A chunk whose replicas form one ascending range indexes them by a slice
-    (no copy); any other by an index array.
-    """
+    within budget, and at least one."""
     idx = _partition(groups, n)
     size = idx.shape[1] * max(replica_bytes, 1)
     per_chunk = max(1, budget // size)
@@ -91,10 +87,7 @@ def plan_chunks(groups, n: int, replica_bytes: int, budget: int) -> list[Chunk]:
     for g0 in range(0, len(idx), per_chunk):
         rows = slice(g0, min(g0 + per_chunk, len(idx)))
         members = np.sort(idx[rows], axis=None)
-        local = np.searchsorted(members, idx[rows])
-        if members[-1] - members[0] + 1 == len(members):
-            members = slice(int(members[0]), int(members[-1]) + 1)
-        chunks.append(Chunk(members, local, rows))
+        chunks.append(Chunk(members, np.searchsorted(members, idx[rows]), rows))
     return chunks
 
 

@@ -338,8 +338,10 @@ class EngineResult:
         return sum(self.losses) / len(self.losses)
 
 
-# The largest layer output one chunk of the step may hold. A chunk's
-# activations then stay near cache size, whatever the replica count.
+# The largest layer output one chunk of the step may hold, so a step's live
+# activations do not grow with the replica count. Packing small groups up to
+# this budget walks fewer, larger chunks than one group per chunk; CHANGES.md
+# has the budget sweeps that picked it.
 CHUNK_BYTES = 512 * 1024
 
 

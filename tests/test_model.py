@@ -165,7 +165,7 @@ def test_engine_makes_one_bn_all_reduce_per_layer_and_pass(monkeypatch):
 def test_engine_chunks_of_one_group_match_one_chunk_bitwise(monkeypatch, policy,
                                                             forward_only):
     # 2x2 tiles of a 4x4 grid: groups {0, 1, 4, 5}, {2, 3, 6, 7}, ... are no
-    # contiguous range, so each one-group chunk gathers its replicas.
+    # contiguous range of replicas.
     ds = gen_synthetic(10, 32, 8, 8, 1, seed=13)
     layers = build_model("b5", 10)
     params = init_params(layers, (8, 8, 1), seed=13)
