@@ -16,7 +16,7 @@ from minipod.model import (
     infer_shapes,
     init_params,
 )
-from minipod.collectives import assign_groups_1d
+from minipod.distbn import assign_groups_1d
 
 ds = gen_synthetic(num_classes=4, n=8, height=8, width=8, channels=1, seed=3)
 

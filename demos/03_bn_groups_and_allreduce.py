@@ -6,14 +6,14 @@ utilization.
 
 import numpy as np
 
-from minipod.collectives import (
-    all_reduce,
+from minipod.collectives import all_reduce
+from minipod.distbn import (
     assign_groups_1d,
     assign_groups_2d,
+    group_bn_forward,
     most_square_grid,
-    padded_batch_utilization,
 )
-from minipod.distbn import group_bn_forward
+from minipod.perfmodel import padded_batch_utilization
 
 print("1D contiguous groups, 8 replicas in groups of 4:")
 print(" ", assign_groups_1d(8, 4).tolist())

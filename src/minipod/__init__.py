@@ -6,12 +6,7 @@ convolution emulation, deterministic all-reduce, and an analytic ring
 all-reduce cost model for step timing.
 """
 
-from .collectives import (
-    all_reduce,
-    assign_groups_1d,
-    assign_groups_2d,
-    padded_batch_utilization,
-)
+from .collectives import all_reduce
 from .config import (
     PRESETS,
     ConfigError,
@@ -21,7 +16,8 @@ from .config import (
 )
 from .data import Dataset, gen_synthetic, load_idx, write_idx
 from .distbn import (
-    bn_batch_size,
+    assign_groups_1d,
+    assign_groups_2d,
     group_bn_backward,
     group_bn_forward,
     update_moving_stats,
@@ -54,6 +50,7 @@ from .perfmodel import (
     allreduce_fraction,
     allreduce_time,
     calibrate,
+    padded_batch_utilization,
     step_time,
     throughput,
 )

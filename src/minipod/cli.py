@@ -12,7 +12,6 @@ from pathlib import Path
 
 from . import perfmodel, trainer
 from .config import ConfigError, parse_config, presets_table
-from .distbn import bn_batch_size
 from .model import build_model, grad_check, init_params
 from .rng import stream
 
@@ -75,7 +74,7 @@ def _cmd_train(args) -> int:
     if args.weights_out:
         trainer.save_weights(state, args.weights_out)
     print(f"replicas {config.num_replicas}, global batch {config.global_batch}, "
-          f"bn batch {bn_batch_size(config.bn_groups.shape[1], config.per_core_batch)}")
+          f"bn batch {config.bn_groups.shape[1] * config.per_core_batch}")
     evals = [r.eval_top1 for r in records if r.eval_top1 is not None]
     if evals:
         peak, minutes = trainer.time_to_peak(records)
@@ -105,7 +104,7 @@ def _cmd_gradcheck(args) -> int:
     layers = build_model(config.model, train_ds.num_classes)
     # A small slice keeps the element-by-element perturbation affordable.
     rng = stream(config.seed, "gradcheck")
-    idx = rng.choice(len(train_ds), size=4, replace=False)
+    idx = rng.choice(len(train_ds), size=min(4, len(train_ds)), replace=False)
     x = train_ds.images[idx]
     labels = train_ds.labels[idx]
     params = init_params(layers, x.shape[1:], config.seed)
@@ -121,16 +120,25 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_bench(args) -> int:
     by_model: dict[str, list] = {}
     with open(args.table, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
+        reader = csv.reader(f)
+        header = next(reader, None)
         need = {"model", "cores", "global_batch", "throughput", "allreduce_pct"}
-        if reader.fieldnames is None or not need.issubset(reader.fieldnames):
+        if header is None or not need.issubset(header):
             raise ValueError(
-                f"bench table must have columns {sorted(need)}, "
-                f"got {reader.fieldnames}")
-        for row in reader:
+                f"bench table must have columns {sorted(need)}, got {header}")
+        for fields in reader:
+            if not fields:  # a blank line
+                continue
+            if len(fields) != len(header):
+                raise ValueError(
+                    f"bench table {args.table} line {reader.line_num} has "
+                    f"{len(fields)} fields, but its header has {len(header)}")
+            row = dict(zip(header, fields))
             by_model.setdefault(row["model"], []).append(
                 (int(row["cores"]), int(row["global_batch"]),
                  float(row["throughput"]), float(row["allreduce_pct"])))
+    if not by_model:
+        raise ValueError(f"bench table {args.table} has no rows")
 
     out_lines = ["model,per_image_compute_ms,link_bandwidth_bytes_per_ms,"
                  "per_hop_latency_ms,cores,global_batch,pred_throughput,"

@@ -69,6 +69,8 @@ def load_idx(images_path, labels_path) -> Dataset:
             )
         if rows < 1 or cols < 1:
             raise IdxFormatError(f"{images_path}: images of {rows}x{cols} pixels")
+        if n < 1:
+            raise IdxFormatError(f"{images_path}: holds no images")
         raw = _read_exact(f, n * rows * cols, images_path, f"{n} images")
     with open(labels_path, "rb") as f:
         magic, n_labels = struct.unpack(

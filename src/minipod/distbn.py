@@ -1,11 +1,16 @@
 """Batch normalization with statistics shared across a group of replicas.
 
-Activations arrive stacked, [N, b, H, W, C], together with the replica
-groups as a [G, S] int array: row g lists the S replicas of group g, and the
-rows partition 0..N-1. Mean and variance are computed per channel over every
-sample and spatial position of every replica in the group (population
-variance, divisor S*b*H*W), so a group spanning all replicas is numerically
-equivalent to single-device BN over the concatenated batch.
+Replicas are simulated workers indexed 0..N-1, laid out row-major on the
+most-square 2D grid. BN groups are one [G, S] int array: row g lists the S
+replicas of group g, and the rows partition 0..N-1. assign_groups_1d builds
+contiguous blocks of replica ids and assign_groups_2d rectangular tiles of
+the grid, each row in ascending order.
+
+Activations arrive stacked, [N, b, H, W, C], together with the groups. Mean
+and variance are computed per channel over every sample and spatial
+position of every replica in the group (population variance, divisor
+S*b*H*W), so a group spanning all replicas is numerically equivalent to
+single-device BN over the concatenated batch.
 
 Each pass makes one deterministic all-reduce from :mod:`minipod.collectives`,
 which reduces every group at once over the member axis, in ascending replica
@@ -41,6 +46,7 @@ keep their bytes.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -51,9 +57,39 @@ DEFAULT_MOMENTUM = 0.99
 DEFAULT_EPS = 1e-3
 
 
-def bn_batch_size(group_size: int, per_core_batch: int) -> int:
-    """Number of samples feeding one set of BN statistics."""
-    return group_size * per_core_batch
+def most_square_grid(n: int) -> tuple[int, int]:
+    """Most-square factorization r*c == n with r <= c."""
+    r = int(math.isqrt(n))
+    while n % r != 0:
+        r -= 1
+    return (r, n // r)
+
+
+def assign_groups_1d(num_replicas: int, group_size: int) -> np.ndarray:
+    """Contiguous blocks: group g holds replicas g*group_size .. (g+1)*group_size - 1."""
+    if group_size < 1 or num_replicas % group_size != 0:
+        raise ValueError(
+            f"group_size {group_size} must divide num_replicas {num_replicas}"
+        )
+    return np.arange(num_replicas).reshape(-1, group_size)
+
+
+def assign_groups_2d(num_replicas: int, tile: tuple[int, int]) -> np.ndarray:
+    """Group replicas by rectangular tiles of most_square_grid(num_replicas).
+
+    Tiles are numbered row-major, and each row of the result lists its
+    tile's replicas in ascending order. Intended for group sizes above 16,
+    where contiguous 1D blocks would span too far across the grid.
+    """
+    if num_replicas < 1:
+        raise ValueError(f"num_replicas must be >= 1, got {num_replicas}")
+    rows, cols = most_square_grid(num_replicas)
+    tr, tc = tile
+    if tr < 1 or tc < 1 or rows % tr != 0 or cols % tc != 0:
+        raise ValueError(f"tile {tr}x{tc} must evenly divide grid {rows}x{cols}")
+    # [tile row, row in tile, tile column, column in tile] -> [tile, member]
+    return (np.arange(num_replicas).reshape(rows // tr, tr, cols // tc, tc)
+            .transpose(0, 2, 1, 3).reshape(-1, tr * tc))
 
 
 def _partition(groups, n):

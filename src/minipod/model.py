@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import distbn, nn, precision
-from .collectives import all_reduce, assign_groups_1d
+from .collectives import all_reduce
 from .nn import Parameter
 from .rng import stream, truncated_normal
 
@@ -455,7 +455,7 @@ def grad_check(
     ]
     shards = np.asarray(x, dtype=np.float64).reshape(num_replicas, -1, *x.shape[1:])
     label_shards = np.asarray(labels).reshape(num_replicas, -1)
-    groups = assign_groups_1d(num_replicas, group_size or num_replicas)
+    groups = distbn.assign_groups_1d(num_replicas, group_size or num_replicas)
 
     def run(forward_only: bool) -> EngineResult:
         # A diverging pass is reported once, by the finiteness checks below.

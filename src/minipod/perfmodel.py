@@ -1,11 +1,11 @@
 """Analytic step-time model: per-core compute plus ring all-reduce.
 
-Compute is charged for the padded per-core batch (batch dims pad to a
-multiple of eight). Communication follows the standard two-phase ring
-all-reduce cost 2(N-1)/N * bytes/bandwidth + 2(N-1) * hop latency, fully
-serialized with compute. Calibration recovers the model constants from
-published (cores, batch, throughput, all-reduce%) rows by closed-form
-weighted least squares, so fits are deterministic.
+Compute is charged for the padded per-core batch: batch dims pad to a
+multiple of eight (padded_batch_utilization). Communication follows the
+standard two-phase ring all-reduce cost 2(N-1)/N * bytes/bandwidth +
+2(N-1) * hop latency, fully serialized with compute. Calibration recovers
+the model constants from published (cores, batch, throughput, all-reduce%)
+rows by closed-form weighted least squares, so fits are deterministic.
 """
 
 from __future__ import annotations
@@ -15,9 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collectives import padded_batch_utilization
-
 DEFAULT_PARAM_BYTES = 4 * 9_110_000  # fp32 gradient bytes of a ~9.1M-param model
+BATCH_PAD_MULTIPLE = 8
+
+
+def padded_batch_utilization(per_core_batch: int) -> tuple[int, float]:
+    """Padded batch (next multiple of eight) and the fraction of it that is real."""
+    if per_core_batch < 1:
+        raise ValueError(f"per-core batch must be >= 1, got {per_core_batch}")
+    padded = BATCH_PAD_MULTIPLE * math.ceil(per_core_batch / BATCH_PAD_MULTIPLE)
+    return padded, per_core_batch / padded
 
 
 @dataclass(frozen=True)
@@ -121,6 +128,10 @@ def calibrate(
                 f"row needs a finite throughput > 0 and an allreduce_pct in "
                 f"[0, 100), got ({thr}, {frac})")
         step = batch / thr
+        if not math.isfinite(step):
+            raise ValueError(
+                f"row ({n}, {batch}, {thr}, {frac}) has a step time "
+                f"global_batch / throughput of {step}, which is not finite")
         ar = step * frac / 100.0
         comp = step - ar
         padded, _ = padded_batch_utilization(batch // n)

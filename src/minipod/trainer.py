@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distbn, perfmodel
-from .collectives import all_reduce, assign_groups_1d, assign_groups_2d
+from .collectives import all_reduce
 from .data import Dataset, gen_synthetic, load_idx
 from .model import (
     LayerSpec,
@@ -124,7 +124,7 @@ class TrainConfig:
                 raise ValueError(
                     f"{' and '.join(tiled)} given, but only bn_grouping = 2d "
                     "reads a tile; 1d groups are blocks of bn_group_size")
-            self.bn_groups = assign_groups_1d(self.num_replicas, self.bn_group_size)
+            self.bn_groups = distbn.assign_groups_1d(self.num_replicas, self.bn_group_size)
         elif self.bn_grouping == "2d":
             if self.tile_rows is None or self.tile_cols is None:
                 raise ValueError("2d grouping requires tile_rows and tile_cols")
@@ -135,7 +135,7 @@ class TrainConfig:
                     f"{self.tile_rows}x{self.tile_cols} tile ({tile_area} replicas)"
                 )
             # Tiles of the most-square replica grid.
-            self.bn_groups = assign_groups_2d(
+            self.bn_groups = distbn.assign_groups_2d(
                 self.num_replicas, (self.tile_rows, self.tile_cols))
         else:
             raise ValueError(f"bn_grouping must be 1d or 2d, got {self.bn_grouping!r}")

@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from minipod import nn, perfmodel
-from minipod.collectives import assign_groups_2d
 from minipod.config import preset_config
 from minipod.data import gen_synthetic
-from minipod.distbn import group_bn_forward
+from minipod.distbn import assign_groups_2d, group_bn_forward
 from minipod.model import (
     build_model,
     conv2d,
@@ -128,7 +127,7 @@ def test_criterion_2_distributed_bn_oracle():
                      and m1.tobytes() == m_ref.tobytes()
                      and v1.tobytes() == v_ref.tobytes())
 
-    tiles = assign_groups_2d(16, (2, 2), grid=(4, 4))
+    tiles = assign_groups_2d(16, (2, 2))
     tiling_ok = tiles.tolist() == [
         [0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]
 

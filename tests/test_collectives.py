@@ -1,15 +1,12 @@
-"""Replica grids, BN group arrays, all-reduce, and batch padding tests."""
+"""Replica grids and BN group arrays (distbn), all-reduce (collectives), and
+batch padding (perfmodel) tests."""
 
 import numpy as np
 import pytest
 
-from minipod.collectives import (
-    all_reduce,
-    assign_groups_1d,
-    assign_groups_2d,
-    most_square_grid,
-    padded_batch_utilization,
-)
+from minipod.collectives import all_reduce
+from minipod.distbn import assign_groups_1d, assign_groups_2d, most_square_grid
+from minipod.perfmodel import padded_batch_utilization
 
 
 def test_topology_default_grid_most_square():
@@ -17,11 +14,6 @@ def test_topology_default_grid_most_square():
     assert most_square_grid(8) == (2, 4)
     assert most_square_grid(1024) == (32, 32)
     assert most_square_grid(7) == (1, 7)
-
-
-def test_topology_bad_grid():
-    with pytest.raises(ValueError, match="does not hold 8 replicas"):
-        assign_groups_2d(8, (1, 1), grid=(3, 3))
 
 
 @pytest.mark.parametrize("n,g,expected", [
@@ -39,18 +31,18 @@ def test_assign_groups_1d_non_divisor():
 
 
 def test_assign_groups_2d_tiling():
-    assert assign_groups_2d(16, (2, 2), grid=(4, 4)).tolist() == [
+    assert assign_groups_2d(16, (2, 2)).tolist() == [
         [0, 1, 4, 5], [2, 3, 6, 7], [8, 9, 12, 13], [10, 11, 14, 15]]
 
 
 def test_assign_groups_2d_degenerate_tiles():
-    assert assign_groups_2d(16, (4, 4), grid=(4, 4)).tolist() == [list(range(16))]
-    assert assign_groups_2d(16, (1, 1), grid=(4, 4)).tolist() == [[i] for i in range(16)]
+    assert assign_groups_2d(16, (4, 4)).tolist() == [list(range(16))]
+    assert assign_groups_2d(16, (1, 1)).tolist() == [[i] for i in range(16)]
 
 
 def test_assign_groups_2d_non_divisor_tile():
     with pytest.raises(ValueError, match="tile"):
-        assign_groups_2d(16, (3, 2), grid=(4, 4))
+        assign_groups_2d(16, (3, 2))
 
 
 @pytest.mark.parametrize("n,g", [(8, 2), (8, 8), (12, 4), (16, 1)])
@@ -62,7 +54,9 @@ def test_group_partition_invariants(n, g):
 
 @pytest.mark.parametrize("n,g", [(8, 2), (8, 4), (6, 3)])
 def test_2d_rowtile_on_flat_grid_equals_1d(n, g):
-    flat = assign_groups_2d(n, (1, g), grid=(1, n))
+    # 1 x g tiles of the default grid are contiguous blocks of g replicas
+    # whenever g divides its row length.
+    flat = assign_groups_2d(n, (1, g))
     assert flat.tolist() == assign_groups_1d(n, g).tolist()
 
 
@@ -72,13 +66,15 @@ def test_2d_rowtile_on_flat_grid_equals_1d(n, g):
 def test_assign_groups_2d_matches_loop_oracle(n, grid, tile):
     # Replica (r, c) of the row-major grid is in tile (r // tr, c // tc),
     # numbered row-major; each tile lists its members in ascending order.
+    # A given grid spells out most_square_grid(n), the one the tiles cut.
     rows, cols = grid or most_square_grid(n)
+    assert (rows, cols) == most_square_grid(n)
     tr, tc = tile
     want = [[] for _ in range(n // (tr * tc))]
     for rep in range(n):
         r, c = divmod(rep, cols)
         want[(r // tr) * (cols // tc) + c // tc].append(rep)
-    assert assign_groups_2d(n, tile, grid=grid).tolist() == want
+    assert assign_groups_2d(n, tile).tolist() == want
 
 
 def test_all_reduce_sum_hand_case():

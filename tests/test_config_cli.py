@@ -549,13 +549,17 @@ def _idx_header_beyond_file(tmp_path):
     return _train(f"preset = toy-rmsprop-512\ndataset = idx:{images},{images}\n")(tmp_path)
 
 
-def _bench(row):
+def _bench_table(text):
     def argv(tmp_path):
         table = tmp_path / "rows.csv"
-        table.write_text("model,cores,global_batch,throughput,allreduce_pct\n"
-                         f"{row}\nb2,256,8192,113.73,2.6\n")
+        table.write_text(text)
         return ["bench", "--table", str(table)]
     return argv
+
+
+def _bench(row):
+    return _bench_table("model,cores,global_batch,throughput,allreduce_pct\n"
+                        f"{row}\nb2,256,8192,113.73,2.6\n")
 
 
 def _eval_classes_beyond_train(tmp_path):
@@ -588,6 +592,42 @@ def _out_in_missing_directory(flag):
     def argv(tmp_path):
         return _toy("")(tmp_path) + [flag, str(tmp_path / "nodir" / "a")]
     return argv
+
+
+def _idx_of_zero_images(tmp_path):
+    images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
+    write_idx(np.zeros((0, 8, 8, 1), np.uint8), np.zeros(0, np.uint8), images, labels)
+    return _train(f"preset = toy-rmsprop-512\ndataset = idx:{images},{labels}\n")(tmp_path)
+
+
+def _eval_weights(edit):
+    """argv of `eval` on toy-rmsprop-512 weights as `edit` rewrites them: it
+    maps the saved arrays to an archive's arrays, or to one lone array."""
+    def argv(tmp_path):
+        cfg = write_config(tmp_path, "preset = toy-rmsprop-512\ndataset = synthetic\n"
+                                     "total_epochs = 0\n")
+        weights = tmp_path / "w.npz"
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "m.csv"),
+                     "--weights-out", str(weights)]) == 0
+        with np.load(weights) as archive:
+            held = edit(dict(archive))
+        if isinstance(held, dict):
+            np.savez(weights, **held)
+        else:
+            weights = tmp_path / "w.npy"
+            np.save(weights, held)
+        return ["eval", "--weights", str(weights), "--config", str(cfg)]
+    return argv
+
+
+_KERNEL = "param/kernel/conv1/kernel"
+
+
+def _gradcheck_on_three_examples(tmp_path):
+    # Fewer examples than the checked slice of 4: all 3 are checked.
+    spec = f"{idx_split(tmp_path, 't', 3, 0, n=3)},{idx_split(tmp_path, 'e', 3, 1, n=3)}"
+    return ["gradcheck", "--config", str(write_config(
+        tmp_path, f"preset = toy-rmsprop-512\ndataset = idx:{spec}\n"))]
 
 
 def _gradcheck(eps):
@@ -649,6 +689,42 @@ _TABLE = [  # argv builder, exit code, pattern of the error line
     pytest.param(lambda tmp_path: ["train", "--config", "x.cfg"], 1,
                  "required: --out", id="no-out"),
     pytest.param(lambda tmp_path: ["explode"], 1, "invalid choice", id="no-command"),
+    # Malformed bench tables, and an IDX pair that holds no images.
+    pytest.param(_bench("b2,128,4096,57.57"), 2, "rows.csv line 2 has 4 fields, but its "
+                 "header has 5", id="bench-short-row"),
+    pytest.param(_bench("b2,128,4096,57.57,2.1,9"), 2, "line 2 has 6 fields",
+                 id="bench-long-row"),
+    pytest.param(_bench_table("model,cores,global_batch,throughput,allreduce_pct\n"), 2,
+                 "rows.csv has no rows", id="bench-no-rows"),
+    pytest.param(_bench("b2,128,4096,1e-308,2.1"), 2,
+                 "global_batch / throughput of inf, which is not finite",
+                 id="bench-step-time-inf"),
+    pytest.param(_idx_of_zero_images, 2, "i.idx: holds no images", id="idx-zero-images"),
+    pytest.param(_gradcheck_on_three_examples, 0, None, id="gradcheck-3-examples"),
+    # Rejections no other test reaches through cli.main.
+    pytest.param(_toy("bn_grouping = 3d"), 2, "bn_grouping must be 1d or 2d, got '3d'",
+                 id="bn_grouping-3d"),
+    pytest.param(_toy("decay = cosine"), 2,
+                 "decay must be exponential or polynomial, got 'cosine'", id="decay-cosine"),
+    pytest.param(_train("preset = toy-rmsprop-512\ndataset = nope\n"), 2,
+                 "unknown dataset spec 'nope'", id="dataset-nope"),
+    pytest.param(_train("preset = toy-rmsprop-512\ndataset = idx:a\n"), 2,
+                 "idx dataset must be idx:train_images,train_labels", id="dataset-idx-a"),
+    pytest.param(_train("foo\n"), 2, "line 1: expected 'key = value', got 'foo'",
+                 id="line-without-equals"),
+    pytest.param(_train("seed =\n"), 2, "key 'seed' has no value", id="seed-no-value"),
+    pytest.param(_toy("global_batch = 16384"), 2,
+                 r"dataset of 8192 examples is smaller than one global batch \(16384\)",
+                 id="global_batch-beyond-dataset"),
+    pytest.param(lambda tmp_path: ["train", "--config", str(tmp_path),
+                                   "--out", str(tmp_path / "m.csv")], 2,
+                 "cannot read config", id="config-is-a-directory"),
+    pytest.param(_eval_weights(lambda a: {**a, _KERNEL: a[_KERNEL][..., :1]}), 2,
+                 f"hold {_KERNEL} with shape .*; the model needs", id="eval-wrong-shape"),
+    pytest.param(_eval_weights(lambda a: {**a, "param/extra": np.zeros(1)}), 2,
+                 "hold param/extra, which the model lacks", id="eval-extra-array"),
+    pytest.param(_eval_weights(lambda a: a[_KERNEL]), 2, r"w\.npy is not an npz archive",
+                 id="eval-lone-npy"),
 ] + [pytest.param(_train(f"preset = {preset}\ndataset = synthetic\n{line}\n"), 2, pattern,
                   id=f"{preset}:{line}") for preset, line, pattern in _BAD_VALUES]
 

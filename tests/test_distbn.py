@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from minipod import distbn
-from minipod.collectives import assign_groups_1d, assign_groups_2d
 from minipod.distbn import (
-    bn_batch_size,
+    assign_groups_1d,
+    assign_groups_2d,
     bn_inference,
     group_bn_backward,
     group_bn_forward,
@@ -324,11 +324,6 @@ def test_forward_then_inverse_recovers_input():
     y, mean, var, _, _ = group_bn_forward(x, [(0, 1)], gamma, beta, EPS)
     rec = (y - beta) / gamma * np.sqrt(var[0] + EPS) + mean[0]
     np.testing.assert_allclose(rec, x, atol=1e-5)
-
-
-def test_bn_batch_size_accessor():
-    assert bn_batch_size(8, 4) == 32
-    assert bn_batch_size(1, 64) == 64
 
 
 def test_bn_inference_uses_moving_stats():

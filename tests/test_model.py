@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from minipod import model
-from minipod.collectives import assign_groups_1d, assign_groups_2d
 from minipod.data import gen_synthetic
+from minipod.distbn import assign_groups_1d, assign_groups_2d
 from minipod.precision import FP32_ONLY, MIXED_BF16_CONV
 from minipod.model import (
     batchnorm,

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from minipod.perfmodel import (
+    DEFAULT_PARAM_BYTES,
     CostModelParams,
     allreduce_fraction,
     allreduce_time,
@@ -85,6 +87,52 @@ def test_calibrate_errors():
         calibrate([(2, 64, 10.0, 1.0)])
     with pytest.raises(ValueError, match="replica counts"):
         calibrate([(2, 64, 10.0, 1.0), (2, 64, 11.0, 1.0)])
+
+
+def _relative_fit(u):
+    """One-coefficient relative least squares on rows whose weighted targets
+    are all 1: sum(u) / sum(u^2), u = coefficient / all-reduce time."""
+    return sum(u) / sum(x * x for x in u)
+
+
+def test_calibrate_clamps_a_negative_latency_to_zero():
+    rows = [(2, 256, 1.0, 40), (64, 8192, 30, 20), (1024, 131072, 400, 10)]
+    ar = [256 / 1.0 * 40 / 100, 8192 / 30 * 20 / 100, 131072 / 400 * 10 / 100]
+    bw_coef = [2 * (n - 1) / n for n, *_ in rows]
+    lat_coef = [2 * (n - 1) for n, *_ in rows]
+    # Unconstrained, the rows weighted by 1/all-reduce time fit a latency of
+    # -0.0175 ms per hop.
+    x = np.array([bw_coef, lat_coef]).T / np.array(ar)[:, None]
+    _, lat = np.linalg.lstsq(x, np.ones(3), rcond=None)[0]
+    assert lat == pytest.approx(-0.0175, abs=1e-4)
+    # Clamped to 0, with the bandwidth term alone refit.
+    fit = calibrate(rows)
+    assert fit.per_hop_latency_ms == 0.0
+    bw_time = _relative_fit([c / t for c, t in zip(bw_coef, ar)])
+    assert fit.link_bandwidth_bytes_per_ms == pytest.approx(
+        DEFAULT_PARAM_BYTES / bw_time, rel=1e-12)
+
+
+def test_calibrate_clamps_a_negative_bandwidth_term_to_infinite_bandwidth():
+    # 96 ms of compute, and all-reduces of 0.1 ms at 2 cores and 204.4 ms at
+    # 1,024, solve to a bandwidth term of -0.1 ms and 0.1 ms per hop:
+    # -0.1 * 1 + 0.1 * 2 = 0.1 and -0.1 * 2046/1024 + 0.1 * 2046 ~ 204.4.
+    rows = [(n, batch, batch / (96 + ar), 100 * ar / (96 + ar))
+            for n, batch, ar in ((2, 64, 0.1), (1024, 32768, 204.4))]
+    fit = calibrate(rows)
+    assert fit.link_bandwidth_bytes_per_ms == math.inf
+    # The latency alone, refit: coefficient 2(n - 1).
+    assert fit.per_hop_latency_ms == pytest.approx(
+        _relative_fit([2 / 0.1, 2046 / 204.4]), rel=1e-9)
+
+
+def test_calibrate_without_all_reduce_time():
+    fit = calibrate([(2, 256, 1.0, 0), (64, 8192, 30, 0)])
+    assert fit.link_bandwidth_bytes_per_ms == math.inf
+    assert fit.per_hop_latency_ms == 0.0
+    # The compute fit alone: padded per-core batch 128 on both rows.
+    u = [128 / 256, 128 / (8192 / 30)]
+    assert fit.per_image_compute_ms == pytest.approx(_relative_fit(u), rel=1e-12)
 
 
 def test_calibrate_is_deterministic():

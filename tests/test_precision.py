@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from minipod import nn, precision
-from minipod.collectives import assign_groups_1d
 from minipod.data import gen_synthetic
+from minipod.distbn import assign_groups_1d
 from minipod.model import (
     build_model,
     conv2d,
