@@ -1,4 +1,9 @@
-"""Dataset ingestion: IDX image files and deterministic synthetic generators."""
+"""Dataset ingestion: IDX image files and deterministic synthetic generators.
+
+The synthetic generator draws its float64 noise one block of rows at a time
+(NOISE_BLOCK_BYTES) and writes float32 pixels into one preallocated array, so
+it holds the set plus one block, never a float64 copy of the whole set.
+"""
 
 from __future__ import annotations
 
@@ -13,6 +18,8 @@ from .rng import stream
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+# float64 noise gen_synthetic draws and works at a time: 256 rows of 16x16x1.
+NOISE_BLOCK_BYTES = 1 << 19
 
 
 class IdxFormatError(ValueError):
@@ -156,12 +163,15 @@ def gen_synthetic(
         raise ValueError("all synthetic dataset dimensions must be >= 1")
     templates = class_templates(num_classes, height, width, channels, seed)
     labels = np.arange(n, dtype=np.int64) % num_classes
-    # One float64 buffer, worked in place: template + 0.1 * noise, clamped.
-    pixels = stream(seed, "noise", noise_stream).standard_normal(
-        (n, height, width, channels)
-    )
-    pixels *= 0.1
-    pixels += templates[labels]
-    np.clip(pixels, 0.0, 1.0, out=pixels)
-    return Dataset(images=pixels.astype(np.float32), labels=labels,
-                   num_classes=num_classes)
+    images = np.empty((n, height, width, channels), dtype=np.float32)
+    # Sequential draws continue one stream, so the blocks hold the bytes of a
+    # single draw of all n rows: template + 0.1 * noise, clamped, in float64.
+    noise = stream(seed, "noise", noise_stream)
+    rows = max(1, NOISE_BLOCK_BYTES // (8 * height * width * channels))
+    for start in range(0, n, rows):
+        block = noise.standard_normal((min(rows, n - start), height, width, channels))
+        block *= 0.1
+        block += templates[labels[start:start + len(block)]]
+        np.clip(block, 0.0, 1.0, out=block)
+        images[start:start + len(block)] = block
+    return Dataset(images=images, labels=labels, num_classes=num_classes)

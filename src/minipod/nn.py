@@ -57,8 +57,13 @@ class Parameter:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # One ufunc pass: tanh saturates to +-1 where exp would overflow.
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+    # 0.5 * (1 + tanh(0.5 * x)), in one buffer: tanh saturates to +-1 where
+    # exp would overflow.
+    s = np.multiply(x, 0.5)
+    np.tanh(s, out=s)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def swish_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -116,8 +116,8 @@ def calibrate(
         raise ValueError("calibration rows must span at least two replica counts")
 
     comp_a, comp_y = [], []  # padded batch -> compute ms
-    ar_x, ar_y = [], []  # (bw coef, lat coef) -> all-reduce ms
-    for n, batch, thr, frac in rows:
+    ar_x, ar_y, ar_rows = [], [], []  # (bw coef, lat coef) -> all-reduce ms
+    for i, (n, batch, thr, frac) in enumerate(rows):
         n, batch, thr, frac = int(n), int(batch), float(thr), float(frac)
         if n < 1:
             raise ValueError(f"row needs cores >= 1, got {n}")
@@ -127,7 +127,10 @@ def calibrate(
             raise ValueError(
                 f"row needs a finite throughput > 0 and an allreduce_pct in "
                 f"[0, 100), got ({thr}, {frac})")
-        step = batch / thr
+        try:
+            step = batch / thr
+        except OverflowError:  # a global batch beyond float range
+            step = math.inf
         if not math.isfinite(step):
             raise ValueError(
                 f"row ({n}, {batch}, {thr}, {frac}) has a step time "
@@ -140,21 +143,32 @@ def calibrate(
         if n > 1:
             ar_x.append((2.0 * (n - 1) / n, 2.0 * (n - 1)))
             ar_y.append(ar)
+            ar_rows.append(i)
 
     comp_a = np.asarray(comp_a, dtype=np.float64)
     comp_y = np.asarray(comp_y, dtype=np.float64)
-    # One-parameter relative least squares: rows weighted by 1/target.
-    c = float((comp_a / comp_y).sum() / (comp_a**2 / comp_y**2).sum())
-
-    if not ar_y or all(y <= 0 for y in ar_y):
-        bw, lat = math.inf, 0.0
-    else:
-        x = np.asarray(ar_x, dtype=np.float64)
-        y = np.asarray(ar_y, dtype=np.float64)
+    x = np.asarray(ar_x, dtype=np.float64)
+    y = np.asarray(ar_y, dtype=np.float64)
+    # Both fits weigh a row by 1/target and sum squared terms, where a tiny or
+    # huge time leaves float range. So before any sum, each row's squared
+    # terms must stay finite len(rows) times over, and its compute term above 0.
+    with np.errstate(all="ignore"):
+        comp_sq = comp_a**2 / comp_y**2
         w = 1.0 / np.where(y > 0, y, 1.0)
-        bw_time, lat_unit = _nonneg_lstsq(x * w[:, None], y * w)
-        bw = param_bytes / bw_time if bw_time > 0 else math.inf
-        lat = lat_unit
+        ar_terms = np.column_stack([x * w[:, None], y * w])
+        fits = (comp_sq > 0) & (comp_sq * len(rows) < math.inf)
+        fits[ar_rows] &= (ar_terms**2).max(axis=1) * len(rows) < math.inf
+    if not fits.all():
+        i = int(fits.argmin())
+        n, batch, thr, frac = rows[i]
+        raise ValueError(
+            f"row ({n}, {batch}, {thr}, {frac}) splits into a compute time of "
+            f"{comp_y[i]} ms and an all-reduce time of {batch / thr * frac / 100.0} "
+            f"ms, too small or too large for the relative fit")
+    # One-parameter relative least squares.
+    c = float((comp_a / comp_y).sum() / comp_sq.sum())
+    bw_time, lat = _nonneg_lstsq(ar_terms[:, :2], ar_terms[:, 2])
+    bw = param_bytes / bw_time if bw_time > 0 else math.inf
 
     return CostModelParams(
         per_image_compute_ms=c,

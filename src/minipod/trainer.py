@@ -4,7 +4,8 @@ TrainConfig is where every config key is defined and checked: constructing one
 builds the BN replica groups, optimizer config and precision policy that
 training reads, so a bad key fails before any data is read. The run loop goes
 over whole epochs and evaluates every eval_every_epochs of them and after the
-last step.
+last step. An epoch is a shuffled [steps, N, b] index array; each step's
+examples are gathered from the one copy of the train set as the loop reads it.
 
 Every step: forward/backward of all replicas stacked on one leading axis
 (group BN, optional bf16 convs), all-reduce mean of the per-replica
@@ -27,6 +28,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import zipfile
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,13 +237,15 @@ def write_metrics_csv(records: list[MetricsRecord], path) -> None:
 
 def shard_train_data(
     dataset: Dataset, num_replicas: int, per_core_batch: int, seed: int, epoch: int = 0
-):
+) -> EpochSteps:
     """Deterministic per-epoch shard: shuffle, chunk into global batches,
     split each chunk contiguously across replicas.
 
     The step-t global batch is perm[t*B:(t+1)*B] regardless of how B factors
     into replicas, which is what makes runs with different replica counts
     comparable. Trailing examples that do not fill a global batch are dropped.
+    The epoch's steps gather their examples when read (EpochSteps), so an
+    epoch holds no second copy of the set.
     """
     n = len(dataset)
     batch = num_replicas * per_core_batch
@@ -251,11 +255,30 @@ def shard_train_data(
             f"dataset of {n} examples is smaller than one global batch ({batch})"
         )
     perm = stream(seed, "shuffle", epoch).permutation(n)
-    out = []
-    for t in range(steps):
-        idx = perm[t * batch : (t + 1) * batch].reshape(num_replicas, per_core_batch)
-        out.append(list(zip(dataset.images[idx], dataset.labels[idx])))
-    return out
+    idx = perm[: steps * batch].reshape(steps, num_replicas, per_core_batch)
+    return EpochSteps(dataset, idx)
+
+
+class EpochSteps(Sequence):
+    """One epoch's steps over the `[steps, N, b]` example indices `idx`.
+
+    Reading step t gathers it: a list of one (images, labels) pair per
+    replica, views of one fancy-indexed array. A slice is the same kind of
+    sequence, and the steps can be read any number of times.
+    """
+
+    def __init__(self, dataset: Dataset, idx: np.ndarray):
+        self.dataset = dataset
+        self.idx = idx
+
+    def __len__(self) -> int:
+        return len(self.idx)
+
+    def __getitem__(self, t):
+        if isinstance(t, slice):
+            return EpochSteps(self.dataset, self.idx[t])
+        idx = self.idx[t]
+        return list(zip(self.dataset.images[idx], self.dataset.labels[idx]))
 
 
 # ---------------------------------------------------------------------------

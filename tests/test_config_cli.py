@@ -699,6 +699,18 @@ _TABLE = [  # argv builder, exit code, pattern of the error line
     pytest.param(_bench("b2,128,4096,1e-308,2.1"), 2,
                  "global_batch / throughput of inf, which is not finite",
                  id="bench-step-time-inf"),
+    pytest.param(_bench("b2,1,1,1e308,2.1"), 2,
+                 r"row \(1, 1, 1e\+308, 2.1\) .* too small or too large for the relative fit",
+                 id="bench-compute-weight-overflows"),
+    pytest.param(_bench("b2,1,1,1e300,0"), 2,
+                 r"row \(1, 1, 1e\+300, 0.0\) .* too small or too large for the relative fit",
+                 id="bench-compute-square-underflows"),
+    pytest.param(_bench("b2,2,2,2,1e-320"), 2,
+                 "all-reduce time of 1e-322 ms, too small or too large for the relative fit",
+                 id="bench-allreduce-weight-overflows"),
+    pytest.param(_bench("b2,1," + "1" + "0" * 400 + ",1,0"), 2,
+                 "global_batch / throughput of inf, which is not finite",
+                 id="bench-batch-beyond-float"),
     pytest.param(_idx_of_zero_images, 2, "i.idx: holds no images", id="idx-zero-images"),
     pytest.param(_gradcheck_on_three_examples, 0, None, id="gradcheck-3-examples"),
     # Rejections no other test reaches through cli.main.

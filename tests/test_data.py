@@ -1,10 +1,12 @@
 """IDX ingestion and synthetic dataset tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from minipod import data
 from minipod.data import (
     Dataset,
     IdxFormatError,
@@ -13,6 +15,7 @@ from minipod.data import (
     load_idx,
     write_idx,
 )
+from minipod.rng import stream
 
 
 @pytest.fixture
@@ -130,6 +133,49 @@ def test_gen_synthetic_deterministic():
     assert a.labels.tobytes() == b.labels.tobytes()
     c = gen_synthetic(10, 64, 8, 8, 1, seed=6)
     assert a.images.tobytes() != c.images.tobytes()
+
+
+def one_shot_synthetic(num_classes, n, height, width, channels, seed, noise_stream=0):
+    """The generator as a single float64 draw of all n rows, worked in place."""
+    templates = class_templates(num_classes, height, width, channels, seed)
+    labels = np.arange(n, dtype=np.int64) % num_classes
+    pixels = stream(seed, "noise", noise_stream).standard_normal(
+        (n, height, width, channels))
+    pixels *= 0.1
+    pixels += templates[labels]
+    np.clip(pixels, 0.0, 1.0, out=pixels)
+    return pixels.astype(np.float32), labels
+
+
+def block_rows(height, width, channels):
+    return data.NOISE_BLOCK_BYTES // (8 * height * width * channels)
+
+
+@pytest.mark.parametrize("shape, blocks, extra", [
+    ((16, 16, 1), 0, 100),  # below one block
+    ((16, 16, 1), 1, 0),  # exactly one block
+    ((16, 16, 1), 3, 17),  # several blocks and a remainder
+    ((8, 8, 3), 2, 5),
+])
+def test_gen_synthetic_blocks_match_one_draw_bitwise(shape, blocks, extra):
+    n = blocks * block_rows(*shape) + extra
+    ds = gen_synthetic(7, n, *shape, seed=4, noise_stream=1)
+    images, labels = one_shot_synthetic(7, n, *shape, seed=4, noise_stream=1)
+    assert ds.images.dtype == np.float32 and ds.images.shape == (n, *shape)
+    assert ds.images.tobytes() == images.tobytes()
+    assert ds.labels.tobytes() == labels.tobytes()
+
+
+def test_gen_synthetic_holds_the_set_plus_one_block():
+    n = 32 * block_rows(16, 16, 1)
+    tracemalloc.start()
+    try:
+        ds = gen_synthetic(10, n, 16, 16, 1, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = ds.images.nbytes + ds.labels.nbytes
+    assert peak < 1.25 * out, (peak, out)
 
 
 def test_gen_synthetic_single_class():

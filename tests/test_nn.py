@@ -416,6 +416,16 @@ def test_sigmoid_extremes_do_not_overflow():
     assert s[0] == 0.0 and s[1] == 1.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_sigmoid_in_one_buffer_matches_the_expression_bitwise(dtype):
+    special = [np.inf, -np.inf, np.nan, 0.0, -0.0, 100.0, -100.0]
+    noise = np.random.default_rng(3).standard_normal(64 * 64 - len(special)) * 8
+    x = np.concatenate([special, noise]).astype(dtype)
+    s = nn.sigmoid(x.reshape(64, 8, 8))
+    assert s.dtype == dtype and s.shape == (64, 8, 8)
+    assert s.reshape(-1).tobytes() == (0.5 * (1.0 + np.tanh(0.5 * x))).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # softmax cross-entropy
 

@@ -1,6 +1,7 @@
 """Training loop, sharding, distributed evaluation, and metrics tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from minipod import trainer
 from minipod.data import Dataset, gen_synthetic, write_idx
 from minipod.model import MODELS, build_model, infer_shapes, init_bn_moving, init_params
 from minipod.optim import lr_at
+from minipod.rng import stream
 from minipod.trainer import (
     METRICS_HEADER,
     MetricsRecord,
@@ -85,6 +87,52 @@ def test_shard_epochs_reshuffle():
     assert a[0][0][0].tobytes() != b[0][0][0].tobytes()
     c = shard_train_data(ds, 1, 8, seed=1, epoch=0)
     assert a[0][0][0].tobytes() == c[0][0][0].tobytes()
+
+
+def listed_epoch(ds, num_replicas, per_core_batch, seed, epoch):
+    """An epoch's steps built as one list, every step gathered up front."""
+    batch = num_replicas * per_core_batch
+    perm = stream(seed, "shuffle", epoch).permutation(len(ds))
+    out = []
+    for t in range(len(ds) // batch):
+        idx = perm[t * batch : (t + 1) * batch].reshape(num_replicas, per_core_batch)
+        out.append(list(zip(ds.images[idx], ds.labels[idx])))
+    return out
+
+
+def step_bytes(steps):
+    return [b"".join(x.tobytes() + y.tobytes() for x, y in step) for step in steps]
+
+
+@pytest.mark.parametrize("n, num_replicas, b", [(40, 2, 4), (64, 4, 2), (12, 1, 4)])
+def test_epoch_steps_gather_the_listed_steps(n, num_replicas, b):
+    ds = toy_dataset(n=n)
+    steps = shard_train_data(ds, num_replicas, b, seed=7, epoch=3)
+    ref = listed_epoch(ds, num_replicas, b, seed=7, epoch=3)
+    assert len(steps) == len(ref)
+    assert all(len(step) == num_replicas for step in steps)
+    assert step_bytes(steps) == step_bytes(ref)
+    assert step_bytes(steps) == step_bytes(ref)  # read again, same bytes
+    assert step_bytes([steps[-1]]) == step_bytes([ref[-1]])
+    for cut in (slice(1, 3), slice(None, 2), slice(-2, None), slice(5, None)):
+        assert len(steps[cut]) == len(ref[cut])
+        assert step_bytes(steps[cut]) == step_bytes(ref[cut])
+    with pytest.raises(IndexError):
+        steps[len(ref)]
+
+
+def test_epoch_steps_hold_two_steps_at_a_time():
+    ds = toy_dataset(n=16 * 64)
+    tracemalloc.start()
+    try:
+        steps = shard_train_data(ds, 4, 16, seed=1)
+        for step in steps:
+            one_step = sum(x.nbytes + y.nbytes for x, y in step)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(steps) == 16
+    assert peak < 3 * one_step, (peak, one_step)
 
 
 # ---------------------------------------------------------------------------
