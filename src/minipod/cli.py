@@ -92,7 +92,7 @@ def _cmd_eval(args) -> int:
         args.weights, layers, eval_ds.images.shape[1:])
     top1 = trainer.distributed_eval(
         layers, params, bn_moving, eval_ds, config.num_replicas,
-        config.eval_batch_for(len(eval_ds)), config.policy, config.bn_eps)
+        config.eval_batch_for(len(eval_ds)), config.policy)
     print(f"top1 {top1:.6f} over {len(eval_ds)} examples "
           f"on {config.num_replicas} replicas")
     return 0
@@ -108,8 +108,7 @@ def _cmd_gradcheck(args) -> int:
     x = train_ds.images[idx]
     labels = train_ds.labels[idx]
     params = init_params(layers, x.shape[1:], config.seed)
-    err = grad_check(layers, params, x, labels, eps=args.eps,
-                     bn_eps=config.bn_eps)
+    err = grad_check(layers, params, x, labels, eps=args.eps)
     print(f"gradcheck max relative error {err:.3e} (threshold {GRADCHECK_THRESHOLD})")
     if err >= GRADCHECK_THRESHOLD:
         print("gradcheck FAILED", file=sys.stderr)

@@ -53,6 +53,8 @@ import numpy as np
 
 from .collectives import all_reduce
 
+# The paper's fixed BN momentum and epsilon, which the engine and trainer
+# use; the kernels take them as arguments.
 DEFAULT_MOMENTUM = 0.99
 DEFAULT_EPS = 1e-3
 

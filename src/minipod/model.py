@@ -29,7 +29,8 @@ All replicas read one parameter list: synchronous replicas apply the same
 update to the same all-reduced gradient, so their weights are equal by
 construction.
 Evaluation is the same forward walk over stacked eval shards, with BN
-normalizing by the moving statistics.
+normalizing by the moving statistics. BN's epsilon is the fixed
+distbn.DEFAULT_EPS in both walks.
 
 Under the mixed-precision policy the conv and depthwise entries round their
 operands to bfloat16: the shared kernel once per chunk and the stacked
@@ -151,7 +152,6 @@ class _Pass:
 
     params: dict[str, Parameter]
     policy: precision.PrecisionPolicy
-    bn_eps: float
     groups: np.ndarray | None  # one chunk's [g, S] BN groups; None: inference
     bn_moving: dict[str, tuple[np.ndarray, np.ndarray]] | None = None  # inference
     input_layer: str | None = None  # name of the layer reading the model input
@@ -275,9 +275,9 @@ def _bn_forward(l, run, x):
     gamma, beta = run.value(l, "gamma"), run.value(l, "beta")
     if run.groups is None:
         return distbn.bn_inference(x, gamma, beta, *run.bn_moving[l.name],
-                                   run.bn_eps), None
+                                   distbn.DEFAULT_EPS), None
     y, mean, var, xhat, inv = distbn.group_bn_forward(
-        x, run.groups, gamma, beta, run.bn_eps)
+        x, run.groups, gamma, beta, distbn.DEFAULT_EPS)
     run.bn_saved[l.name] = (mean, var)
     return y, (xhat, inv)
 
@@ -359,7 +359,6 @@ def distributed_forward_backward(
     labels: np.ndarray,
     groups: np.ndarray,
     policy: precision.PrecisionPolicy = precision.FP32_ONLY,
-    bn_eps: float = distbn.DEFAULT_EPS,
     forward_only: bool = False,
 ) -> EngineResult:
     """One synchronized forward (and optionally backward) pass.
@@ -379,7 +378,7 @@ def distributed_forward_backward(
     out = {}  # [N, ...] losses and gradients, [G, C] BN statistics
     for chunk in distbn.plan_chunks(groups, n, x.shape[1] * largest * x.dtype.itemsize,
                                     CHUNK_BYTES):
-        run = _Pass(by_name, policy, bn_eps, chunk.groups, input_layer=layers[0].name)
+        run = _Pass(by_name, policy, chunk.groups, input_layer=layers[0].name)
         losses = _walk(layers, run, x[chunk.replicas], labels[chunk.replicas],
                        forward_only)
         _fill(out, "losses", n, chunk.replicas, losses)
@@ -415,12 +414,11 @@ def eval_forward(
     bn_moving: dict[str, tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,
     policy: precision.PrecisionPolicy = precision.FP32_ONLY,
-    bn_eps: float = distbn.DEFAULT_EPS,
 ) -> np.ndarray:
     """Inference pass over stacked [N, b, ...] inputs; BN uses moving
     statistics. Returns the last layer's output, logits [N, b, K]."""
     validate_model(layers)
-    run = _Pass({p.name: p for p in params}, policy, bn_eps, None, bn_moving)
+    run = _Pass({p.name: p for p in params}, policy, None, bn_moving)
     for layer in layers:  # what a layer saves for backward is dropped at once
         x = LAYER_OPS[layer.kind].forward(layer, run, x)[0]
     return x
@@ -438,7 +436,6 @@ def grad_check(
     eps: float,
     num_replicas: int = 1,
     group_size: int | None = None,
-    bn_eps: float = distbn.DEFAULT_EPS,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -462,7 +459,7 @@ def grad_check(
         with np.errstate(over="ignore", invalid="ignore"):
             return distributed_forward_backward(
                 layers, params64, shards, label_shards,
-                groups, bn_eps=bn_eps, forward_only=forward_only)
+                groups, forward_only=forward_only)
 
     base = run(forward_only=False)
     if not np.isfinite(base.mean_loss):

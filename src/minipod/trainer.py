@@ -2,7 +2,10 @@
 
 TrainConfig is where every config key is defined and checked: constructing one
 builds the BN replica groups, optimizer config and precision policy that
-training reads, so a bad key fails before any data is read. The run loop goes
+training reads, so a bad key fails before any data is read. The
+hyperparameters the paper holds fixed are no keys: the optimizer and decay
+constants are the defaults of the optim configs, and BN's momentum and
+epsilon are distbn.DEFAULT_MOMENTUM and DEFAULT_EPS. The run loop goes
 over whole epochs and evaluates every eval_every_epochs of them and after the
 last step. An epoch is a shuffled [steps, N, b] index array; each step's
 examples are gathered from the one copy of the train set as the loop reads it.
@@ -84,21 +87,11 @@ class TrainConfig:
     bn_grouping: str = "1d"
     tile_rows: int | None = None
     tile_cols: int | None = None
-    bn_momentum: float = distbn.DEFAULT_MOMENTUM
-    bn_eps: float = distbn.DEFAULT_EPS
     optimizer: str = "rmsprop"
     lr_per_256: float = 0.016
     warmup_epochs: float = 0.0
     decay: str = "exponential"
-    decay_rate: float = 0.97
-    epochs_per_decay: float = 2.4
-    poly_power: float = 2.0
-    end_lr: float = 0.0
-    momentum: float = 0.9
-    rmsprop_decay: float = 0.9
-    rmsprop_eps: float = 1e-3
     lars_eta: float = 0.001
-    lars_weight_decay: float = 1e-5
     precision: str = "fp32"
     total_epochs: float = 350.0
     eval_every_epochs: float = 1.0
@@ -141,10 +134,6 @@ class TrainConfig:
                 self.num_replicas, (self.tile_rows, self.tile_cols))
         else:
             raise ValueError(f"bn_grouping must be 1d or 2d, got {self.bn_grouping!r}")
-        if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ValueError(f"bn_momentum must lie in [0, 1], got {self.bn_momentum}")
-        if not 0.0 < self.bn_eps < math.inf:
-            raise ValueError(f"bn_eps must be finite and > 0, got {self.bn_eps}")
         # Evaluation runs only at epoch ends, so a fractional period cannot be met.
         every = self.eval_every_epochs
         if not (every >= 1 and float(every).is_integer()):
@@ -155,14 +144,8 @@ class TrainConfig:
                 f"total_epochs must be a finite number >= 0, got {self.total_epochs}")
         if not math.isfinite(self.warmup_epochs):
             raise ValueError(f"warmup_epochs must be finite, got {self.warmup_epochs}")
-        # Both optimizers are built, so the other one's keys are checked too.
-        optimizers = {
-            "rmsprop": RmsPropConfig(
-                decay=self.rmsprop_decay, momentum=self.momentum, eps=self.rmsprop_eps),
-            "lars": LarsConfig(
-                eta=self.lars_eta, momentum=self.momentum,
-                weight_decay=self.lars_weight_decay),
-        }
+        # LarsConfig is built under RMSProp too, so lars_eta is always checked.
+        optimizers = {"rmsprop": RmsPropConfig(), "lars": LarsConfig(eta=self.lars_eta)}
         if self.optimizer not in optimizers:
             raise ValueError(f"optimizer must be rmsprop or lars, got {self.optimizer!r}")
         self.optimizer_config = optimizers[self.optimizer]
@@ -182,9 +165,7 @@ class TrainConfig:
         return min(self.per_core_batch, math.ceil(n_eval / self.num_replicas))
 
     def schedule(self, steps_per_epoch: int) -> ScheduleSpec:
-        # Both decays are built, so the other one's keys are checked too.
-        decays = {"exponential": ExponentialDecay(self.decay_rate, self.epochs_per_decay),
-                  "polynomial": PolynomialDecay(self.poly_power, self.end_lr)}
+        decays = {"exponential": ExponentialDecay(), "polynomial": PolynomialDecay()}
         if self.decay not in decays:
             raise ValueError(f"decay must be exponential or polynomial, got {self.decay!r}")
         return ScheduleSpec(
@@ -320,14 +301,13 @@ def train_step(state: TrainState, batches, lr: float) -> float:
             np.stack([b[1] for b in batches]),
             cfg.bn_groups,
             policy=cfg.policy,
-            bn_eps=cfg.bn_eps,
         )
         grads = [all_reduce(g, "mean") for g in res.grads]
         step_fn = rmsprop_step if cfg.optimizer == "rmsprop" else lars_step
         step_fn(state.params, grads, lr, cfg.optimizer_config, state.opt_state)
         for lname, (means, variances) in res.bn_saved.items():
             state.bn_moving[lname] = distbn.update_moving_stats(
-                *state.bn_moving[lname], means, variances, cfg.bn_momentum)
+                *state.bn_moving[lname], means, variances, distbn.DEFAULT_MOMENTUM)
     return res.mean_loss
 
 
@@ -343,7 +323,6 @@ def distributed_eval(
     num_replicas: int,
     eval_batch: int,
     policy: PrecisionPolicy = FP32_ONLY,
-    bn_eps: float = distbn.DEFAULT_EPS,
 ) -> float:
     """Top-1 accuracy over the dataset, sharded across all replicas.
 
@@ -371,7 +350,7 @@ def distributed_eval(
     real = (np.arange(padded_n) < n).reshape(rounds)
     counts = np.zeros((num_replicas, 2), dtype=np.int64)  # hits, real examples
     for x, y, r in zip(images, labels, real):
-        logits = eval_forward(layers, params, bn_moving, x, policy, bn_eps)
+        logits = eval_forward(layers, params, bn_moving, x, policy)
         hit = (logits.argmax(axis=2) == y) & r
         counts += np.stack([hit.sum(axis=1), r.sum(axis=1)], axis=1)
     hits, total = all_reduce(counts, "sum")
@@ -427,6 +406,11 @@ def run(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState]:
             f"dataset of {len(train_ds)} examples is smaller than one "
             f"global batch ({config.global_batch})"
         )
+    # A finite total_epochs can still overflow the step count.
+    if not math.isfinite(config.total_epochs * steps_per_epoch):
+        raise ValueError(
+            f"total_epochs {config.total_epochs} at {steps_per_epoch} steps per "
+            f"epoch is {config.total_epochs * steps_per_epoch} steps, which overflows")
     schedule = config.schedule(steps_per_epoch)
     cost = dataclasses.replace(
         perfmodel.DEFAULT_COST_PARAMS, param_bytes=4 * state.param_count())
@@ -438,7 +422,7 @@ def run(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState]:
     def evaluate() -> float:
         return distributed_eval(
             state.layers, state.params, state.bn_moving, eval_ds,
-            config.num_replicas, eval_batch, config.policy, config.bn_eps)
+            config.num_replicas, eval_batch, config.policy)
 
     records: list[MetricsRecord] = []
     total_steps = int(round(config.total_epochs * steps_per_epoch))
@@ -491,8 +475,8 @@ def load_weights(
     """Inverse of save_weights for the model `layers` on `input_shape` inputs.
 
     Raises ValueError naming the first array the model needs that the archive
-    lacks or holds in another shape, a BN variance below zero, or the first
-    array it does not need.
+    lacks or holds in another shape or dtype, or with a non-finite value or a
+    BN variance below zero, or the first array it does not need.
     """
     params = init_params(layers, input_shape, seed=0)
     bn_moving = init_bn_moving(layers, input_shape)
@@ -512,6 +496,15 @@ def load_weights(
             raise ValueError(
                 f"weights {path} hold {key} with shape {got[key].shape}; "
                 f"the model needs {ref.shape}")
+        if got[key].dtype != ref.dtype:
+            raise ValueError(
+                f"weights {path} hold {key} as {got[key].dtype}; "
+                f"the model needs {ref.dtype}")
+        bad = np.flatnonzero(~np.isfinite(got[key]))
+        if bad.size:
+            raise ValueError(
+                f"weights {path} hold {key} with the non-finite value "
+                f"{got[key].flat[bad[0]]} at flat index {bad[0]}")
         if key.startswith("bn_var/") and (got[key] < 0).any():
             raise ValueError(f"weights {path} hold {key} with a negative variance")
     for key in got:

@@ -88,7 +88,9 @@ def test_config_keys_are_train_config_fields():
     ("bn_eps = -1e-3", "bn_eps"),
 ])
 def test_parse_bn_hyperparameter_out_of_range(line, key):
-    with pytest.raises(ConfigError, match=key):
+    # BN momentum and epsilon are constants (distbn.DEFAULT_MOMENTUM and
+    # DEFAULT_EPS): a config that sets either fails as an unknown key.
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         parse_config(f"preset = toy-rmsprop-512\ndataset = synthetic\n{line}\n")
 
 
@@ -96,44 +98,58 @@ _RMSPROP = "toy-rmsprop-512"  # exponential decay
 _LARS = "toy-lars-2048"  # polynomial decay
 _FLOAT_KEYS = [  # key, preset that reads it, quantity its error names
     ("lr_per_256", _RMSPROP, "lr_per_256"),
-    ("rmsprop_eps", _RMSPROP, "rmsprop eps"),
     ("lars_eta", _LARS, "lars eta"),
-    ("lars_weight_decay", _LARS, "lars weight_decay"),
-    ("epochs_per_decay", _RMSPROP, "epochs_per_decay"),
-    ("poly_power", _LARS, "polynomial power"),
-    ("end_lr", _LARS, "end_lr"),
-    ("bn_eps", _RMSPROP, "bn_eps"),
 ]
+
+# The hyperparameters the paper fixes are constants, the defaults of optim's
+# configs and decays and distbn's DEFAULT_MOMENTUM/DEFAULT_EPS; a config that
+# sets one fails as an unknown key. One line per key sets its constant's own
+# value; the others set values out of the constant's range.
+_FIXED_KEYS = {"bn_momentum": "0.99", "bn_eps": "0.001", "momentum": "0.9",
+               "rmsprop_decay": "0.9", "rmsprop_eps": "0.001",
+               "lars_weight_decay": "1e-05", "decay_rate": "0.97",
+               "epochs_per_decay": "2.4", "poly_power": "2.0", "end_lr": "0.0"}
+_FIXED_KEY_LINES = [(_RMSPROP, f"{key} = {value}") for key, value in _FIXED_KEYS.items()] + [
+    (_RMSPROP, "rmsprop_decay = 1.5"),
+    (_RMSPROP, "momentum = 1.0"),
+    (_LARS, "momentum = -0.5"),
+    (_RMSPROP, "rmsprop_eps = 0"),
+    (_LARS, "lars_weight_decay = -1e-05"),
+    (_RMSPROP, "decay_rate = 2"),
+    (_RMSPROP, "epochs_per_decay = 0"),
+    (_LARS, "poly_power = -1"),
+    (_LARS, "end_lr = -0.1"),
+    (_LARS, "end_lr = 5"),
+    (_RMSPROP, "poly_power = -1"),
+    (_LARS, "rmsprop_decay = 1.5"),
+    (_LARS, "decay_rate = 7"),
+] + [(preset, f"{key} = {value}")
+     for key, preset in (("rmsprop_eps", _RMSPROP), ("lars_weight_decay", _LARS),
+                         ("epochs_per_decay", _RMSPROP), ("poly_power", _LARS),
+                         ("end_lr", _LARS), ("bn_eps", _RMSPROP))
+     for value in ("nan", "inf")]
 
 
 _BAD_VALUES = [  # preset, line, pattern of the error it raises
     # Keys the optimizer, the schedule or the BN grouping check as they are built.
-    (_RMSPROP, "rmsprop_decay = 1.5", "rmsprop decay .* got 1.5$"),
-    (_RMSPROP, "momentum = 1.0", "momentum .* got 1.0$"),
-    (_LARS, "momentum = -0.5", "momentum .* got -0.5$"),
-    (_RMSPROP, "rmsprop_eps = 0", "rmsprop eps .* got 0.0$"),
     (_LARS, "lars_eta = 0", "lars eta .* got 0.0$"),
-    (_LARS, "lars_weight_decay = -1e-05", "lars weight_decay .* got -1e-05$"),
-    (_RMSPROP, "decay_rate = 2", "decay rate .* got 2.0$"),
-    (_RMSPROP, "epochs_per_decay = 0", "epochs_per_decay .* got 0.0$"),
-    (_LARS, "poly_power = -1", "polynomial power .* got -1.0$"),
-    (_LARS, "end_lr = -0.1", "end_lr .* got -0.1$"),
     (_RMSPROP, "lr_per_256 = 0", "lr_per_256 .* got 0.0$"),
     (_RMSPROP, "warmup_epochs = -1", r"warmup \(-1.0\)"),
     (_RMSPROP, "warmup_epochs = inf", "warmup_epochs .* got inf$"),
-    (_LARS, "end_lr = 5", r"end_lr 5.0 must not exceed the peak rate 0.4 "),
-    # Keys only the unselected optimizer or decay reads.
+    # LARS's key under RMSProp.
     (_RMSPROP, "lars_eta = nan", "lars eta .* got nan$"),
-    (_RMSPROP, "poly_power = -1", "polynomial power .* got -1.0$"),
-    (_LARS, "rmsprop_decay = 1.5", "rmsprop decay .* got 1.5$"),
-    (_LARS, "decay_rate = 7", "decay rate .* got 7.0$"),
     (_RMSPROP, "bn_grouping = 2d\ntile_rows = 3\ntile_cols = 1\nbn_group_size = 3",
      "tile 3x1 .* grid 2x4"),
 ] + [(preset, f"{key} = {value}", f"{quantity} .* got {value}$")
      for key, preset, quantity in _FLOAT_KEYS for value in ("nan", "inf")]
+_FIXED_KEY_ERRORS = [  # preset, line, pattern, key
+    (preset, line, f"line 3: unknown key '{key}'$", key)
+    for preset, line in _FIXED_KEY_LINES for key in [line.split(" = ")[0]]]
 
 
-@pytest.mark.parametrize("preset,line,pattern", _BAD_VALUES)
+@pytest.mark.parametrize("preset,line,pattern", _BAD_VALUES + [
+    pytest.param(preset, line, pattern, id=f"{preset}-{line}-{key} is a constant")
+    for preset, line, pattern, key in _FIXED_KEY_ERRORS])
 def test_parse_rejects_bad_value_before_any_data(preset, line, pattern):
     with pytest.raises(ConfigError, match=pattern):
         parse_config(f"preset = {preset}\ndataset = synthetic\n{line}\n")
@@ -145,11 +161,11 @@ def test_cli_eval_and_gradcheck_reject_bad_key_before_reading_data(
     absent = tmp_path / "absent.idx"
     cfg = write_config(
         tmp_path, f"preset = toy-rmsprop-512\ndataset = idx:{absent},{absent}\n"
-                  "rmsprop_decay = 1.5\n")
+                  "lars_eta = 0\n")
     extra = ["--weights", str(tmp_path / "absent.npz")] if command == "eval" else []
     assert main([command, "--config", str(cfg)] + extra) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "rmsprop decay must be in (0,1), got 1.5" in err
+    assert err.startswith("error: ") and "lars eta must be finite and > 0, got 0.0" in err
     assert "Traceback" not in err
 
 
@@ -623,6 +639,15 @@ def _eval_weights(edit):
 _KERNEL = "param/kernel/conv1/kernel"
 
 
+def _set_element(key, value):
+    """A weights edit: element 3 of the array at `key` set to `value`."""
+    def edit(arrays):
+        changed = arrays[key].copy()
+        changed.flat[3] = value
+        return {**arrays, key: changed}
+    return edit
+
+
 def _gradcheck_on_three_examples(tmp_path):
     # Fewer examples than the checked slice of 4: all 3 are checked.
     spec = f"{idx_split(tmp_path, 't', 3, 0, n=3)},{idx_split(tmp_path, 'e', 3, 1, n=3)}"
@@ -675,7 +700,8 @@ _TABLE = [  # argv builder, exit code, pattern of the error line
     pytest.param(_toy("bn_group_size = 3"), 2, "divide", id="group-size"),
     pytest.param(_toy("eval_every_epochs = 1.5"), 2, "eval_every_epochs", id="eval-every"),
     pytest.param(_toy("total_epochs = inf"), 2, "total_epochs", id="total-epochs-inf"),
-    pytest.param(_toy("bn_momentum = nan"), 2, "bn_momentum", id="bn-momentum-nan"),
+    pytest.param(_toy("bn_momentum = nan"), 2, "unknown key 'bn_momentum'",
+                 id="bn-momentum-nan"),
     pytest.param(_out_in_missing_directory("--weights-out"), 2, "does not exist",
                  id="weights-out-nodir"),
     pytest.param(_eval_weights_of_another_model, 2, "conv2/kernel", id="eval-other-model"),
@@ -737,8 +763,20 @@ _TABLE = [  # argv builder, exit code, pattern of the error line
                  "hold param/extra, which the model lacks", id="eval-extra-array"),
     pytest.param(_eval_weights(lambda a: a[_KERNEL]), 2, r"w\.npy is not an npz archive",
                  id="eval-lone-npy"),
+    pytest.param(_eval_weights(_set_element("bn_var/bn1", np.nan)), 2,
+                 "hold bn_var/bn1 with the non-finite value nan at flat index 3",
+                 id="eval-nan-variance"),
+    pytest.param(_eval_weights(_set_element(_KERNEL, np.inf)), 2,
+                 f"hold {_KERNEL} with the non-finite value inf at flat index 3",
+                 id="eval-inf-kernel"),
+    pytest.param(_eval_weights(lambda a: {**a, _KERNEL: a[_KERNEL].astype(str)}), 2,
+                 rf"hold {_KERNEL} as <U\d+; the model needs float32", id="eval-unicode-kernel"),
+    pytest.param(_toy("total_epochs = 1e308"), 2,
+                 r"total_epochs 1e\+308 at 16 steps per epoch is inf steps, which overflows",
+                 id="total-epochs-1e308"),
 ] + [pytest.param(_train(f"preset = {preset}\ndataset = synthetic\n{line}\n"), 2, pattern,
-                  id=f"{preset}:{line}") for preset, line, pattern in _BAD_VALUES]
+                  id=f"{preset}:{line}")
+      for preset, line, pattern, *_ in _BAD_VALUES + _FIXED_KEY_ERRORS]
 
 
 @pytest.mark.parametrize("build,code,pattern", _TABLE)

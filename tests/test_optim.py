@@ -272,3 +272,37 @@ def test_config_validation():
         LarsConfig(eta=0.0)
     with pytest.raises(ValueError):
         LarsConfig(momentum=1.0)
+
+
+# The ranges each constant of the paper's recipe must lie in, checked where the
+# constant lives: optim's configs and decays.
+_OUT_OF_RANGE = [  # class, field, value, quantity its error names
+    (RmsPropConfig, "decay", 1.5, "rmsprop decay"),
+    (RmsPropConfig, "momentum", 1.0, "momentum"),
+    (LarsConfig, "momentum", -0.5, "momentum"),
+    (RmsPropConfig, "eps", 0.0, "rmsprop eps"),
+    (LarsConfig, "weight_decay", -1e-5, "lars weight_decay"),
+    (ExponentialDecay, "rate", 2.0, "decay rate"),
+    (ExponentialDecay, "epochs_per_decay", 0.0, "epochs_per_decay"),
+    (PolynomialDecay, "power", -1.0, "polynomial power"),
+    (PolynomialDecay, "end_lr", -0.1, "end_lr"),
+] + [(cls, name, value, quantity)
+     for cls, name, quantity in ((RmsPropConfig, "eps", "rmsprop eps"),
+                                 (LarsConfig, "weight_decay", "lars weight_decay"),
+                                 (ExponentialDecay, "epochs_per_decay", "epochs_per_decay"),
+                                 (PolynomialDecay, "power", "polynomial power"),
+                                 (PolynomialDecay, "end_lr", "end_lr"))
+     for value in (math.nan, math.inf)]
+
+
+@pytest.mark.parametrize("cls,name,value,quantity", _OUT_OF_RANGE)
+def test_hyperparameter_out_of_range(cls, name, value, quantity):
+    with pytest.raises(ValueError, match=f"{quantity} .* got {value}$"):
+        cls(**{name: value})
+
+
+def test_polynomial_end_lr_above_peak_rejected():
+    # A polynomial "decay" ending above the peak 0.05 * 2048 / 256 would raise the rate.
+    with pytest.raises(ValueError, match="end_lr 5.0 must not exceed the peak rate 0.4 "):
+        ScheduleSpec(0.05, 2048, warmup_epochs=2.0, steps_per_epoch=4, total_epochs=20.0,
+                     decay=PolynomialDecay(end_lr=5.0))

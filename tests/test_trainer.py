@@ -6,10 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from minipod import trainer
+from minipod import distbn, trainer
 from minipod.data import Dataset, gen_synthetic, write_idx
 from minipod.model import MODELS, build_model, infer_shapes, init_bn_moving, init_params
-from minipod.optim import lr_at
+from minipod.optim import ExponentialDecay, LarsConfig, PolynomialDecay, RmsPropConfig, lr_at
 from minipod.rng import stream
 from minipod.trainer import (
     METRICS_HEADER,
@@ -140,10 +140,8 @@ def test_epoch_steps_hold_two_steps_at_a_time():
 
 
 def test_train_step_single_vs_two_replicas():
-    cfg1 = tiny_config(num_replicas=1, global_batch=4, bn_group_size=1,
-                       momentum=0.0)
-    cfg2 = tiny_config(num_replicas=2, global_batch=4, bn_group_size=2,
-                       momentum=0.0)
+    cfg1 = tiny_config(num_replicas=1, global_batch=4, bn_group_size=1)
+    cfg2 = tiny_config(num_replicas=2, global_batch=4, bn_group_size=2)
     ds = toy_dataset(n=8)
     s1 = init_train_state(cfg1, ds.images.shape[1:], ds.num_classes)
     s2 = init_train_state(cfg2, ds.images.shape[1:], ds.num_classes)
@@ -170,8 +168,7 @@ def test_mixed_precision_training_runs_and_is_deterministic():
 
 def test_train_step_zero_gradient_fixed_point():
     # saturated logits make every gradient exactly zero in fp32
-    cfg = tiny_config(num_replicas=1, global_batch=4, bn_group_size=1,
-                      momentum=0.0)
+    cfg = tiny_config(num_replicas=1, global_batch=4, bn_group_size=1)
     ds = toy_dataset(n=8, num_classes=4)
     labels = np.full(len(ds), 2, dtype=np.int64)
     ds = Dataset(ds.images, labels, ds.num_classes)
@@ -417,6 +414,18 @@ def test_config_validation_errors():
     with pytest.raises(ValueError, match="contradicts"):
         tiny_config(num_replicas=8, global_batch=64, bn_grouping="2d",
                     bn_group_size=8, tile_rows=2, tile_cols=2)
+
+
+def test_config_builds_the_papers_fixed_hyperparameters():
+    # The optimizer and decay constants are the optim defaults, which hold the
+    # EfficientNet recipe's values; only lars_eta is a key.
+    rms = tiny_config(optimizer="rmsprop", decay="polynomial")
+    lars = tiny_config(optimizer="lars", lars_eta=0.02, decay="exponential")
+    assert rms.optimizer_config == RmsPropConfig() == RmsPropConfig(0.9, 0.9, 1e-3)
+    assert lars.optimizer_config == LarsConfig(eta=0.02) == LarsConfig(0.02, 0.9, 1e-5)
+    assert rms.schedule(1).decay == PolynomialDecay() == PolynomialDecay(2.0, 0.0)
+    assert lars.schedule(1).decay == ExponentialDecay() == ExponentialDecay(0.97, 2.4)
+    assert (distbn.DEFAULT_MOMENTUM, distbn.DEFAULT_EPS) == (0.99, 1e-3)
 
 
 def test_config_2d_grouping_assignment():

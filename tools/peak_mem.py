@@ -108,7 +108,7 @@ def main(argv=None) -> int:
         measure("train_step", lambda: trainer.train_step(state, first, lr))
         measure("distributed_eval", lambda: trainer.distributed_eval(
             state.layers, state.params, state.bn_moving, evalset, cfg.num_replicas,
-            cfg.eval_batch_for(len(evalset)), cfg.policy, cfg.bn_eps))
+            cfg.eval_batch_for(len(evalset)), cfg.policy))
     finally:
         tracemalloc.stop()
     return 0
