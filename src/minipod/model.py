@@ -8,10 +8,11 @@ dispatch through it. The loss is no layer: the engine applies nn.softmax_xent
 to the logits and starts the backward walk from its gradient.
 
 The engine walks the replicas in chunks of whole batch-normalization groups
-(distbn.plan_chunks over the [G, S] replica array that only distbn reads):
-as many consecutive groups as keep the chunk's largest layer output within
-CHUNK_BYTES, and at least one. Each chunk runs forward, loss and backward
-before the next starts, so one chunk's activations are live at a time.
+(replica_chunks, which sizes distbn.plan_chunks over the [G, S] replica array
+that only distbn reads): as many consecutive groups as keep the chunk's
+largest layer output within CHUNK_BYTES, and at least one. Each chunk runs
+forward, loss and backward before the next starts, so one chunk's
+activations are live at a time.
 Within a chunk the engine is lockstep: it holds the chunk's activations in
 one array with a leading replica axis, [n, b, ...], and walks the layers
 once, each layer making one call that computes all of the chunk's replicas,
@@ -28,9 +29,10 @@ saved tensors as soon as that layer's backward is done.
 All replicas read one parameter list: synchronous replicas apply the same
 update to the same all-reduced gradient, so their weights are equal by
 construction.
-Evaluation is the same forward walk over stacked eval shards, with BN
-normalizing by the moving statistics. BN's epsilon is the fixed
-distbn.DEFAULT_EPS in both walks.
+Evaluation (eval_forward) is the same forward walk over whatever stacked
+[n, b, ...] inputs it is given, with BN normalizing by the moving
+statistics; the trainer's eval pass sizes its calls with replica_chunks on
+groups of one. BN's epsilon is the fixed distbn.DEFAULT_EPS in both walks.
 
 Under the mixed-precision policy the conv and depthwise entries round their
 operands to bfloat16: the shared kernel once per chunk and the stacked
@@ -338,11 +340,22 @@ class EngineResult:
         return sum(self.losses) / len(self.losses)
 
 
-# The largest layer output one chunk of the step may hold, so a step's live
-# activations do not grow with the replica count. Packing small groups up to
-# this budget walks fewer, larger chunks than one group per chunk; CHANGES.md
-# has the budget sweeps that picked it.
+# The largest layer output one chunk of a step or an eval round may hold, so
+# the live activations do not grow with the replica count. Packing small
+# groups up to this budget walks fewer, larger chunks than one group per
+# chunk; CHANGES.md has the budget sweeps that picked it.
 CHUNK_BYTES = 512 * 1024
+
+
+def replica_chunks(layers: list[LayerSpec], groups: np.ndarray, shape: tuple[int, ...],
+                   dtype) -> list[distbn.Chunk]:
+    """The chunks a pass over stacked [N, b, ...] inputs of `shape` and
+    `dtype` walks: as many consecutive whole groups of the [G, S] `groups`
+    as keep the chunk's largest layer output within CHUNK_BYTES, and at
+    least one (distbn.plan_chunks)."""
+    largest = max(map(math.prod, infer_shapes(layers, shape[2:])))
+    return distbn.plan_chunks(groups, shape[0],
+                              shape[1] * largest * np.dtype(dtype).itemsize, CHUNK_BYTES)
 
 
 def _fill(out, key, size, at, part):
@@ -373,11 +386,9 @@ def distributed_forward_backward(
     each holding at most CHUNK_BYTES in its largest layer output; every chunk
     runs forward, loss and backward before the next starts.
     """
-    largest = max(map(math.prod, infer_shapes(layers, x.shape[2:])))
     n, by_name = len(x), {p.name: p for p in params}
     out = {}  # [N, ...] losses and gradients, [G, C] BN statistics
-    for chunk in distbn.plan_chunks(groups, n, x.shape[1] * largest * x.dtype.itemsize,
-                                    CHUNK_BYTES):
+    for chunk in replica_chunks(layers, groups, x.shape, x.dtype):
         run = _Pass(by_name, policy, chunk.groups, input_layer=layers[0].name)
         losses = _walk(layers, run, x[chunk.replicas], labels[chunk.replicas],
                        forward_only)

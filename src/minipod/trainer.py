@@ -15,11 +15,14 @@ Every step: forward/backward of all replicas stacked on one leading axis
 gradients, then one optimizer step. Synchronous replicas apply the same
 update to the same reduced gradient, so the state holds a single copy of the
 parameters, optimizer slots and BN moving statistics.
-Evaluation shards a padded eval set across all replicas, one stacked round
-of num_replicas * eval_batch examples per forward call, and all-reduces
-integer counts of hits among the real examples, so the result is exact and
-independent of the replica count. The eval batch is the per-core batch,
-capped at one replica's share of the eval set (TrainConfig.eval_batch_for).
+Evaluation shards the eval set across all replicas in rounds of
+num_replicas * eval_batch examples, and all-reduces integer counts of hits
+among the real examples, so the result is exact and independent of the
+replica count. A round is walked in the engine's chunks of consecutive
+replicas, each one forward call on a slice of the set; only the last row of
+the set is finished with dummies, and a replica with dummies alone computes
+nothing. The eval batch is the per-core batch, capped at one replica's share
+of the eval set (TrainConfig.eval_batch_for).
 
 Records carry modeled timing from the cost model; elapsed_s is cumulative
 *modeled* seconds so that metric streams are bitwise reproducible (wall clock
@@ -46,8 +49,9 @@ from .model import (
     eval_forward,
     init_bn_moving,
     init_params,
+    replica_chunks,
 )
-from .nn import Parameter
+from .nn import DTYPE, Parameter
 from .optim import (
     ExponentialDecay,
     LarsConfig,
@@ -326,35 +330,48 @@ def distributed_eval(
 ) -> float:
     """Top-1 accuracy over the dataset, sharded across all replicas.
 
-    The eval set is padded with dummy examples to a multiple of
-    num_replicas * eval_batch. Each replica counts its hits and its real
-    examples as integers; the all-reduced counts give hits / n, which counts
-    exactly the real examples, is the correctly rounded quotient at any
-    eval-set size, and does not depend on the replica count.
+    The eval set is cut into rows of eval_batch consecutive examples, and
+    round k gives replica r row k * num_replicas + r. Dummy examples finish
+    the last row and fill the rounds to num_replicas rows, but only the last
+    row's dummies are computed: a round is walked in chunks of consecutive
+    replicas (model.replica_chunks on groups of one, as BN reads moving
+    statistics and nothing couples replicas), each one eval_forward call on
+    a slice of the set, and a row of dummies alone is skipped. Each replica
+    counts its hits and its real examples as integers; the all-reduced
+    counts give hits / n, which counts exactly the real examples, is the
+    correctly rounded quotient at any eval-set size, and depends neither on
+    the replica count nor on the chunking.
     """
-    n = len(dataset)
-    per_round = num_replicas * eval_batch
-    padded_n = per_round * math.ceil(n / per_round)
-    pad = padded_n - n
-    images = dataset.images
-    labels = dataset.labels
-    if pad:
-        images = np.concatenate(
-            [images, np.zeros((pad,) + images.shape[1:], dtype=images.dtype)])
-        labels = np.concatenate([labels, np.zeros(pad, dtype=labels.dtype)])
-
-    # One round is [num_replicas, eval_batch]: replica r evaluates row r.
-    rounds = (-1, num_replicas, eval_batch)
-    images = images.reshape(rounds + images.shape[1:])
-    labels = labels.reshape(rounds)
-    real = (np.arange(padded_n) < n).reshape(rounds)
+    for name, value in (("num_replicas", num_replicas), ("eval_batch", eval_batch)):
+        if value < 1:
+            raise ValueError(f"distributed_eval {name} must be >= 1, got {value}")
+    n, b = len(dataset), eval_batch
+    rows = math.ceil(n / b)  # the rows that hold a real example
+    chunks = replica_chunks(layers, distbn.assign_groups_1d(num_replicas, 1),
+                            (num_replicas, b) + dataset.images.shape[1:],
+                            dataset.images.dtype)
     counts = np.zeros((num_replicas, 2), dtype=np.int64)  # hits, real examples
-    for x, y, r in zip(images, labels, real):
-        logits = eval_forward(layers, params, bn_moving, x, policy)
-        hit = (logits.argmax(axis=2) == y) & r
-        counts += np.stack([hit.sum(axis=1), r.sum(axis=1)], axis=1)
+    for first in range(0, rows, num_replicas):
+        for chunk in chunks:
+            r0 = chunk.rows.start  # with groups of one, group rows are replicas
+            lo, hi = first + r0, min(first + chunk.rows.stop, rows)
+            if lo >= hi:
+                break
+            x, y = (_rows(a, lo * b, hi * b).reshape((hi - lo, b) + a.shape[1:])
+                    for a in (dataset.images, dataset.labels))
+            real = (np.arange(lo * b, hi * b) < n).reshape(hi - lo, b)
+            logits = eval_forward(layers, params, bn_moving, x, policy)
+            hit = (logits.argmax(axis=2) == y) & real
+            counts[r0:r0 + hi - lo] += np.stack([hit.sum(axis=1), real.sum(axis=1)], axis=1)
     hits, total = all_reduce(counts, "sum")
     return int(hits) / int(total)
+
+
+def _rows(a, lo, hi):
+    """a[lo:hi]: a view, or a copy finished with zeros where hi passes a's end."""
+    if hi <= len(a):
+        return a[lo:hi]
+    return np.concatenate([a[lo:], np.zeros((hi - len(a),) + a.shape[1:], a.dtype)])
 
 
 # ---------------------------------------------------------------------------
@@ -474,9 +491,10 @@ def load_weights(
 ) -> tuple[list[Parameter], dict]:
     """Inverse of save_weights for the model `layers` on `input_shape` inputs.
 
-    Raises ValueError naming the first array the model needs that the archive
-    lacks or holds in another shape or dtype, or with a non-finite value or a
-    BN variance below zero, or the first array it does not need.
+    Raises ValueError naming the first array that does not load (an object
+    array or a damaged one), the first array the model needs that the
+    archive lacks or holds in another shape or dtype, or with a non-finite
+    value or a BN variance below zero, or the first array it does not need.
     """
     params = init_params(layers, input_shape, seed=0)
     bn_moving = init_bn_moving(layers, input_shape)
@@ -485,10 +503,21 @@ def load_weights(
         archive = np.load(path)
         if not isinstance(archive, np.lib.npyio.NpzFile):
             raise ValueError("a lone .npy array")
-        with archive:
-            got = {key: archive[key] for key in archive.files}
     except (ValueError, EOFError, zipfile.BadZipFile) as e:
         raise ValueError(f"weights file {path} is not an npz archive") from e
+    with archive:
+        got = {}
+        for key in archive.files:
+            try:
+                got[key] = archive[key]
+                if not isinstance(got[key], np.ndarray):  # a member with no npy header
+                    raise ValueError("raw bytes")
+            except (ValueError, EOFError, zipfile.BadZipFile) as e:
+                # numpy loads an object array only by unpickling it, which
+                # could run code from the file.
+                what = "an object array" if "Object arrays" in str(e) else "a damaged array"
+                raise ValueError(f"weights {path} hold {key} as {what}; "
+                                 f"the model needs {np.dtype(DTYPE)}") from e
     for key, ref in want.items():
         if key not in got:
             raise ValueError(f"weights {path} lack {key}, which the model needs")

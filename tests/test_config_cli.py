@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -648,6 +649,17 @@ def _set_element(key, value):
     return edit
 
 
+def _eval_weights_with_member(key, content):
+    """argv of `eval` on toy-rmsprop-512 weights whose member for `key`
+    holds the bytes `content`."""
+    def argv(tmp_path):
+        argv = _eval_weights(lambda a: {k: v for k, v in a.items() if k != key})(tmp_path)
+        with zipfile.ZipFile(argv[2], "a") as archive:
+            archive.writestr(f"{key}.npy", content)
+        return argv
+    return argv
+
+
 def _gradcheck_on_three_examples(tmp_path):
     # Fewer examples than the checked slice of 4: all 3 are checked.
     spec = f"{idx_split(tmp_path, 't', 3, 0, n=3)},{idx_split(tmp_path, 'e', 3, 1, n=3)}"
@@ -771,6 +783,16 @@ _TABLE = [  # argv builder, exit code, pattern of the error line
                  id="eval-inf-kernel"),
     pytest.param(_eval_weights(lambda a: {**a, _KERNEL: a[_KERNEL].astype(str)}), 2,
                  rf"hold {_KERNEL} as <U\d+; the model needs float32", id="eval-unicode-kernel"),
+    pytest.param(_eval_weights(
+        lambda a: {**a, _KERNEL: np.array([1, "x", None], dtype=object)}), 2,
+        f"hold {_KERNEL} as an object array; the model needs float32",
+        id="eval-object-kernel"),
+    pytest.param(_eval_weights_with_member(_KERNEL, b"\x93NUMPY\x01\x00not a header"), 2,
+                 f"hold {_KERNEL} as a damaged array; the model needs float32",
+                 id="eval-damaged-npy-header"),
+    pytest.param(_eval_weights_with_member(_KERNEL, b"no npy magic"), 2,
+                 f"hold {_KERNEL} as a damaged array; the model needs float32",
+                 id="eval-member-without-npy-magic"),
     pytest.param(_toy("total_epochs = 1e308"), 2,
                  r"total_epochs 1e\+308 at 16 steps per epoch is inf steps, which overflows",
                  id="total-epochs-1e308"),

@@ -7,13 +7,17 @@ from pathlib import Path
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "peak_mem.py"
 
 
-def test_peak_mem_reports_every_phase():
-    proc = subprocess.run(
-        [sys.executable, str(TOOL), "toy_cnn", "4x8", "2", "fp32", "100"],
-        capture_output=True, text=True, timeout=120)
+def peak_mem(*args):
+    proc = subprocess.run([sys.executable, str(TOOL), *args],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "toy_cnn fp32, 4 replicas x 8, BN groups of 2, 100 train examples"
+    return proc.stdout.splitlines()
+
+
+def test_peak_mem_reports_every_phase():
+    lines = peak_mem("toy_cnn", "4x8", "2", "fp32", "100")
+    assert lines[0] == ("toy_cnn fp32, 4 replicas x 8, BN groups of 2, 100 train "
+                        "examples, 2048 eval examples in rows of 8")
     rows = {line.split()[0]: [float(v) for v in line.split()[1:]] for line in lines[2:]}
     assert list(rows) == ["gen_synthetic", "shard_train_data", "train_step",
                           "distributed_eval"]
@@ -22,3 +26,11 @@ def test_peak_mem_reports_every_phase():
     assert held[0] == 0.0 and all(p >= h > 0 for p, h in zip(peak[1:], held[1:]))
     # 100 examples of 16x16x1 float32 and their int64 labels, about 0.1 MiB.
     assert 0.09 < held[1] < 0.2
+
+
+def test_peak_mem_eval_examples_sets_the_eval_set():
+    # 18 eval examples on 4 replicas: rows of ceil(18 / 4) = 5, below the
+    # per-core batch of 8.
+    lines = peak_mem("toy_cnn", "4x8", "2", "fp32", "100", "--eval-examples", "18")
+    assert lines[0].endswith(", 18 eval examples in rows of 5")
+    assert lines[-1].split()[0] == "distributed_eval"

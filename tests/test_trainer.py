@@ -6,10 +6,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from minipod import distbn, trainer
+from minipod import distbn, model, trainer
 from minipod.data import Dataset, gen_synthetic, write_idx
-from minipod.model import MODELS, build_model, infer_shapes, init_bn_moving, init_params
+from minipod.model import (
+    MODELS,
+    build_model,
+    eval_forward,
+    infer_shapes,
+    init_bn_moving,
+    init_params,
+)
 from minipod.optim import ExponentialDecay, LarsConfig, PolynomialDecay, RmsPropConfig, lr_at
+from minipod.precision import FP32_ONLY, MIXED_BF16_CONV
 from minipod.rng import stream
 from minipod.trainer import (
     METRICS_HEADER,
@@ -246,6 +254,86 @@ def test_distributed_eval_single_replica_plain():
     images = toy_dataset(n=6, num_classes=2).images
     ds = Dataset(images, np.zeros(6, dtype=np.int64), 2)
     assert distributed_eval(layers, params, moving, ds, 1, 3) == 1.0
+
+
+@pytest.mark.parametrize("num_replicas,eval_batch,pattern", [
+    (0, 2, "num_replicas must be >= 1, got 0"),
+    (-3, 2, "num_replicas must be >= 1, got -3"),
+    (2, 0, "eval_batch must be >= 1, got 0")])
+def test_distributed_eval_rejects_no_replicas_or_an_empty_batch(num_replicas, eval_batch,
+                                                                 pattern):
+    layers, params, moving = constant_predictor_state(num_classes=2, favored=0)
+    ds = toy_dataset(n=6, num_classes=2)
+    with pytest.raises(ValueError, match=pattern):
+        distributed_eval(layers, params, moving, ds, num_replicas, eval_batch)
+
+
+def _eval_case():
+    # 37 examples in rows of 3: the last row holds one real example and two
+    # dummies, and rounds of 2, 4 or 8 replicas leave replicas with dummies
+    # alone (14, 16 and 16 row slots for 13 rows).
+    layers = build_model("b5", 4)
+    params = init_params(layers, (8, 8, 1), seed=5)
+    return layers, params, init_bn_moving(layers, (8, 8, 1)), toy_dataset(37, 4, seed=5)
+
+
+@pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
+@pytest.mark.parametrize("num_replicas", [1, 2, 4, 8])
+def test_distributed_eval_chunking_changes_no_count(monkeypatch, num_replicas, policy):
+    layers, params, moving, ds = _eval_case()
+    whole = eval_forward(layers, params, moving, ds.images[None], policy)
+    hits = int((whole[0].argmax(axis=1) == ds.labels).sum())
+    assert 0 < hits < len(ds)
+    top1 = []
+    for budget in (1, 2 ** 40):  # one replica per chunk; one chunk per round
+        monkeypatch.setattr(model, "CHUNK_BYTES", budget)
+        top1.append(distributed_eval(layers, params, moving, ds, num_replicas, 3, policy))
+    assert top1 == [hits / len(ds)] * 2
+
+
+# b5's largest layer output on 8x8x1 inputs is its first conv's, 4x4x8
+# floats, so a replica of 3 examples holds 3 * 4 * 4 * 8 * 4 bytes.
+@pytest.mark.parametrize("budget", [1, 3 * (3 * 4 * 4 * 8 * 4), 2 ** 40],
+                         ids=["one-replica", "three-replicas", "whole-round"])
+def test_distributed_eval_calls_read_each_real_row_once_in_order(monkeypatch, budget):
+    layers, params, moving, ds = _eval_case()
+    calls = []
+
+    def recorded(layers, params, bn_moving, x, policy):
+        calls.append(x)
+        return eval_forward(layers, params, bn_moving, x, policy)
+
+    monkeypatch.setattr(trainer, "eval_forward", recorded)
+    monkeypatch.setattr(model, "CHUNK_BYTES", budget)
+    distributed_eval(layers, params, moving, ds, 8, 3)
+    largest = max(map(math.prod, infer_shapes(layers, (8, 8, 1))))
+    for x in calls:
+        assert x.shape[1:] == (3, 8, 8, 1)
+        assert len(x) == 1 or len(x) * 3 * largest * x.itemsize <= budget
+    seen = np.concatenate([x.reshape(-1, 8, 8, 1) for x in calls])
+    assert len(seen) == 13 * 3  # the 13 rows that hold a real example, no more
+    assert seen[:37].tobytes() == ds.images.tobytes()
+    assert not seen[37:].any()
+    # Only the call that finishes the last row with dummies copies the set.
+    views = [np.shares_memory(x, ds.images) for x in calls]
+    assert views == [True] * (len(calls) - 1) + [False]
+
+
+def test_distributed_eval_peak_is_a_small_part_of_the_set():
+    # 16,389 examples of 16x16x1 float32 (16 MiB) on 64 replicas: rows of
+    # 257, the last one finished with 59 dummies. A padded copy of the set,
+    # or a walk of the whole round at once, peaks above half of it.
+    ds = gen_synthetic(10, 16389, 16, 16, 1, seed=6)
+    layers = build_model("toy_cnn", 10)
+    params = init_params(layers, (16, 16, 1), seed=6)
+    moving = init_bn_moving(layers, (16, 16, 1))
+    tracemalloc.start()
+    try:
+        distributed_eval(layers, params, moving, ds, 64, 257)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (ds.images.nbytes + ds.labels.nbytes) / 2
 
 
 @pytest.mark.parametrize("replicas,global_batch,n_eval,eval_batch", [

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Peak traced memory and wall time of minipod's data path and step at scale.
 
-    python3 tools/peak_mem.py MODEL NxB GROUP PRECISION EXAMPLES [--seed S]
+    python3 tools/peak_mem.py MODEL NxB GROUP PRECISION EXAMPLES
+        [--eval-examples E] [--seed S]
 
 For MODEL (toy_cnn, b2, ...) on N replicas of per-core batch B, BN groups of
 GROUP replicas (a number for 1d groups, RxC for 2d tiles of the most-square
@@ -12,7 +13,8 @@ each:
   10 classes);
 - shard_train_data: one epoch of its steps, every step read once;
 - train_step: the epoch's first step;
-- distributed_eval: one pass over the 2,048-example synthetic eval set.
+- distributed_eval: one pass over a synthetic eval set of E examples
+  (default 2,048, the run's), made before tracing starts.
 
 For each it prints the wall time, the tracemalloc peak during the call and
 what was already allocated when the call began (the train set, for every
@@ -22,9 +24,11 @@ train step's time also depends on the sizes freed before it, which set the
 allocator's mmap threshold, so compare times only roughly. The program under
 test is src/minipod of the checkout this script sits in.
 
-Example, the pod-scale rows of ROADMAP item 8:
+Examples, the pod-scale rows of ROADMAP item 8, and a pod's eval pass over
+50,000 examples, the size of ImageNet's validation set:
 
     python3 tools/peak_mem.py toy_cnn 1024x64 8 fp32 262144
+    python3 tools/peak_mem.py b5 1024x64 1 fp32 65536 --eval-examples 50000
 """
 
 from __future__ import annotations
@@ -81,14 +85,16 @@ def main(argv=None) -> int:
     p.add_argument("group", help="BN group size (1d) or RxC tile (2d)")
     p.add_argument("precision", choices=("fp32", "mixed_bf16"))
     p.add_argument("examples", type=int, help="train examples")
+    p.add_argument("--eval-examples", type=int, default=trainer.SYNTHETIC_EVAL_N)
     p.add_argument("--seed", type=int, default=0)
     args = p.parse_args(argv)
     cfg = config(args)
     spec = dict(trainer.SYNTHETIC_DEFAULTS, seed=cfg.seed)
-    evalset = gen_synthetic(**dict(spec, n=trainer.SYNTHETIC_EVAL_N, noise_stream=1))
+    evalset = gen_synthetic(**dict(spec, n=args.eval_examples, noise_stream=1))
     print(f"{cfg.model} {cfg.precision}, {cfg.num_replicas} replicas x "
           f"{cfg.per_core_batch}, BN groups of {cfg.bn_groups.shape[1]}, "
-          f"{args.examples} train examples")
+          f"{args.examples} train examples, {args.eval_examples} eval examples "
+          f"in rows of {cfg.eval_batch_for(len(evalset))}")
     print(f"{'phase':<18} {'seconds':>9} {'peak MiB':>10} {'held MiB':>10}")
 
     def one_epoch():
