@@ -1,15 +1,10 @@
 #!/usr/bin/env python3
 """Learning-rate schedules: linear scaling per 256 samples, warmup, and the
-two decay families, plotted as text sparklines.
+two decays (RMSProp's exponential stairs, LARS's polynomial decay to zero),
+plotted as text sparklines.
 """
 
-from minipod.optim import (
-    ExponentialDecay,
-    PolynomialDecay,
-    ScheduleSpec,
-    base_lr,
-    lr_at,
-)
+from minipod.optim import ScheduleSpec, base_lr, lr_at
 
 print("linear scaling rule (rate per 256 samples):")
 for lr256, batch in [(0.016, 4096), (0.118, 32768), (0.081, 65536)]:
@@ -29,9 +24,9 @@ def sparkline(spec, until_epoch, points=72):
 
 
 exp = ScheduleSpec(0.016, 4096, warmup_epochs=5.0, steps_per_epoch=SPE,
-                   total_epochs=90.0, decay=ExponentialDecay(0.97, 2.4))
+                   total_epochs=90.0, decay="exponential")
 poly = ScheduleSpec(0.118, 32768, warmup_epochs=50.0, steps_per_epoch=SPE,
-                    total_epochs=350.0, decay=PolynomialDecay(2.0, 0.0))
+                    total_epochs=350.0, decay="polynomial")
 
 print(f"\nwarmup 5 epochs + exponential stairs (0.97 every 2.4 epochs), "
       f"epochs 0..90:\n  [{sparkline(exp, 90)}]")

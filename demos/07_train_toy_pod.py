@@ -4,13 +4,14 @@ and show the determinism guarantee in action.
 """
 
 from minipod.config import preset_config
+from minipod.optim import DECAYS
 from minipod.trainer import format_metrics_csv, run, time_to_peak
 
 for name in ("toy-rmsprop-512", "toy-lars-2048"):
     cfg = preset_config(name)
     print(f"== {name}: {cfg.num_replicas} replicas, global batch "
           f"{cfg.global_batch}, {cfg.optimizer}, lr/256 {cfg.lr_per_256}, "
-          f"{cfg.decay} decay, warmup {cfg.warmup_epochs} epochs")
+          f"{DECAYS[cfg.optimizer]} decay, warmup {cfg.warmup_epochs} epochs")
     records, _ = run(cfg)
     evals = [(r.epoch, r.eval_top1) for r in records if r.eval_top1 is not None]
     for epoch, top1 in evals:

@@ -33,10 +33,9 @@ from .model import (
 )
 from .nn import Parameter, conv2d_backward, conv2d_forward, im2col, softmax_xent
 from .optim import (
-    ExponentialDecay,
+    DECAYS,
     LarsConfig,
     OptimizerState,
-    PolynomialDecay,
     RmsPropConfig,
     ScheduleSpec,
     base_lr,

@@ -2,9 +2,11 @@
 
 The catalog carries the published b2/b5 hyperparameter rows (pod-scale
 replica counts and batch sizes) plus desk-scale toy presets, each a dict of
-TrainConfig keys. A preset is applied first and explicit keys override it;
-unknown keys and duplicates are rejected so typos never pass silently, and
-every value is checked by building the TrainConfig, before any data is read.
+TrainConfig keys. No row names a decay: each follows its optimizer
+(optim.DECAYS), and the listing prints it. A preset is applied first and
+explicit keys override it; unknown keys and duplicates are rejected so typos
+never pass silently, and every value is checked by building the TrainConfig,
+before any data is read.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from .optim import DECAYS
 from .trainer import TrainConfig
 
 
@@ -19,31 +22,31 @@ class ConfigError(ValueError):
     pass
 
 
-def _published(model, cores, batch, opt, lr, decay, warmup) -> dict:
+def _published(model, cores, batch, opt, lr, warmup) -> dict:
     return dict(model=model, num_replicas=cores, global_batch=batch, optimizer=opt,
-                lr_per_256=lr, decay=decay, warmup_epochs=warmup, total_epochs=350.0)
+                lr_per_256=lr, warmup_epochs=warmup, total_epochs=350.0)
 
 
 # One preset per published benchmark row (pod-scale), then the toy rows.
 PRESETS: dict[str, dict] = {
-    "b2-rmsprop-4096": _published("b2", 128, 4096, "rmsprop", 0.016, "exponential", 5.0),
-    "b2-rmsprop-8192": _published("b2", 256, 8192, "rmsprop", 0.016, "exponential", 5.0),
-    "b2-rmsprop-16384": _published("b2", 512, 16384, "rmsprop", 0.016, "exponential", 5.0),
-    "b2-lars-16384": _published("b2", 512, 16384, "lars", 0.236, "polynomial", 50.0),
-    "b2-lars-32768": _published("b2", 1024, 32768, "lars", 0.118, "polynomial", 50.0),
-    "b5-rmsprop-4096": _published("b5", 128, 4096, "rmsprop", 0.016, "exponential", 5.0),
-    "b5-rmsprop-8192": _published("b5", 256, 8192, "rmsprop", 0.016, "exponential", 5.0),
-    "b5-rmsprop-16384": _published("b5", 512, 16384, "rmsprop", 0.016, "exponential", 5.0),
-    "b5-lars-16384": _published("b5", 512, 16384, "lars", 0.236, "polynomial", 50.0),
-    "b5-lars-32768": _published("b5", 1024, 32768, "lars", 0.118, "polynomial", 50.0),
-    "b5-lars-65536": _published("b5", 1024, 65536, "lars", 0.081, "polynomial", 43.0),
+    "b2-rmsprop-4096": _published("b2", 128, 4096, "rmsprop", 0.016, 5.0),
+    "b2-rmsprop-8192": _published("b2", 256, 8192, "rmsprop", 0.016, 5.0),
+    "b2-rmsprop-16384": _published("b2", 512, 16384, "rmsprop", 0.016, 5.0),
+    "b2-lars-16384": _published("b2", 512, 16384, "lars", 0.236, 50.0),
+    "b2-lars-32768": _published("b2", 1024, 32768, "lars", 0.118, 50.0),
+    "b5-rmsprop-4096": _published("b5", 128, 4096, "rmsprop", 0.016, 5.0),
+    "b5-rmsprop-8192": _published("b5", 256, 8192, "rmsprop", 0.016, 5.0),
+    "b5-rmsprop-16384": _published("b5", 512, 16384, "rmsprop", 0.016, 5.0),
+    "b5-lars-16384": _published("b5", 512, 16384, "lars", 0.236, 50.0),
+    "b5-lars-32768": _published("b5", 1024, 32768, "lars", 0.118, 50.0),
+    "b5-lars-65536": _published("b5", 1024, 65536, "lars", 0.081, 43.0),
     "toy-rmsprop-512": dict(
         model="toy_cnn", num_replicas=8, global_batch=512, optimizer="rmsprop",
-        lr_per_256=0.03, decay="exponential", warmup_epochs=1.0,
+        lr_per_256=0.03, warmup_epochs=1.0,
         total_epochs=12.0, bn_group_size=8, eval_every_epochs=2.0),
     "toy-lars-2048": dict(
         model="toy_cnn", num_replicas=8, global_batch=2048, optimizer="lars",
-        lr_per_256=0.05, decay="polynomial", warmup_epochs=2.0,
+        lr_per_256=0.05, warmup_epochs=2.0,
         total_epochs=20.0, bn_group_size=8, eval_every_epochs=5.0, lars_eta=0.02),
 }
 
@@ -146,7 +149,7 @@ def presets_table() -> str:
     for name, p in PRESETS.items():
         lines.append(
             f"{name:<18} {p['model']:<7} {p['num_replicas']:>5} {p['global_batch']:>6} "
-            f"{p['optimizer']:<9} {p['lr_per_256']:>7} {p['decay']:<12} "
+            f"{p['optimizer']:<9} {p['lr_per_256']:>7} {DECAYS[p['optimizer']]:<12} "
             f"{p['warmup_epochs']:>6}"
         )
     return "\n".join(lines)

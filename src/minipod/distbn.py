@@ -239,9 +239,12 @@ def update_moving_stats(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Blend one layer's [G, C] group statistics into its moving statistics.
 
-    The groups are averaged in ascending group id, so the inference
-    statistics are those of the whole replica set; then
-    moving <- momentum * moving + (1 - momentum) * average. Returns the new
+    The groups are averaged in ascending group id; then
+    moving <- momentum * moving + (1 - momentum) * average. Groups are of
+    equal size, so the averaged mean is that of the whole replica set. The
+    averaged variance is not: it is the mean of the within-group variances
+    and leaves out the spread of the group means, so with more than one
+    group it can fall short of the whole set's variance. Returns the new
     (moving_mean, moving_var).
     """
     if means.shape[1:] != moving_mean.shape or variances.shape != means.shape:

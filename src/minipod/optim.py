@@ -1,16 +1,18 @@
 """RMSProp and LARS optimizers plus the learning-rate schedule engine.
 
 The schedule scales a reference rate linearly with the global batch (per 256
-samples), warms up linearly from zero, then decays either exponentially
-(staircase) or polynomially. Schedule arithmetic is float64 so closed-form
-checks hold to 1e-12; optimizer steps run in whatever dtype the parameters
-carry (float32 in training).
+samples), warms up linearly from zero, then decays as the optimizer's recipe
+does (DECAYS): RMSProp by EfficientNet's exponential staircase, EXP_DECAY_RATE
+every EPOCHS_PER_DECAY epochs, and LARS polynomially, with power POLY_POWER,
+to zero at total_epochs. Schedule arithmetic is float64 so closed-form checks
+hold to 1e-12; optimizer steps run in whatever dtype the parameters carry
+(float32 in training).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,6 +77,13 @@ class OptimizerState:
             for p in params
         }
         return cls(kind, slots)
+
+
+# The decay each optimizer's recipe uses, and the recipes' decay constants.
+DECAYS = {"rmsprop": "exponential", "lars": "polynomial"}
+EXP_DECAY_RATE = 0.97
+EPOCHS_PER_DECAY = 2.4
+POLY_POWER = 2.0
 
 
 def _check_step_args(params, grads, state, kind):
@@ -163,38 +172,13 @@ def base_lr(lr_per_256: float, global_batch: int) -> float:
 
 
 @dataclass(frozen=True)
-class ExponentialDecay:
-    rate: float = 0.97
-    epochs_per_decay: float = 2.4
-
-    def __post_init__(self):
-        if not 0.0 < self.rate <= 1.0:
-            raise ValueError(f"decay rate must be in (0,1], got {self.rate}")
-        if not 0.0 < self.epochs_per_decay < math.inf:
-            raise ValueError(
-                f"epochs_per_decay must be finite and > 0, got {self.epochs_per_decay}")
-
-
-@dataclass(frozen=True)
-class PolynomialDecay:
-    power: float = 2.0
-    end_lr: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.power < math.inf:
-            raise ValueError(f"polynomial power must be finite and > 0, got {self.power}")
-        if not 0.0 <= self.end_lr < math.inf:
-            raise ValueError(f"end_lr must be finite and >= 0, got {self.end_lr}")
-
-
-@dataclass(frozen=True)
 class ScheduleSpec:
     lr_per_256: float
     global_batch: int
     warmup_epochs: float
     steps_per_epoch: int
     total_epochs: float = 350.0
-    decay: ExponentialDecay | PolynomialDecay = field(default_factory=PolynomialDecay)
+    decay: str = "polynomial"
 
     def __post_init__(self):
         if not 0.0 < self.lr_per_256 < math.inf:
@@ -206,11 +190,8 @@ class ScheduleSpec:
                 f"need 0 <= warmup ({self.warmup_epochs}) <= total "
                 f"({self.total_epochs})"
             )
-        # A polynomial "decay" ending above the peak would raise the rate.
-        if isinstance(self.decay, PolynomialDecay) and self.decay.end_lr > self.peak_lr:
-            raise ValueError(
-                f"end_lr {self.decay.end_lr} must not exceed the peak rate "
-                f"{self.peak_lr} (lr_per_256 * global_batch / 256)")
+        if self.decay not in DECAYS.values():
+            raise ValueError(f"decay must be exponential or polynomial, got {self.decay!r}")
 
     @property
     def peak_lr(self) -> float:
@@ -230,11 +211,10 @@ def lr_at(spec: ScheduleSpec, step: int) -> float:
     peak = spec.peak_lr
     if e < spec.warmup_epochs:
         return peak * e / spec.warmup_epochs
-    d = spec.decay
-    if isinstance(d, ExponentialDecay):
-        k = math.floor((e - spec.warmup_epochs) / d.epochs_per_decay + _BOUNDARY_EPS)
-        return peak * d.rate**k
+    if spec.decay == "exponential":
+        k = math.floor((e - spec.warmup_epochs) / EPOCHS_PER_DECAY + _BOUNDARY_EPS)
+        return peak * EXP_DECAY_RATE**k
     if e >= spec.total_epochs:
-        return d.end_lr
+        return 0.0
     frac = (e - spec.warmup_epochs) / (spec.total_epochs - spec.warmup_epochs)
-    return d.end_lr + (peak - d.end_lr) * (1.0 - frac) ** d.power
+    return peak * (1.0 - frac) ** POLY_POWER

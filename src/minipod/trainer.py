@@ -3,8 +3,9 @@
 TrainConfig is where every config key is defined and checked: constructing one
 builds the BN replica groups, optimizer config and precision policy that
 training reads, so a bad key fails before any data is read. The
-hyperparameters the paper holds fixed are no keys: the optimizer and decay
-constants are the defaults of the optim configs, and BN's momentum and
+hyperparameters the paper holds fixed are no keys: the optimizer constants
+are the defaults of the optim configs, the decay is the optimizer's
+(optim.DECAYS) with optim's decay constants, and BN's momentum and
 epsilon are distbn.DEFAULT_MOMENTUM and DEFAULT_EPS. The run loop goes
 over whole epochs and evaluates every eval_every_epochs of them and after the
 last step. An epoch is a shuffled [steps, N, b] index array; each step's
@@ -53,10 +54,9 @@ from .model import (
 )
 from .nn import DTYPE, Parameter
 from .optim import (
-    ExponentialDecay,
+    DECAYS,
     LarsConfig,
     OptimizerState,
-    PolynomialDecay,
     RmsPropConfig,
     ScheduleSpec,
     lars_step,
@@ -81,7 +81,11 @@ class NonFiniteLossError(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Everything one experiment needs; field names double as config keys."""
+    """Everything one experiment needs; field names double as config keys.
+
+    The learning-rate decay is no key: it follows the optimizer
+    (optim.DECAYS), exponential for RMSProp and polynomial for LARS.
+    """
 
     model: str = "toy_cnn"
     dataset: str = "synthetic"
@@ -94,7 +98,6 @@ class TrainConfig:
     optimizer: str = "rmsprop"
     lr_per_256: float = 0.016
     warmup_epochs: float = 0.0
-    decay: str = "exponential"
     lars_eta: float = 0.001
     precision: str = "fp32"
     total_epochs: float = 350.0
@@ -169,9 +172,6 @@ class TrainConfig:
         return min(self.per_core_batch, math.ceil(n_eval / self.num_replicas))
 
     def schedule(self, steps_per_epoch: int) -> ScheduleSpec:
-        decays = {"exponential": ExponentialDecay(), "polynomial": PolynomialDecay()}
-        if self.decay not in decays:
-            raise ValueError(f"decay must be exponential or polynomial, got {self.decay!r}")
         return ScheduleSpec(
             lr_per_256=self.lr_per_256,
             global_batch=self.global_batch,
@@ -180,7 +180,7 @@ class TrainConfig:
             warmup_epochs=min(self.warmup_epochs, self.total_epochs),
             steps_per_epoch=steps_per_epoch,
             total_epochs=self.total_epochs,
-            decay=decays[self.decay],
+            decay=DECAYS[self.optimizer],
         )
 
 
@@ -495,40 +495,47 @@ def load_weights(
     array or a damaged one), the first array the model needs that the
     archive lacks or holds in another shape or dtype, or with a non-finite
     value or a BN variance below zero, or the first array it does not need.
+    Each member's npy header is read first, and its data only if the header
+    gives the shape and dtype the model needs, so a header that claims more
+    than that allocates nothing.
     """
     params = init_params(layers, input_shape, seed=0)
     bn_moving = init_bn_moving(layers, input_shape)
     want = _weights_arrays(params, bn_moving)
     try:
-        archive = np.load(path)
-        if not isinstance(archive, np.lib.npyio.NpzFile):
-            raise ValueError("a lone .npy array")
+        archive = zipfile.ZipFile(path)
     except (ValueError, EOFError, zipfile.BadZipFile) as e:
         raise ValueError(f"weights file {path} is not an npz archive") from e
+    fmt = np.lib.format
+    read_header = {(1, 0): fmt.read_array_header_1_0, (2, 0): fmt.read_array_header_2_0}
+    held, got = {}, {}  # held: key -> (shape, dtype) from the member's header
     with archive:
-        got = {}
-        for key in archive.files:
+        for name in archive.namelist():
+            key = name.removesuffix(".npy")  # as np.load keys an npz member
             try:
-                got[key] = archive[key]
-                if not isinstance(got[key], np.ndarray):  # a member with no npy header
-                    raise ValueError("raw bytes")
-            except (ValueError, EOFError, zipfile.BadZipFile) as e:
-                # numpy loads an object array only by unpickling it, which
-                # could run code from the file.
-                what = "an object array" if "Object arrays" in str(e) else "a damaged array"
-                raise ValueError(f"weights {path} hold {key} as {what}; "
+                with archive.open(name) as member:
+                    shape, _, dtype = read_header[fmt.read_magic(member)](member)
+                held[key] = shape, dtype
+                if key in want and held[key] == (want[key].shape, want[key].dtype):
+                    with archive.open(name) as member:
+                        got[key] = fmt.read_array(member, allow_pickle=False)
+            except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as e:
+                raise ValueError(f"weights {path} hold {key} as a damaged array; "
                                  f"the model needs {np.dtype(DTYPE)}") from e
+            # numpy loads an object array only by unpickling it, which could
+            # run code from the file; the header alone rejects it.
+            if dtype.hasobject:
+                raise ValueError(f"weights {path} hold {key} as an object array; "
+                                 f"the model needs {np.dtype(DTYPE)}")
     for key, ref in want.items():
-        if key not in got:
+        if key not in held:
             raise ValueError(f"weights {path} lack {key}, which the model needs")
-        if got[key].shape != ref.shape:
+        shape, dtype = held[key]
+        if shape != ref.shape:
             raise ValueError(
-                f"weights {path} hold {key} with shape {got[key].shape}; "
-                f"the model needs {ref.shape}")
-        if got[key].dtype != ref.dtype:
-            raise ValueError(
-                f"weights {path} hold {key} as {got[key].dtype}; "
-                f"the model needs {ref.dtype}")
+                f"weights {path} hold {key} with shape {shape}; the model needs {ref.shape}")
+        if dtype != ref.dtype:
+            raise ValueError(f"weights {path} hold {key} as {dtype}; the model needs {ref.dtype}")
         bad = np.flatnonzero(~np.isfinite(got[key]))
         if bad.size:
             raise ValueError(
@@ -536,7 +543,7 @@ def load_weights(
                 f"{got[key].flat[bad[0]]} at flat index {bad[0]}")
         if key.startswith("bn_var/") and (got[key] < 0).any():
             raise ValueError(f"weights {path} hold {key} with a negative variance")
-    for key in got:
+    for key in held:
         if key not in want:
             raise ValueError(f"weights {path} hold {key}, which the model lacks")
     params = [Parameter(p.name, got[f"param/{p.tag}/{p.name}"], tag=p.tag)

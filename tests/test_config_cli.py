@@ -1,6 +1,7 @@
 """Config parsing, preset catalog, and command-line surface tests."""
 
 import dataclasses
+import io
 import os
 import re
 import struct
@@ -37,7 +38,7 @@ def test_parse_preset_row():
     assert cfg.global_batch == 65536
     assert cfg.optimizer == "lars"
     assert cfg.lr_per_256 == 0.081
-    assert cfg.decay == "polynomial"
+    assert cfg.schedule(1).decay == "polynomial"
     assert cfg.warmup_epochs == 43.0
     assert cfg.total_epochs == 350.0
     assert cfg.model == "b5"
@@ -103,7 +104,7 @@ _FLOAT_KEYS = [  # key, preset that reads it, quantity its error names
 ]
 
 # The hyperparameters the paper fixes are constants, the defaults of optim's
-# configs and decays and distbn's DEFAULT_MOMENTUM/DEFAULT_EPS; a config that
+# configs, optim's decay constants and distbn's DEFAULT_MOMENTUM/DEFAULT_EPS; a config that
 # sets one fails as an unknown key. One line per key sets its constant's own
 # value; the others set values out of the constant's range.
 _FIXED_KEYS = {"bn_momentum": "0.99", "bn_eps": "0.001", "momentum": "0.9",
@@ -263,6 +264,17 @@ def test_cli_presets_lists_catalog(capsys):
     rows = [l for l in out.splitlines()
             if l.strip() and not l.startswith(("name", "-"))]
     assert len(rows) == len(PRESETS)
+
+
+def test_cli_presets_print_each_rows_optimizer_decay(capsys):
+    # No preset names a decay; the listing prints the one its optimizer uses.
+    assert main(["presets"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 13
+    for row, (name, preset) in zip(rows, PRESETS.items()):
+        fields = row.split()
+        assert (fields[0], fields[4]) == (name, preset["optimizer"])
+        assert fields[6] == {"rmsprop": "exponential", "lars": "polynomial"}[fields[4]]
 
 
 def test_cli_unknown_subcommand(capsys):
@@ -598,11 +610,31 @@ def _eval_weights_of_another_model(tmp_path):
     return argv[:-1] + [str(b2)]
 
 
-def _eval_weights_not_npz(tmp_path):
-    weights = tmp_path / "w.npz"
-    weights.write_text("not an archive\n")
-    return ["eval", "--weights", str(weights), "--config",
-            str(write_config(tmp_path, "preset = toy-rmsprop-512\ndataset = synthetic\n"))]
+def _eval_weights_file(name, content):
+    """argv of `eval` on toy-rmsprop-512 with a weights file `name` of `content`."""
+    def argv(tmp_path):
+        weights = tmp_path / name
+        weights.write_bytes(content)
+        return ["eval", "--weights", str(weights), "--config",
+                str(write_config(tmp_path, "preset = toy-rmsprop-512\ndataset = synthetic\n"))]
+    return argv
+
+
+def _npy_claiming(shape):
+    """An npy file whose float32 header claims `shape`; 16 data bytes follow."""
+    npy = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        npy, {"descr": "<f4", "fortran_order": False, "shape": shape})
+    return npy.getvalue() + bytes(16)
+
+
+def _npz_of(members):
+    """An npz archive of the member name -> bytes map `members`."""
+    npz = io.BytesIO()
+    with zipfile.ZipFile(npz, "w") as archive:
+        for name, content in members.items():
+            archive.writestr(name, content)
+    return npz.getvalue()
 
 
 def _out_in_missing_directory(flag):
@@ -717,7 +749,8 @@ _TABLE = [  # argv builder, exit code, pattern of the error line
     pytest.param(_out_in_missing_directory("--weights-out"), 2, "does not exist",
                  id="weights-out-nodir"),
     pytest.param(_eval_weights_of_another_model, 2, "conv2/kernel", id="eval-other-model"),
-    pytest.param(_eval_weights_not_npz, 2, "is not an npz archive", id="eval-not-npz"),
+    pytest.param(_eval_weights_file("w.npz", b"not an archive\n"), 2, "is not an npz archive",
+                 id="eval-not-npz"),
     pytest.param(_bench("b2,128,4096,inf,2.1"), 2, "finite throughput > 0",
                  id="bench-throughput-inf"),
     pytest.param(lambda tmp_path: ["bench", "--table", str(tmp_path / "absent.csv")], 2,
@@ -754,8 +787,8 @@ _TABLE = [  # argv builder, exit code, pattern of the error line
     # Rejections no other test reaches through cli.main.
     pytest.param(_toy("bn_grouping = 3d"), 2, "bn_grouping must be 1d or 2d, got '3d'",
                  id="bn_grouping-3d"),
-    pytest.param(_toy("decay = cosine"), 2,
-                 "decay must be exponential or polynomial, got 'cosine'", id="decay-cosine"),
+    pytest.param(_toy("decay = exponential"), 2, "line 3: unknown key 'decay'",
+                 id="decay-removed"),
     pytest.param(_train("preset = toy-rmsprop-512\ndataset = nope\n"), 2,
                  "unknown dataset spec 'nope'", id="dataset-nope"),
     pytest.param(_train("preset = toy-rmsprop-512\ndataset = idx:a\n"), 2,
@@ -793,6 +826,13 @@ _TABLE = [  # argv builder, exit code, pattern of the error line
     pytest.param(_eval_weights_with_member(_KERNEL, b"no npy magic"), 2,
                  f"hold {_KERNEL} as a damaged array; the model needs float32",
                  id="eval-member-without-npy-magic"),
+    # npy headers that claim 256 GiB: rejected before any data is allocated.
+    pytest.param(
+        _eval_weights_file("w.npz", _npz_of({f"{_KERNEL}.npy": _npy_claiming((2**36,))})), 2,
+        rf"hold {_KERNEL} with shape \(68719476736,\); the model needs \(3, 3, 1, 8\)",
+        id="eval-npz-header-claims-256GiB"),
+    pytest.param(_eval_weights_file("w.npy", _npy_claiming((2**36,))), 2,
+                 r"w\.npy is not an npz archive", id="eval-lone-npy-claims-256GiB"),
     pytest.param(_toy("total_epochs = 1e308"), 2,
                  r"total_epochs 1e\+308 at 16 steps per epoch is inf steps, which overflows",
                  id="total-epochs-1e308"),

@@ -7,10 +7,8 @@ import pytest
 
 from minipod.nn import Parameter
 from minipod.optim import (
-    ExponentialDecay,
     LarsConfig,
     OptimizerState,
-    PolynomialDecay,
     RmsPropConfig,
     ScheduleSpec,
     base_lr,
@@ -191,12 +189,12 @@ def test_base_lr_values():
 
 def exp_spec(spe=10):
     return ScheduleSpec(0.016, 4096, warmup_epochs=5.0, steps_per_epoch=spe,
-                        total_epochs=350.0, decay=ExponentialDecay(0.97, 2.4))
+                        total_epochs=350.0, decay="exponential")
 
 
 def poly_spec(spe=10):
     return ScheduleSpec(0.118, 32768, warmup_epochs=50.0, steps_per_epoch=spe,
-                        total_epochs=350.0, decay=PolynomialDecay(2.0, 0.0))
+                        total_epochs=350.0, decay="polynomial")
 
 
 def test_warmup_start_is_zero():
@@ -259,8 +257,8 @@ def test_schedule_validation():
         ScheduleSpec(0.1, 256, warmup_epochs=10.0, steps_per_epoch=5, total_epochs=5.0)
     with pytest.raises(ValueError):
         ScheduleSpec(-0.1, 256, warmup_epochs=0.0, steps_per_epoch=5)
-    with pytest.raises(ValueError):
-        ExponentialDecay(rate=1.5)
+    with pytest.raises(ValueError, match="decay must be exponential or polynomial"):
+        ScheduleSpec(0.1, 256, warmup_epochs=0.0, steps_per_epoch=5, decay="cosine")
     with pytest.raises(ValueError):
         lr_at(exp_spec(), -1)
 
@@ -275,23 +273,16 @@ def test_config_validation():
 
 
 # The ranges each constant of the paper's recipe must lie in, checked where the
-# constant lives: optim's configs and decays.
+# constant lives: optim's configs.
 _OUT_OF_RANGE = [  # class, field, value, quantity its error names
     (RmsPropConfig, "decay", 1.5, "rmsprop decay"),
     (RmsPropConfig, "momentum", 1.0, "momentum"),
     (LarsConfig, "momentum", -0.5, "momentum"),
     (RmsPropConfig, "eps", 0.0, "rmsprop eps"),
     (LarsConfig, "weight_decay", -1e-5, "lars weight_decay"),
-    (ExponentialDecay, "rate", 2.0, "decay rate"),
-    (ExponentialDecay, "epochs_per_decay", 0.0, "epochs_per_decay"),
-    (PolynomialDecay, "power", -1.0, "polynomial power"),
-    (PolynomialDecay, "end_lr", -0.1, "end_lr"),
 ] + [(cls, name, value, quantity)
      for cls, name, quantity in ((RmsPropConfig, "eps", "rmsprop eps"),
-                                 (LarsConfig, "weight_decay", "lars weight_decay"),
-                                 (ExponentialDecay, "epochs_per_decay", "epochs_per_decay"),
-                                 (PolynomialDecay, "power", "polynomial power"),
-                                 (PolynomialDecay, "end_lr", "end_lr"))
+                                 (LarsConfig, "weight_decay", "lars weight_decay"))
      for value in (math.nan, math.inf)]
 
 
@@ -299,10 +290,3 @@ _OUT_OF_RANGE = [  # class, field, value, quantity its error names
 def test_hyperparameter_out_of_range(cls, name, value, quantity):
     with pytest.raises(ValueError, match=f"{quantity} .* got {value}$"):
         cls(**{name: value})
-
-
-def test_polynomial_end_lr_above_peak_rejected():
-    # A polynomial "decay" ending above the peak 0.05 * 2048 / 256 would raise the rate.
-    with pytest.raises(ValueError, match="end_lr 5.0 must not exceed the peak rate 0.4 "):
-        ScheduleSpec(0.05, 2048, warmup_epochs=2.0, steps_per_epoch=4, total_epochs=20.0,
-                     decay=PolynomialDecay(end_lr=5.0))

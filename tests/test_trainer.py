@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from minipod import distbn, model, trainer
+from minipod import distbn, model, optim, trainer
 from minipod.data import Dataset, gen_synthetic, write_idx
 from minipod.model import (
     MODELS,
@@ -16,7 +16,7 @@ from minipod.model import (
     init_bn_moving,
     init_params,
 )
-from minipod.optim import ExponentialDecay, LarsConfig, PolynomialDecay, RmsPropConfig, lr_at
+from minipod.optim import LarsConfig, RmsPropConfig, lr_at
 from minipod.precision import FP32_ONLY, MIXED_BF16_CONV
 from minipod.rng import stream
 from minipod.trainer import (
@@ -505,14 +505,16 @@ def test_config_validation_errors():
 
 
 def test_config_builds_the_papers_fixed_hyperparameters():
-    # The optimizer and decay constants are the optim defaults, which hold the
-    # EfficientNet recipe's values; only lars_eta is a key.
-    rms = tiny_config(optimizer="rmsprop", decay="polynomial")
-    lars = tiny_config(optimizer="lars", lars_eta=0.02, decay="exponential")
+    # The optimizer constants are the optim defaults, which hold the
+    # EfficientNet recipe's values; only lars_eta is a key. The decay follows
+    # the optimizer, with optim's constants.
+    rms = tiny_config(optimizer="rmsprop")
+    lars = tiny_config(optimizer="lars", lars_eta=0.02)
     assert rms.optimizer_config == RmsPropConfig() == RmsPropConfig(0.9, 0.9, 1e-3)
     assert lars.optimizer_config == LarsConfig(eta=0.02) == LarsConfig(0.02, 0.9, 1e-5)
-    assert rms.schedule(1).decay == PolynomialDecay() == PolynomialDecay(2.0, 0.0)
-    assert lars.schedule(1).decay == ExponentialDecay() == ExponentialDecay(0.97, 2.4)
+    assert rms.schedule(1).decay == "exponential"
+    assert lars.schedule(1).decay == "polynomial"
+    assert (optim.EXP_DECAY_RATE, optim.EPOCHS_PER_DECAY, optim.POLY_POWER) == (0.97, 2.4, 2.0)
     assert (distbn.DEFAULT_MOMENTUM, distbn.DEFAULT_EPS) == (0.99, 1e-3)
 
 
