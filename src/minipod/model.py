@@ -11,8 +11,11 @@ The engine walks the replicas in chunks of whole batch-normalization groups
 (replica_chunks, which sizes distbn.plan_chunks over the [G, S] replica array
 that only distbn reads): as many consecutive groups as keep the chunk's
 largest layer output within CHUNK_BYTES, and at least one. Each chunk runs
-forward, loss and backward before the next starts, so one chunk's
-activations are live at a time.
+forward, loss and backward on one thread; map_chunks walks the chunks on the
+calling thread and up to MAX_WORKERS - 1 helpers, so up to that many chunks'
+activations are live at a time, and the calling thread writes the results
+in chunk order. No chunk reads another's values and the kernels keep no
+state between calls, so the bytes do not depend on the threads.
 Within a chunk the engine is lockstep: it holds the chunk's activations in
 one array with a leading replica axis, [n, b, ...], and walks the layers
 once, each layer making one call that computes all of the chunk's replicas,
@@ -44,7 +47,11 @@ time, so a wrapper installed on a module attribute sees every call.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -341,7 +348,8 @@ class EngineResult:
 
 
 # The largest layer output one chunk of a step or an eval round may hold, so
-# the live activations do not grow with the replica count. Packing small
+# the live activations (one chunk per worker thread of map_chunks) do not
+# grow with the replica count. Packing small
 # groups up to this budget walks fewer, larger chunks than one group per
 # chunk; CHANGES.md has the budget sweeps that picked it.
 CHUNK_BYTES = 512 * 1024
@@ -356,6 +364,77 @@ def replica_chunks(layers: list[LayerSpec], groups: np.ndarray, shape: tuple[int
     largest = max(map(math.prod, infer_shapes(layers, shape[2:])))
     return distbn.plan_chunks(groups, shape[0],
                               shape[1] * largest * np.dtype(dtype).itemsize, CHUNK_BYTES)
+
+
+# At most this many threads walk one pass's chunks. Each holds one chunk's
+# activations and, under glibc, its own malloc arena, so the cap bounds the
+# pass's peak at a few chunks on any host.
+MAX_WORKERS = 4
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def worker_count() -> int:
+    """The threads a pass may walk its chunks on: one per core this process
+    may run on, at most MAX_WORKERS."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        cores = os.cpu_count() or 1
+    return min(cores, MAX_WORKERS)
+
+
+def _helpers() -> ThreadPoolExecutor:
+    """The one pool of helper threads, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(worker_count() - 1, 1),
+                                       thread_name_prefix="minipod-chunk")
+        return _pool
+
+
+def map_chunks(fn: Callable, items: list) -> list:
+    """[fn(item) for item in items], in order.
+
+    The calling thread and W - 1 helper threads take items from one shared
+    queue, where W is worker_count() and at most len(items); one item or one
+    core is a plain loop. numpy releases the interpreter lock inside its
+    kernels, so independent chunks overlap. Each helper runs in a copy of the
+    caller's context, so numpy's error state (np.errstate) holds in it as in
+    the caller. The first exception stops further items and reaches the
+    caller once every helper is done.
+    """
+    workers = min(worker_count(), len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    todo, lock = iter(range(len(items))), threading.Lock()  # the shared queue
+    results = [None] * len(items)
+
+    def drain():
+        while True:
+            with lock:
+                i = next(todo, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(items[i])
+            except BaseException:
+                with lock:
+                    for _ in todo:  # the other threads stop after their item
+                        pass
+                raise
+
+    pool = _helpers()
+    helpers = [pool.submit(contextvars.copy_context().run, drain)
+               for _ in range(workers - 1)]
+    try:
+        drain()  # the caller takes items too, so W chunks are live, not W + 1
+    finally:
+        wait(helpers)
+    for f in helpers:
+        f.result()
+    return results
 
 
 def _fill(out, key, size, at, part):
@@ -383,15 +462,20 @@ def distributed_forward_backward(
     of the mean per-replica softmax cross-entropy of the last layer's output.
 
     The replicas are walked in chunks of whole groups (distbn.plan_chunks),
-    each holding at most CHUNK_BYTES in its largest layer output; every chunk
-    runs forward, loss and backward before the next starts.
+    each holding at most CHUNK_BYTES in its largest layer output; each chunk
+    runs forward, loss and backward on one thread (map_chunks), and this
+    thread writes the chunks' results in chunk order.
     """
     n, by_name = len(x), {p.name: p for p in params}
-    out = {}  # [N, ...] losses and gradients, [G, C] BN statistics
-    for chunk in replica_chunks(layers, groups, x.shape, x.dtype):
+    chunks = replica_chunks(layers, groups, x.shape, x.dtype)
+
+    def walk(chunk):
         run = _Pass(by_name, policy, chunk.groups, input_layer=layers[0].name)
-        losses = _walk(layers, run, x[chunk.replicas], labels[chunk.replicas],
-                       forward_only)
+        return _walk(layers, run, x[chunk.replicas], labels[chunk.replicas],
+                     forward_only), run
+
+    out = {}  # [N, ...] losses and gradients, [G, C] BN statistics
+    for chunk, (losses, run) in zip(chunks, map_chunks(walk, chunks)):
         _fill(out, "losses", n, chunk.replicas, losses)
         for name, g in run.grads.items():
             _fill(out, name, n, chunk.replicas, g)

@@ -20,9 +20,9 @@ Evaluation shards the eval set across all replicas in rounds of
 num_replicas * eval_batch examples, and all-reduces integer counts of hits
 among the real examples, so the result is exact and independent of the
 replica count. A round is walked in the engine's chunks of consecutive
-replicas, each one forward call on a slice of the set; only the last row of
-the set is finished with dummies, and a replica with dummies alone computes
-nothing. The eval batch is the per-core batch, capped at one replica's share
+replicas, each one forward call on a slice of the set, walked on the engine's
+worker threads (model.map_chunks); only the last row of the set is finished
+with dummies, and a replica with dummies alone computes nothing. The eval batch is the per-core batch, capped at one replica's share
 of the eval set (TrainConfig.eval_batch_for).
 
 Records carry modeled timing from the cost model; elapsed_s is cumulative
@@ -50,6 +50,7 @@ from .model import (
     eval_forward,
     init_bn_moving,
     init_params,
+    map_chunks,
     replica_chunks,
 )
 from .nn import DTYPE, Parameter
@@ -336,11 +337,13 @@ def distributed_eval(
     row's dummies are computed: a round is walked in chunks of consecutive
     replicas (model.replica_chunks on groups of one, as BN reads moving
     statistics and nothing couples replicas), each one eval_forward call on
-    a slice of the set, and a row of dummies alone is skipped. Each replica
-    counts its hits and its real examples as integers; the all-reduced
-    counts give hits / n, which counts exactly the real examples, is the
-    correctly rounded quotient at any eval-set size, and depends neither on
-    the replica count nor on the chunking.
+    a slice of the set, and a row of dummies alone is skipped. The slices of
+    all rounds run on model.map_chunks's threads, and this thread adds their
+    counts in order. Each replica counts its hits and its real examples as
+    integers; the all-reduced counts give hits / n, which counts exactly the
+    real examples, is the correctly rounded quotient at any eval-set size,
+    and depends neither on the replica count, nor on the chunking, nor on
+    the threads.
     """
     for name, value in (("num_replicas", num_replicas), ("eval_batch", eval_batch)):
         if value < 1:
@@ -350,19 +353,24 @@ def distributed_eval(
     chunks = replica_chunks(layers, distbn.assign_groups_1d(num_replicas, 1),
                             (num_replicas, b) + dataset.images.shape[1:],
                             dataset.images.dtype)
+    # Each round's chunks that hold a real row, as (rows lo:hi of the set,
+    # first replica); with groups of one, group rows are replicas.
+    slices = [(first + c.rows.start, min(first + c.rows.stop, rows), c.rows.start)
+              for first in range(0, rows, num_replicas) for c in chunks
+              if first + c.rows.start < rows]
+
+    def count(piece):  # [hi - lo, 2] hits and real examples of one slice
+        lo, hi, _ = piece
+        x, y = (_rows(a, lo * b, hi * b).reshape((hi - lo, b) + a.shape[1:])
+                for a in (dataset.images, dataset.labels))
+        real = (np.arange(lo * b, hi * b) < n).reshape(hi - lo, b)
+        logits = eval_forward(layers, params, bn_moving, x, policy)
+        hit = (logits.argmax(axis=2) == y) & real
+        return np.stack([hit.sum(axis=1), real.sum(axis=1)], axis=1)
+
     counts = np.zeros((num_replicas, 2), dtype=np.int64)  # hits, real examples
-    for first in range(0, rows, num_replicas):
-        for chunk in chunks:
-            r0 = chunk.rows.start  # with groups of one, group rows are replicas
-            lo, hi = first + r0, min(first + chunk.rows.stop, rows)
-            if lo >= hi:
-                break
-            x, y = (_rows(a, lo * b, hi * b).reshape((hi - lo, b) + a.shape[1:])
-                    for a in (dataset.images, dataset.labels))
-            real = (np.arange(lo * b, hi * b) < n).reshape(hi - lo, b)
-            logits = eval_forward(layers, params, bn_moving, x, policy)
-            hit = (logits.argmax(axis=2) == y) & real
-            counts[r0:r0 + hi - lo] += np.stack([hit.sum(axis=1), real.sum(axis=1)], axis=1)
+    for (lo, hi, r0), c in zip(slices, map_chunks(count, slices)):
+        counts[r0:r0 + hi - lo] += c
     hits, total = all_reduce(counts, "sum")
     return int(hits) / int(total)
 
@@ -492,9 +500,10 @@ def load_weights(
     """Inverse of save_weights for the model `layers` on `input_shape` inputs.
 
     Raises ValueError naming the first array that does not load (an object
-    array or a damaged one), the first array the model needs that the
-    archive lacks or holds in another shape or dtype, or with a non-finite
-    value or a BN variance below zero, or the first array it does not need.
+    array, or a damaged, encrypted or unknown-compressed one), the first
+    array the model needs that the archive lacks or holds in another shape
+    or dtype, or with a non-finite value or a BN variance below zero, or the
+    first array it does not need.
     Each member's npy header is read first, and its data only if the header
     gives the shape and dtype the model needs, so a header that claims more
     than that allocates nothing.
@@ -519,7 +528,10 @@ def load_weights(
                 if key in want and held[key] == (want[key].shape, want[key].dtype):
                     with archive.open(name) as member:
                         got[key] = fmt.read_array(member, allow_pickle=False)
-            except (KeyError, ValueError, EOFError, zipfile.BadZipFile) as e:
+            # zipfile raises NotImplementedError for an unknown compression
+            # method and RuntimeError for an encrypted member.
+            except (KeyError, ValueError, EOFError, zipfile.BadZipFile,
+                    NotImplementedError, RuntimeError) as e:
                 raise ValueError(f"weights {path} hold {key} as a damaged array; "
                                  f"the model needs {np.dtype(DTYPE)}") from e
             # numpy loads an object array only by unpickling it, which could

@@ -692,6 +692,21 @@ def _eval_weights_with_member(key, content):
     return argv
 
 
+def _eval_weights_with_entry(key, field, value):
+    """argv of `eval` on toy-rmsprop-512 weights whose central-directory
+    entry for `key` has the 2-byte `field` (8: flags, 10: compression
+    method) set to `value`."""
+    def argv(tmp_path):
+        argv = _eval_weights(lambda a: a)(tmp_path)
+        data = bytearray(Path(argv[2]).read_bytes())
+        # The name's last copy is in the central directory, after the data.
+        entry = data.rindex(b"PK\x01\x02", 0, data.rindex(f"{key}.npy".encode()))
+        data[entry + field:entry + field + 2] = struct.pack("<H", value)
+        Path(argv[2]).write_bytes(data)
+        return argv
+    return argv
+
+
 def _gradcheck_on_three_examples(tmp_path):
     # Fewer examples than the checked slice of 4: all 3 are checked.
     spec = f"{idx_split(tmp_path, 't', 3, 0, n=3)},{idx_split(tmp_path, 'e', 3, 1, n=3)}"
@@ -826,6 +841,12 @@ _TABLE = [  # argv builder, exit code, pattern of the error line
     pytest.param(_eval_weights_with_member(_KERNEL, b"no npy magic"), 2,
                  f"hold {_KERNEL} as a damaged array; the model needs float32",
                  id="eval-member-without-npy-magic"),
+    pytest.param(_eval_weights_with_entry(_KERNEL, 10, 99), 2,
+                 f"hold {_KERNEL} as a damaged array; the model needs float32",
+                 id="eval-member-compression-method-99"),
+    pytest.param(_eval_weights_with_entry(_KERNEL, 8, 1), 2,
+                 f"hold {_KERNEL} as a damaged array; the model needs float32",
+                 id="eval-member-encrypted"),
     # npy headers that claim 256 GiB: rejected before any data is allocated.
     pytest.param(
         _eval_weights_file("w.npz", _npz_of({f"{_KERNEL}.npy": _npy_claiming((2**36,))})), 2,

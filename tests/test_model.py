@@ -1,5 +1,6 @@
 """Model pipeline, initialization, engine, and gradient-checker tests."""
 
+import threading
 import tracemalloc
 import weakref
 
@@ -133,31 +134,37 @@ def test_engine_frees_each_patch_matrix_once_its_layer_is_done(monkeypatch):
 def test_engine_makes_one_bn_all_reduce_per_layer_and_pass(monkeypatch):
     # b5 has three BN layers: three forward and three backward reductions,
     # each over all groups of a chunk at once. Its 4 replicas fit one chunk.
-    shapes, reduce = [], model.distbn.all_reduce
+    # Chunks may run on two threads, so reductions are recorded per thread.
+    shapes, reduce = {}, model.distbn.all_reduce
 
     def counted(per_replica, op="sum"):
-        shapes.append(per_replica.shape)
+        shapes.setdefault(threading.get_ident(), []).append(per_replica.shape)
         return reduce(per_replica, op)
 
     monkeypatch.setattr(model.distbn, "all_reduce", counted)
+    monkeypatch.setattr(model, "worker_count", lambda: 2)
     ds = gen_synthetic(10, 16, 8, 8, 1, seed=5)
     layers = build_model("b5", 10)
     params = init_params(layers, (8, 8, 1), seed=5)
 
-    def step():
+    def step(forward):
+        # Each thread's reductions are whole chunks, each chunk's forward
+        # reductions and then its backward ones in reverse; returns how many
+        # chunks all threads walked.
         shapes.clear()
         distributed_forward_backward(
             layers, params, ds.images.reshape(4, 4, 8, 8, 1), ds.labels.reshape(4, 4),
             assign_groups_1d(4, 2))
-        return shapes
+        chunk = forward + forward[::-1]
+        walked = [len(s) // len(chunk) for s in shapes.values()]
+        assert all(s == k * chunk for s, k in zip(shapes.values(), walked))
+        return sum(walked)
 
-    forward = [(2, 2, 2, 8), (2, 2, 2, 8), (2, 2, 2, 16)]  # [group size, G, 2, C]
-    assert step() == forward + forward[::-1]
+    assert step([(2, 2, 2, 8), (2, 2, 2, 8), (2, 2, 2, 16)]) == 1  # [group size, G, 2, C]
     # A one-byte budget puts each group in a chunk of its own: one reduction
-    # per BN layer, pass and chunk, the chunks one after the other.
+    # per BN layer, pass and chunk.
     monkeypatch.setattr(model, "CHUNK_BYTES", 1)
-    forward = [(2, 1, 2, 8), (2, 1, 2, 8), (2, 1, 2, 16)]
-    assert step() == 2 * (forward + forward[::-1])
+    assert step([(2, 1, 2, 8), (2, 1, 2, 8), (2, 1, 2, 16)]) == 2
 
 
 @pytest.mark.parametrize("forward_only", [False, True], ids=["full", "forward_only"])
@@ -203,23 +210,30 @@ def test_engine_chunks_of_one_group_match_one_chunk_bitwise(monkeypatch, policy,
 
 def test_engine_chunks_keep_the_step_peak_small(monkeypatch):
     # toy_cnn on 64 replicas x 64 with groups of 8: a group's conv output is
-    # 1 MiB, so the default budget walks one group at a time.
-    ds = gen_synthetic(10, 64 * 64, 16, 16, 1, seed=14)
+    # 1 MiB, so the default budget walks one group at a time on each thread.
     layers = build_model("toy_cnn", 10)
     params = init_params(layers, (16, 16, 1), seed=14)
-    x, labels = ds.images.reshape(64, 64, 16, 16, 1), ds.labels.reshape(64, 64)
-    groups = assign_groups_1d(64, 8)
 
-    def peak(budget):
+    def peak(replicas, workers, budget=model.CHUNK_BYTES):
+        ds = gen_synthetic(10, replicas * 64, 16, 16, 1, seed=14)
+        x, labels = ds.images.reshape(replicas, 64, 16, 16, 1), ds.labels.reshape(-1, 64)
         monkeypatch.setattr(model, "CHUNK_BYTES", budget)
+        monkeypatch.setattr(model, "worker_count", lambda: workers)
         tracemalloc.start()
         try:
-            distributed_forward_backward(layers, params, x, labels, groups)
+            distributed_forward_backward(layers, params, x, labels,
+                                         assign_groups_1d(replicas, 8))
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(model.CHUNK_BYTES) < peak(2 ** 40) / 4
+    one_chunk = peak(64, 1)  # one chunk's activations live at a time
+    assert one_chunk < peak(64, 1, 2 ** 40) / 4
+    # W threads hold at most W chunks; doubling the replicas adds chunks,
+    # not live activations (the [N, ...] gradients do grow with N).
+    two = peak(64, 2)
+    assert two <= 2 * one_chunk
+    assert peak(128, 2) < 1.5 * two
 
 
 @pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
