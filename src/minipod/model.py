@@ -348,10 +348,10 @@ class EngineResult:
 
 
 # The largest layer output one chunk of a step or an eval round may hold, so
-# the live activations (one chunk per worker thread of map_chunks) do not
-# grow with the replica count. Packing small
-# groups up to this budget walks fewer, larger chunks than one group per
-# chunk; CHANGES.md has the budget sweeps that picked it.
+# the live activations (one chunk per map_chunks thread) do not grow with the
+# replica count. Packing small groups up to this budget walks fewer, larger
+# chunks than one group per chunk; CHANGES.md has the budget sweeps that
+# picked it.
 CHUNK_BYTES = 512 * 1024
 
 

@@ -18,7 +18,12 @@ each:
 
 For each it prints the wall time, the tracemalloc peak during the call and
 what was already allocated when the call began (the train set, for every
-phase after the first). The peaks repeat exactly. A time is one call with
+phase after the first). The first two peaks repeat exactly. The step and the
+eval pass walk chunks on several threads (model.map_chunks), so their peaks
+depend on how the threads' chunks overlap: on 2 cores at b5 1024x8 1 fp32
+16384 --eval-examples 50000, two runs read 53.6 and 53.8 MiB for the step
+(47.0 on one thread) and 29.7 MiB for the eval pass both times (27.2 on one
+thread). Compare peaks across runs to within a chunk. A time is one call with
 tracemalloc on and BLAS on one thread; under glibc's default policy a first
 train step's time also depends on the sizes freed before it, which set the
 allocator's mmap threshold, so compare times only roughly. The program under
