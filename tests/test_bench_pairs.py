@@ -27,14 +27,16 @@ def stubbed(monkeypatch):
         side = "change" if tree == bench_pairs.ROOT else "base"
         calls.append((side, workload, seed, seconds))
         step = STEP[side][seed - 1]
-        metrics = {"train_step_ms_p50": step, "peak_rss_mb": 50.0 * (1.3 if side == "change" else 1),
-                   "train_samples_per_s": 512e3 / step}
+        metrics = {"train_step_ms_p50": step, "train_samples_per_s": 512e3 / step,
+                   "peak_rss_mb": 65.0 if side == "change" else 50.0}
         return ({"correct": True, "attempted": 4, "failed": 0,
                  "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()}},
                 dict(HOST, seed=seed))
 
     monkeypatch.setattr(bench_pairs, "run_bench", run_bench)
     monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: None)
+    # A clean tree at commit c0ffee, whatever repository (if any) holds the tests.
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "" if args[0] == "status" else "c0ffee")
     return calls
 
 
@@ -47,7 +49,8 @@ def test_bench_pairs_alternates_sides_and_summarizes_each_metric(tmp_path, stubb
     assert {c[3] for c in stubbed} == {3.0}
     report = json.loads(out.read_text())
     assert set(report) == {"commits", "seconds", "first_seed", "host", "workloads"}
-    assert set(report["commits"]) == {"base", "change", "change_src_uncommitted"}
+    assert report["commits"] == {"base": "c0ffee", "change": "c0ffee",
+                                 "change_src_uncommitted": False}
     assert report["host"]["numpy"] == "2.4.6" and report["host"]["blas_threads"] == 1
     assert not {"git_sha", "workload", "seed"} & set(report["host"])
     w = report["workloads"]["w"]
