@@ -36,6 +36,12 @@ Evaluation (eval_forward) is the same forward walk over whatever stacked
 [n, b, ...] inputs it is given, with BN normalizing by the moving
 statistics; the trainer's eval pass sizes its calls with replica_chunks on
 groups of one. BN's epsilon is the fixed distbn.DEFAULT_EPS in both walks.
+A conv2d entry is an input-only stage (rounding, padding and im2col) and a
+GEMM. first_operand runs the first layer's input-only stage alone, and
+eval_forward(..., prepared=True) starts at that layer's GEMM, so a caller
+that evaluates the same inputs again can keep the patch matrix instead of
+rebuilding it; it costs kh*kw / stride^2 times the inputs' bytes, 2.25x for
+the 3x3 stride-2 first conv of toy_cnn, b2 and b5.
 
 Under the mixed-precision policy the conv and depthwise entries round their
 operands to bfloat16: the shared kernel once per chunk and the stacked
@@ -224,11 +230,27 @@ def _bn_params(l, shape, seed):
 # parameter grads [N, *shape] go into pass.grads.
 
 
-def _conv2d_forward(l, run, x):
-    # The input is rounded before im2col; backward reuses its patch matrix.
+# A conv2d layer is an input-only stage and a GEMM: _conv2d_patches rounds
+# the input (under the mixed policy) and builds its padded patch matrix,
+# _conv2d_gemm multiplies that by the (rounded) kernel. eval_forward can start
+# at the GEMM of a first layer whose patches were prepared beforehand.
+
+
+def _conv2d_patches(l, run, x):
+    # The kernel lends im2col only its shape, so rounding it is not needed here.
+    return nn.im2col(_conv_operand(run, x), run.value(l, "kernel"), l.stride, l.padding)
+
+
+def _conv2d_gemm(l, run, patches):
     k = _conv_operand(run, run.value(l, "kernel"))
-    patches = nn.im2col(_conv_operand(run, x), k, l.stride, l.padding)
-    return nn.conv2d_forward(patches, k), (patches, k, x.shape)
+    return nn.conv2d_forward(patches, k), k
+
+
+def _conv2d_forward(l, run, x):
+    # Backward reuses the patch matrix and the rounded kernel.
+    patches = _conv2d_patches(l, run, x)
+    y, k = _conv2d_gemm(l, run, patches)
+    return y, (patches, k, x.shape)
 
 
 def _conv2d_backward(l, run, saved, gy):
@@ -273,11 +295,12 @@ def _swish_backward(l, run, saved, gy):
 
 
 def _pool_forward(l, run, x):
-    return nn.global_avg_pool_forward(x), x
+    # Backward needs only the input's shape, so the input is not kept.
+    return nn.global_avg_pool_forward(x), x.shape
 
 
-def _pool_backward(l, run, x, gy):
-    return nn.global_avg_pool_backward(x, gy)
+def _pool_backward(l, run, x_shape, gy):
+    return nn.global_avg_pool_backward(x_shape, gy)
 
 
 def _bn_forward(l, run, x):
@@ -503,17 +526,57 @@ def _walk(layers, run, x, labels, forward_only):
     return losses
 
 
+def _first_conv(layers):
+    l = layers[0]
+    if l.kind != "conv2d":
+        raise ValueError(f"{l.name}: only a conv2d first layer has a prepared "
+                         f"operand, not a {l.kind} one")
+    return l
+
+
+def first_operand(
+    layers: list[LayerSpec],
+    params: list[Parameter],
+    x: np.ndarray,
+    policy: precision.PrecisionPolicy = precision.FP32_ONLY,
+) -> np.ndarray:
+    """The operand the first layer, a conv2d, builds from stacked [N, b, H, W,
+    C] inputs alone: their padded patch matrix, [N, b, Ho, Wo, kh*kw*C], from
+    inputs rounded to bfloat16 under the mixed policy. It depends on the
+    kernel's shape but not on its values, so one operand serves every set of
+    weights; eval_forward(..., prepared=True) starts from it."""
+    return _conv2d_patches(_first_conv(layers),
+                           _Pass({p.name: p for p in params}, policy, None), x)
+
+
+def first_operand_layout(layers: list[LayerSpec], input_shape: tuple[int, ...], dtype,
+                         policy: precision.PrecisionPolicy = precision.FP32_ONLY):
+    """(shape, dtype) of one example's first_operand, (Ho, Wo, kh*kw*C), for
+    inputs of `input_shape` (H, W, C) and `dtype`: rounded operands are
+    float32."""
+    l = _first_conv(layers)
+    kh, kw = l.kernel_hw
+    shape = _conv_shape(l, input_shape)[:2] + (kh * kw * input_shape[2],)
+    return shape, np.dtype(np.float32 if policy.rounds_conv else dtype)
+
+
 def eval_forward(
     layers: list[LayerSpec],
     params: list[Parameter],
     bn_moving: dict[str, tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,
     policy: precision.PrecisionPolicy = precision.FP32_ONLY,
+    prepared: bool = False,
 ) -> np.ndarray:
     """Inference pass over stacked [N, b, ...] inputs; BN uses moving
-    statistics. Returns the last layer's output, logits [N, b, K]."""
+    statistics. Returns the last layer's output, logits [N, b, K].
+
+    With prepared, x is first_operand of the inputs for the same policy,
+    and the first layer runs only its GEMM."""
     validate_model(layers)
     run = _Pass({p.name: p for p in params}, policy, None, bn_moving)
+    if prepared:
+        x, layers = _conv2d_gemm(_first_conv(layers), run, x)[0], layers[1:]
     for layer in layers:  # what a layer saves for backward is dropped at once
         x = LAYER_OPS[layer.kind].forward(layer, run, x)[0]
     return x

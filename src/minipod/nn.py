@@ -317,10 +317,12 @@ def global_avg_pool_forward(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=(2, 3))
 
 
-def global_avg_pool_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    h, w = x.shape[2:4]
-    scale = grad_out / x.dtype.type(h * w)
-    return np.broadcast_to(scale[:, :, None, None, :], x.shape).astype(x.dtype)
+def global_avg_pool_backward(x_shape: tuple[int, ...], grad_out: np.ndarray) -> np.ndarray:
+    """Gradient of global_avg_pool_forward w.r.t. its input of shape x_shape,
+    in grad_out's dtype."""
+    h, w = x_shape[2:4]
+    scale = grad_out / grad_out.dtype.type(h * w)
+    return np.broadcast_to(scale[:, :, None, None, :], x_shape).astype(grad_out.dtype)
 
 
 # ---------------------------------------------------------------------------

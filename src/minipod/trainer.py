@@ -20,10 +20,18 @@ Evaluation shards the eval set across all replicas in rounds of
 num_replicas * eval_batch examples, and all-reduces integer counts of hits
 among the real examples, so the result is exact and independent of the
 replica count. A round is walked in the engine's chunks of consecutive
-replicas, each one forward call on a slice of the set, walked on the engine's
-worker threads (model.map_chunks); only the last row of the set is finished
-with dummies, and a replica with dummies alone computes nothing. The eval batch is the per-core batch, capped at one replica's share
-of the eval set (TrainConfig.eval_batch_for).
+replicas, each one forward call on a slice of the set or of the run's kept
+operand, never a gather, walked on the engine's worker threads
+(model.map_chunks); only the last row of the set is finished with dummies,
+and a replica with dummies alone computes nothing. The eval batch is the
+per-core batch, capped at one replica's share of the eval set
+(TrainConfig.eval_batch_for). A run keeps its eval set's first-layer operand
+(EvalOperand), built one slice at a time during its first eval pass, so
+every later pass starts each slice at the first GEMM. It costs 2.25x the
+eval images for the 3x3 stride-2 first conv of toy_cnn, b2 and b5: 4.5 MiB
+at 2,048 examples, 110 MiB at 50,000 (9x for toy_cnn_pool's stride 1). The
+train set's patches are not kept: they would cost 2.25x the train set, and
+building them before the first step would lengthen the set-up.
 
 Records carry modeled timing from the cost model; elapsed_s is cumulative
 *modeled* seconds so that metric streams are bitwise reproducible (wall clock
@@ -48,6 +56,8 @@ from .model import (
     build_model,
     distributed_forward_backward,
     eval_forward,
+    first_operand,
+    first_operand_layout,
     init_bn_moving,
     init_params,
     map_chunks,
@@ -320,11 +330,63 @@ def train_step(state: TrainState, batches, lr: float) -> float:
 # distributed evaluation
 
 
+class EvalOperand:
+    """An eval set and its first layer's operand, kept by one run.
+
+    The operand is model.first_operand of the set cut into rows of `batch`
+    examples, the last row finished with zero images, as distributed_eval
+    cuts it: [rows, batch, Ho, Wo, kh*kw*C]. For the 3x3 stride-2 first conv
+    of toy_cnn, b2 and b5 it is 2.25 times the images' bytes: 4.5 MiB at
+    2,048 examples, 110 MiB at 50,000. The first pass allocates it on its
+    calling thread, then builds each slice's rows on the thread that walks
+    the slice and copies them in; later passes read the kept rows and start
+    each slice at the first GEMM. The operand holds for the model, precision
+    policy and eval batch given here, and a pass with any other raises
+    ValueError. len() is the set's real examples.
+    """
+
+    def __init__(self, dataset: Dataset, layers: list[LayerSpec],
+                 policy: PrecisionPolicy, batch: int):
+        self.dataset, self.layers, self.policy, self.batch = (
+            dataset, list(layers), policy, batch)
+        self.ready = np.zeros(math.ceil(len(dataset) / batch), dtype=bool)  # per row
+        self.operand = None  # [rows, batch, ...], allocated by the first pass
+
+    def __len__(self) -> int:
+        return len(self.dataset)
+
+    def begin_pass(self, layers, policy, batch) -> None:
+        """Checks a pass's model, policy and batch against the operand's, and
+        allocates the operand on the first pass. Allocating it on the pass's
+        calling thread, not a helper, keeps it in one malloc arena."""
+        if list(layers) != self.layers:
+            raise ValueError("the eval operand was kept for another model")
+        for what, kept, given in (("precision", self.policy.mode, policy.mode),
+                                  ("eval batch", self.batch, batch)):
+            if given != kept:
+                raise ValueError(
+                    f"the eval operand was kept for {what} {kept}, not {given}")
+        if self.operand is None:
+            images = self.dataset.images
+            shape, dtype = first_operand_layout(layers, images.shape[1:], images.dtype,
+                                                policy)
+            self.operand = np.empty((len(self.ready), batch) + shape, dtype)
+
+    def rows(self, lo: int, hi: int, build) -> np.ndarray:
+        """Rows lo:hi of the operand; build() makes them if some are not kept."""
+        if self.ready[lo:hi].all():
+            return self.operand[lo:hi]
+        part = build()
+        self.operand[lo:hi] = part
+        self.ready[lo:hi] = True
+        return part
+
+
 def distributed_eval(
     layers: list[LayerSpec],
     params: list[Parameter],
     bn_moving: dict,
-    dataset: Dataset,
+    dataset: Dataset | EvalOperand,
     num_replicas: int,
     eval_batch: int,
     policy: PrecisionPolicy = FP32_ONLY,
@@ -344,10 +406,19 @@ def distributed_eval(
     real examples, is the correctly rounded quotient at any eval-set size,
     and depends neither on the replica count, nor on the chunking, nor on
     the threads.
+
+    Given an EvalOperand, each slice reads its rows of the kept first-layer
+    operand, building them the first time (EvalOperand.rows), and its
+    eval_forward call starts at the first GEMM. Given a Dataset, each slice
+    reads its images, and nothing is kept between calls.
     """
     for name, value in (("num_replicas", num_replicas), ("eval_batch", eval_batch)):
         if value < 1:
             raise ValueError(f"distributed_eval {name} must be >= 1, got {value}")
+    kept = None
+    if isinstance(dataset, EvalOperand):
+        dataset.begin_pass(layers, policy, eval_batch)
+        kept, dataset = dataset, dataset.dataset
     n, b = len(dataset), eval_batch
     rows = math.ceil(n / b)  # the rows that hold a real example
     chunks = replica_chunks(layers, distbn.assign_groups_1d(num_replicas, 1),
@@ -361,10 +432,19 @@ def distributed_eval(
 
     def count(piece):  # [hi - lo, 2] hits and real examples of one slice
         lo, hi, _ = piece
-        x, y = (_rows(a, lo * b, hi * b).reshape((hi - lo, b) + a.shape[1:])
-                for a in (dataset.images, dataset.labels))
+
+        def shaped(a):
+            return _rows(a, lo * b, hi * b).reshape((hi - lo, b) + a.shape[1:])
+
+        y = shaped(dataset.labels)
         real = (np.arange(lo * b, hi * b) < n).reshape(hi - lo, b)
-        logits = eval_forward(layers, params, bn_moving, x, policy)
+        if kept is None:
+            logits = eval_forward(layers, params, bn_moving, shaped(dataset.images), policy)
+        else:
+            patches = kept.rows(lo, hi, lambda: first_operand(
+                layers, params, shaped(dataset.images), policy))
+            logits = eval_forward(layers, params, bn_moving, patches, policy,
+                                  prepared=True)
         hit = (logits.argmax(axis=2) == y) & real
         return np.stack([hit.sum(axis=1), real.sum(axis=1)], axis=1)
 
@@ -443,10 +523,13 @@ def run(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState]:
     ar_frac = perfmodel.allreduce_fraction(
         config.per_core_batch, config.num_replicas, cost)
     eval_batch = config.eval_batch_for(len(eval_ds))
+    # The eval images' first-layer operand, built during the first pass and
+    # read by every later one; it lives as long as this run.
+    eval_in = EvalOperand(eval_ds, state.layers, config.policy, eval_batch)
 
     def evaluate() -> float:
         return distributed_eval(
-            state.layers, state.params, state.bn_moving, eval_ds,
+            state.layers, state.params, state.bn_moving, eval_in,
             config.num_replicas, eval_batch, config.policy)
 
     records: list[MetricsRecord] = []

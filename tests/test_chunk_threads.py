@@ -18,7 +18,7 @@ from minipod.data import gen_synthetic
 from minipod.distbn import assign_groups_1d, assign_groups_2d
 from minipod.model import build_model, distributed_forward_backward, init_params, map_chunks
 from minipod.precision import FP32_ONLY, MIXED_BF16_CONV
-from minipod.trainer import NonFiniteLossError, TrainConfig, distributed_eval
+from minipod.trainer import EvalOperand, NonFiniteLossError, TrainConfig, distributed_eval
 
 WAIT_S = 30  # a bound on every wait, so a broken pool fails instead of hanging
 
@@ -129,6 +129,23 @@ def test_eval_pass_gives_the_same_counts_on_one_and_two_workers(monkeypatch, wor
     workers(1)
     assert distributed_eval(layers, params, moving, ds, 4, 4, policy) == two
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
+def test_kept_eval_operand_is_filled_the_same_on_one_and_two_workers(monkeypatch, workers,
+                                                                     policy):
+    # As above, one replica per slice: the helper fills some of the 13 rows.
+    layers, params, _, _ = _b5_step_inputs(19)
+    moving = model.init_bn_moving(layers, (8, 8, 1))
+    ds = gen_synthetic(10, 50, 8, 8, 1, seed=20)
+    monkeypatch.setattr(model, "CHUNK_BYTES", 1)
+    kept = [EvalOperand(ds, layers, policy, 4) for _ in range(2)]
+    top1 = [distributed_eval(layers, params, moving, kept[0], 4, 4, policy)]
+    top1.append(distributed_eval(layers, params, moving, kept[0], 4, 4, policy))
+    workers(1)
+    top1.append(distributed_eval(layers, params, moving, kept[1], 4, 4, policy))
+    assert top1 == [distributed_eval(layers, params, moving, ds, 4, 4, policy)] * 3
+    assert kept[0].operand.tobytes() == kept[1].operand.tobytes()
 
 
 def test_engine_called_from_several_threads_matches_sequential_calls(monkeypatch,

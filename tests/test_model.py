@@ -1,5 +1,6 @@
 """Model pipeline, initialization, engine, and gradient-checker tests."""
 
+import math
 import threading
 import tracemalloc
 import weakref
@@ -18,6 +19,8 @@ from minipod.model import (
     dense,
     distributed_forward_backward,
     eval_forward,
+    first_operand,
+    first_operand_layout,
     global_avg_pool,
     grad_check,
     infer_shapes,
@@ -336,6 +339,36 @@ def test_eval_forward_per_sample_independent_of_batch(small_data):
     whole = eval_forward(layers, params, moving, x[None])
     halves = eval_forward(layers, params, moving, x.reshape(2, 4, *x.shape[1:]))
     np.testing.assert_allclose(whole.reshape(halves.shape), halves, rtol=1e-6)
+
+
+@pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
+@pytest.mark.parametrize("name", sorted(model.MODELS))
+def test_eval_forward_from_the_prepared_operand_gives_the_same_logits(small_data, name,
+                                                                       policy):
+    x, _ = small_data
+    x = x.reshape(2, 4, *x.shape[1:])
+    layers = build_model(name, 4)
+    params = init_params(layers, x.shape[2:], seed=11)
+    moving = init_bn_moving(layers, x.shape[2:])
+    patches = first_operand(layers, params, x, policy)
+    shape, dtype = first_operand_layout(layers, x.shape[2:], x.dtype, policy)
+    assert patches.shape == (2, 4) + shape and patches.dtype == dtype
+    assert shape[2] == math.prod(layers[0].kernel_hw) * x.shape[-1]
+    plain = eval_forward(layers, params, moving, x, policy)
+    prepared = eval_forward(layers, params, moving, patches, policy, prepared=True)
+    assert prepared.tobytes() == plain.tobytes()
+
+
+def test_only_a_conv2d_first_layer_has_a_prepared_operand(small_data):
+    x, _ = small_data
+    layers = [dense("fc", 4)]
+    params = init_params(layers, x.shape[1:], seed=12)
+    with pytest.raises(ValueError, match="fc: only a conv2d first layer"):
+        first_operand(layers, params, x[None])
+    with pytest.raises(ValueError, match="fc: only a conv2d first layer"):
+        eval_forward(layers, params, {}, x[None], prepared=True)
+    with pytest.raises(ValueError, match="fc: only a conv2d first layer"):
+        first_operand_layout(layers, x.shape[1:], x.dtype)
 
 
 def test_model_registry():

@@ -12,6 +12,7 @@ from minipod.model import (
     MODELS,
     build_model,
     eval_forward,
+    first_operand,
     infer_shapes,
     init_bn_moving,
     init_params,
@@ -21,6 +22,7 @@ from minipod.precision import FP32_ONLY, MIXED_BF16_CONV
 from minipod.rng import stream
 from minipod.trainer import (
     METRICS_HEADER,
+    EvalOperand,
     MetricsRecord,
     NonFiniteLossError,
     TrainConfig,
@@ -334,6 +336,81 @@ def test_distributed_eval_peak_is_a_small_part_of_the_set():
     finally:
         tracemalloc.stop()
     assert peak < (ds.images.nbytes + ds.labels.nbytes) / 2
+
+
+# ---------------------------------------------------------------------------
+# the kept first-layer operand
+
+
+@pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
+@pytest.mark.parametrize("num_replicas", [1, 2, 8])
+def test_kept_operand_gives_the_plain_passes_top1(num_replicas, policy):
+    layers, params, moving, ds = _eval_case()
+    plain = distributed_eval(layers, params, moving, ds, num_replicas, 3, policy)
+    kept = EvalOperand(ds, layers, policy, 3)
+    filling = distributed_eval(layers, params, moving, kept, num_replicas, 3, policy)
+    assert kept.ready.all()
+    reading = distributed_eval(layers, params, moving, kept, num_replicas, 3, policy)
+    # perfbench's invariance check reruns a pass on one replica, same operand.
+    single = distributed_eval(layers, params, moving, kept, 1, 3, policy)
+    assert filling == reading == single == plain
+    # 13 rows of 3: the set, then two zero images finishing the last row.
+    padded = np.concatenate([ds.images, np.zeros((2, 8, 8, 1), ds.images.dtype)])
+    built = first_operand(layers, params, padded.reshape(13, 3, 8, 8, 1), policy)
+    assert kept.operand.tobytes() == built.tobytes()
+
+
+def test_run_prepares_the_eval_images_once(monkeypatch):
+    # Three evals of the 2,048 synthetic eval examples, in rows of 256 on 2
+    # replicas. toy_cnn's one conv reads the model input, so every im2col
+    # and every rounding of a 5-D array in a pass is its input-only stage.
+    cfg = tiny_config(global_batch=512, total_epochs=3.0, precision="mixed_bf16")
+    passes, in_pass, prepared = [], [], {"im2col": 0, "to_bf16": 0}
+    calls = {name: getattr(mod, name) for mod, name in
+             ((trainer, "distributed_eval"), (model.nn, "im2col"),
+              (model.precision, "to_bf16"))}
+
+    def eval_pass(*args):
+        passes.append(args[3])
+        in_pass.append(True)
+        try:
+            return calls["distributed_eval"](*args)
+        finally:
+            in_pass.pop()
+
+    def counted(name):
+        def fn(x, *rest):
+            if in_pass and np.ndim(x) == 5:
+                prepared[name] += len(x) * x.shape[1]  # examples
+            return calls[name](x, *rest)
+        return fn
+
+    monkeypatch.setattr(trainer, "distributed_eval", eval_pass)
+    monkeypatch.setattr(model.nn, "im2col", counted("im2col"))
+    monkeypatch.setattr(model.precision, "to_bf16", counted("to_bf16"))
+    records, state = run(cfg)
+    assert len(passes) == 3 and all(p is passes[0] for p in passes)
+    assert prepared == {"im2col": 2048, "to_bf16": 2048}
+    # A plain Dataset pass prepares its images again.
+    plain = eval_pass(state.layers, state.params, state.bn_moving,
+                      passes[0].dataset, 2, 256, cfg.policy)
+    assert prepared == {"im2col": 4096, "to_bf16": 4096}
+    assert plain == records[-1].eval_top1
+
+
+def test_kept_operand_rejects_another_policy_model_or_batch():
+    layers, params, moving, ds = _eval_case()
+    kept = EvalOperand(ds, layers, FP32_ONLY, 3)
+    distributed_eval(layers, params, moving, kept, 2, 3)
+    with pytest.raises(ValueError, match="kept for precision fp32, not mixed_bf16"):
+        distributed_eval(layers, params, moving, kept, 2, 3, MIXED_BF16_CONV)
+    # b2 starts with b5's first conv, but it is another model all the same.
+    b2 = build_model("b2", 4)
+    with pytest.raises(ValueError, match="kept for another model"):
+        distributed_eval(b2, init_params(b2, (8, 8, 1), seed=5),
+                         init_bn_moving(b2, (8, 8, 1)), kept, 2, 3)
+    with pytest.raises(ValueError, match="kept for eval batch 3, not 4"):
+        distributed_eval(layers, params, moving, kept, 2, 4)
 
 
 @pytest.mark.parametrize("replicas,global_batch,n_eval,eval_batch", [

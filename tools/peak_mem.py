@@ -117,9 +117,20 @@ def main(argv=None) -> int:
         state = trainer.init_train_state(cfg, train.images.shape[1:], train.num_classes)
         first, lr = steps[0], lr_at(cfg.schedule(len(steps)), 0)
         measure("train_step", lambda: trainer.train_step(state, first, lr))
-        measure("distributed_eval", lambda: trainer.distributed_eval(
-            state.layers, state.params, state.bn_moving, evalset, cfg.num_replicas,
-            cfg.eval_batch_for(len(evalset)), cfg.policy))
+        eval_batch = cfg.eval_batch_for(len(evalset))
+
+        def eval_pass(dataset):
+            return lambda: trainer.distributed_eval(
+                state.layers, state.params, state.bn_moving, dataset,
+                cfg.num_replicas, eval_batch, cfg.policy)
+
+        measure("distributed_eval", eval_pass(evalset))
+        kept = trainer.EvalOperand(evalset, state.layers, cfg.policy, eval_batch)
+        before = tracemalloc.get_traced_memory()[0]
+        measure("eval_pass_1", eval_pass(kept))
+        between = tracemalloc.get_traced_memory()[0] - before
+        measure("eval_pass_2", eval_pass(kept))
+        print(f"kept between the passes: {between / MIB:.1f} MiB")
     finally:
         tracemalloc.stop()
     return 0
