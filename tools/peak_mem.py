@@ -14,16 +14,23 @@ each:
 - shard_train_data: one epoch of its steps, every step read once;
 - train_step: the epoch's first step;
 - distributed_eval: one pass over a synthetic eval set of E examples
-  (default 2,048, the run's), made before tracing starts.
+  (default 2,048, the run's), made before tracing starts, keeping nothing,
+  as `minipod eval` does;
+- eval_pass_1 and eval_pass_2: the first two passes of a training run over
+  the same set, which keep its first-layer operand (trainer.EvalOperand):
+  the first builds it, the second reads it. The last line gives the MiB
+  kept between them.
 
 For each it prints the wall time, the tracemalloc peak during the call and
 what was already allocated when the call began (the train set, for every
 phase after the first). The first two peaks repeat exactly. The step and the
-eval pass walk chunks on several threads (model.map_chunks), so their peaks
-depend on how the threads' chunks overlap: on 2 cores at b5 1024x8 1 fp32
-16384 --eval-examples 50000, two runs read 53.6 and 53.8 MiB for the step
-(47.0 on one thread) and 29.7 MiB for the eval pass both times (27.2 on one
-thread). Compare peaks across runs to within a chunk. A time is one call with
+eval passes walk chunks on several threads (model.map_chunks), so their
+peaks depend on how the threads' chunks overlap: on 2 cores at b5 1024x8 1
+fp32 16384 --eval-examples 50000, two runs read 52.7 and 53.4 MiB for the
+step (47.0 on one thread), 29.7 MiB for the plain eval pass both times (27.2
+on one thread), and 140.8 and 139.7 MiB for the run's first and second
+passes in both runs, which keep 109.9 MiB of patches between them.
+Compare peaks across runs to within a chunk. A time is one call with
 tracemalloc on and BLAS on one thread; under glibc's default policy a first
 train step's time also depends on the sizes freed before it, which set the
 allocator's mmap threshold, so compare times only roughly. The program under
