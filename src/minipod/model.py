@@ -549,17 +549,6 @@ def first_operand(
                            _Pass({p.name: p for p in params}, policy, None), x)
 
 
-def first_operand_layout(layers: list[LayerSpec], input_shape: tuple[int, ...], dtype,
-                         policy: precision.PrecisionPolicy = precision.FP32_ONLY):
-    """(shape, dtype) of one example's first_operand, (Ho, Wo, kh*kw*C), for
-    inputs of `input_shape` (H, W, C) and `dtype`: rounded operands are
-    float32."""
-    l = _first_conv(layers)
-    kh, kw = l.kernel_hw
-    shape = _conv_shape(l, input_shape)[:2] + (kh * kw * input_shape[2],)
-    return shape, np.dtype(np.float32 if policy.rounds_conv else dtype)
-
-
 def eval_forward(
     layers: list[LayerSpec],
     params: list[Parameter],

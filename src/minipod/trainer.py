@@ -26,8 +26,8 @@ operand, never a gather, walked on the engine's worker threads
 and a replica with dummies alone computes nothing. The eval batch is the
 per-core batch, capped at one replica's share of the eval set
 (TrainConfig.eval_batch_for). A run keeps its eval set's first-layer operand
-(EvalOperand), built one slice at a time during its first eval pass, so
-every later pass starts each slice at the first GEMM. It costs 2.25x the
+(EvalOperand), built on the calling thread before its first eval pass
+walks, so every pass starts each slice at the first GEMM. It costs 2.25x the
 eval images for the 3x3 stride-2 first conv of toy_cnn, b2 and b5: 4.5 MiB
 at 2,048 examples, 110 MiB at 50,000 (9x for toy_cnn_pool's stride 1). The
 train set's patches are not kept: they would cost 2.25x the train set, and
@@ -57,7 +57,6 @@ from .model import (
     distributed_forward_backward,
     eval_forward,
     first_operand,
-    first_operand_layout,
     init_bn_moving,
     init_params,
     map_chunks,
@@ -337,28 +336,26 @@ class EvalOperand:
     examples, the last row finished with zero images, as distributed_eval
     cuts it: [rows, batch, Ho, Wo, kh*kw*C]. For the 3x3 stride-2 first conv
     of toy_cnn, b2 and b5 it is 2.25 times the images' bytes: 4.5 MiB at
-    2,048 examples, 110 MiB at 50,000. The first pass allocates it on its
-    calling thread, then builds each slice's rows on the thread that walks
-    the slice and copies them in; later passes read the kept rows and start
-    each slice at the first GEMM. The operand holds for the model, precision
-    policy and eval batch given here, and a pass with any other raises
-    ValueError. len() is the set's real examples.
+    2,048 examples, 110 MiB at 50,000. The first pass builds it on its
+    calling thread before it walks the slices, and keeps it only once every
+    slice is in; every pass then reads the kept rows and starts each slice
+    at the first GEMM. The operand holds for the model, precision policy and
+    eval batch given here, and a pass with any other raises ValueError.
+    len() is the set's real examples.
     """
 
     def __init__(self, dataset: Dataset, layers: list[LayerSpec],
                  policy: PrecisionPolicy, batch: int):
         self.dataset, self.layers, self.policy, self.batch = (
             dataset, list(layers), policy, batch)
-        self.ready = np.zeros(math.ceil(len(dataset) / batch), dtype=bool)  # per row
-        self.operand = None  # [rows, batch, ...], allocated by the first pass
+        self.operand = None  # [rows, batch, ...], built by the first pass
 
     def __len__(self) -> int:
         return len(self.dataset)
 
-    def begin_pass(self, layers, policy, batch) -> None:
-        """Checks a pass's model, policy and batch against the operand's, and
-        allocates the operand on the first pass. Allocating it on the pass's
-        calling thread, not a helper, keeps it in one malloc arena."""
+    def check(self, layers, policy, batch) -> None:
+        """Raises ValueError unless a pass's model, policy and batch are the
+        operand's."""
         if list(layers) != self.layers:
             raise ValueError("the eval operand was kept for another model")
         for what, kept, given in (("precision", self.policy.mode, policy.mode),
@@ -366,20 +363,6 @@ class EvalOperand:
             if given != kept:
                 raise ValueError(
                     f"the eval operand was kept for {what} {kept}, not {given}")
-        if self.operand is None:
-            images = self.dataset.images
-            shape, dtype = first_operand_layout(layers, images.shape[1:], images.dtype,
-                                                policy)
-            self.operand = np.empty((len(self.ready), batch) + shape, dtype)
-
-    def rows(self, lo: int, hi: int, build) -> np.ndarray:
-        """Rows lo:hi of the operand; build() makes them if some are not kept."""
-        if self.ready[lo:hi].all():
-            return self.operand[lo:hi]
-        part = build()
-        self.operand[lo:hi] = part
-        self.ready[lo:hi] = True
-        return part
 
 
 def distributed_eval(
@@ -408,16 +391,17 @@ def distributed_eval(
     the threads.
 
     Given an EvalOperand, each slice reads its rows of the kept first-layer
-    operand, building them the first time (EvalOperand.rows), and its
-    eval_forward call starts at the first GEMM. Given a Dataset, each slice
-    reads its images, and nothing is kept between calls.
+    operand, and its eval_forward call starts at the first GEMM; the first
+    pass builds the operand on this thread, one first_operand call per
+    slice, before the walk. Given a Dataset, each slice reads its images,
+    and nothing is kept between calls.
     """
     for name, value in (("num_replicas", num_replicas), ("eval_batch", eval_batch)):
         if value < 1:
             raise ValueError(f"distributed_eval {name} must be >= 1, got {value}")
     kept = None
     if isinstance(dataset, EvalOperand):
-        dataset.begin_pass(layers, policy, eval_batch)
+        dataset.check(layers, policy, eval_batch)
         kept, dataset = dataset, dataset.dataset
     n, b = len(dataset), eval_batch
     rows = math.ceil(n / b)  # the rows that hold a real example
@@ -430,20 +414,27 @@ def distributed_eval(
               for first in range(0, rows, num_replicas) for c in chunks
               if first + c.rows.start < rows]
 
+    def shaped(a, lo, hi):  # rows lo:hi of the set, [hi - lo, b, ...]
+        return _rows(a, lo * b, hi * b).reshape((hi - lo, b) + a.shape[1:])
+
+    if kept is not None and kept.operand is None:
+        operand = None
+        for lo, hi, _ in slices:
+            part = first_operand(layers, params, shaped(dataset.images, lo, hi), policy)
+            if operand is None:
+                operand = np.empty((rows,) + part.shape[1:], part.dtype)
+            operand[lo:hi] = part
+        kept.operand = operand  # kept only once every slice is in
+
     def count(piece):  # [hi - lo, 2] hits and real examples of one slice
         lo, hi, _ = piece
-
-        def shaped(a):
-            return _rows(a, lo * b, hi * b).reshape((hi - lo, b) + a.shape[1:])
-
-        y = shaped(dataset.labels)
+        y = shaped(dataset.labels, lo, hi)
         real = (np.arange(lo * b, hi * b) < n).reshape(hi - lo, b)
         if kept is None:
-            logits = eval_forward(layers, params, bn_moving, shaped(dataset.images), policy)
+            logits = eval_forward(layers, params, bn_moving,
+                                  shaped(dataset.images, lo, hi), policy)
         else:
-            patches = kept.rows(lo, hi, lambda: first_operand(
-                layers, params, shaped(dataset.images), policy))
-            logits = eval_forward(layers, params, bn_moving, patches, policy,
+            logits = eval_forward(layers, params, bn_moving, kept.operand[lo:hi], policy,
                                   prepared=True)
         hit = (logits.argmax(axis=2) == y) & real
         return np.stack([hit.sum(axis=1), real.sum(axis=1)], axis=1)
@@ -523,8 +514,8 @@ def run(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState]:
     ar_frac = perfmodel.allreduce_fraction(
         config.per_core_batch, config.num_replicas, cost)
     eval_batch = config.eval_batch_for(len(eval_ds))
-    # The eval images' first-layer operand, built during the first pass and
-    # read by every later one; it lives as long as this run.
+    # The eval images' first-layer operand, built by the first pass and read
+    # by every pass; it lives as long as this run.
     eval_in = EvalOperand(eval_ds, state.layers, config.policy, eval_batch)
 
     def evaluate() -> float:

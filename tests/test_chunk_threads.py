@@ -134,7 +134,7 @@ def test_eval_pass_gives_the_same_counts_on_one_and_two_workers(monkeypatch, wor
 @pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
 def test_kept_eval_operand_is_filled_the_same_on_one_and_two_workers(monkeypatch, workers,
                                                                      policy):
-    # As above, one replica per slice: the helper fills some of the 13 rows.
+    # As above, one replica per slice: the helper reads some of the 13 rows.
     layers, params, _, _ = _b5_step_inputs(19)
     moving = model.init_bn_moving(layers, (8, 8, 1))
     ds = gen_synthetic(10, 50, 8, 8, 1, seed=20)

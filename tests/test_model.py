@@ -20,7 +20,6 @@ from minipod.model import (
     distributed_forward_backward,
     eval_forward,
     first_operand,
-    first_operand_layout,
     global_avg_pool,
     grad_check,
     infer_shapes,
@@ -351,9 +350,7 @@ def test_eval_forward_from_the_prepared_operand_gives_the_same_logits(small_data
     params = init_params(layers, x.shape[2:], seed=11)
     moving = init_bn_moving(layers, x.shape[2:])
     patches = first_operand(layers, params, x, policy)
-    shape, dtype = first_operand_layout(layers, x.shape[2:], x.dtype, policy)
-    assert patches.shape == (2, 4) + shape and patches.dtype == dtype
-    assert shape[2] == math.prod(layers[0].kernel_hw) * x.shape[-1]
+    assert patches.shape[-1] == math.prod(layers[0].kernel_hw) * x.shape[-1]
     plain = eval_forward(layers, params, moving, x, policy)
     prepared = eval_forward(layers, params, moving, patches, policy, prepared=True)
     assert prepared.tobytes() == plain.tobytes()
@@ -367,8 +364,6 @@ def test_only_a_conv2d_first_layer_has_a_prepared_operand(small_data):
         first_operand(layers, params, x[None])
     with pytest.raises(ValueError, match="fc: only a conv2d first layer"):
         eval_forward(layers, params, {}, x[None], prepared=True)
-    with pytest.raises(ValueError, match="fc: only a conv2d first layer"):
-        first_operand_layout(layers, x.shape[1:], x.dtype)
 
 
 def test_model_registry():

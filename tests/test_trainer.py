@@ -1,6 +1,7 @@
 """Training loop, sharding, distributed evaluation, and metrics tests."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -307,6 +308,9 @@ def test_distributed_eval_calls_read_each_real_row_once_in_order(monkeypatch, bu
 
     monkeypatch.setattr(trainer, "eval_forward", recorded)
     monkeypatch.setattr(model, "CHUNK_BYTES", budget)
+    # Calls are recorded in the order threads start them, so one thread walks
+    # the slices in order; tests/test_chunk_threads.py covers the threads.
+    monkeypatch.setattr(model, "worker_count", lambda: 1)
     distributed_eval(layers, params, moving, ds, 8, 3)
     largest = max(map(math.prod, infer_shapes(layers, (8, 8, 1))))
     for x in calls:
@@ -349,7 +353,7 @@ def test_kept_operand_gives_the_plain_passes_top1(num_replicas, policy):
     plain = distributed_eval(layers, params, moving, ds, num_replicas, 3, policy)
     kept = EvalOperand(ds, layers, policy, 3)
     filling = distributed_eval(layers, params, moving, kept, num_replicas, 3, policy)
-    assert kept.ready.all()
+    assert kept.operand is not None
     reading = distributed_eval(layers, params, moving, kept, num_replicas, 3, policy)
     # perfbench's invariance check reruns a pass on one replica, same operand.
     single = distributed_eval(layers, params, moving, kept, 1, 3, policy)
@@ -358,6 +362,46 @@ def test_kept_operand_gives_the_plain_passes_top1(num_replicas, policy):
     padded = np.concatenate([ds.images, np.zeros((2, 8, 8, 1), ds.images.dtype)])
     built = first_operand(layers, params, padded.reshape(13, 3, 8, 8, 1), policy)
     assert kept.operand.tobytes() == built.tobytes()
+
+
+def test_first_pass_builds_the_operand_on_its_calling_thread(monkeypatch):
+    # One replica per slice on two workers: the walk of the 13 rows is split
+    # between the threads, but every row's patches are built on this one.
+    layers, params, moving, ds = _eval_case()
+    monkeypatch.setattr(model, "worker_count", lambda: 2)
+    monkeypatch.setattr(model, "CHUNK_BYTES", 1)
+    im2col, threads = model.nn.im2col, []
+
+    def recorded(x, *rest):
+        if x.shape[2:] == ds.images.shape[1:]:  # the first conv's input-only stage
+            threads.append(threading.get_ident())
+        return im2col(x, *rest)
+
+    monkeypatch.setattr(model.nn, "im2col", recorded)
+    kept = EvalOperand(ds, layers, FP32_ONLY, 3)
+    distributed_eval(layers, params, moving, kept, 8, 3)
+    assert threads == [threading.get_ident()] * 13
+
+
+def test_a_first_pass_that_raises_keeps_nothing(monkeypatch):
+    layers, params, moving, ds = _eval_case()
+    plain = distributed_eval(layers, params, moving, ds, 2, 3)
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("second slice")
+        return first_operand(*args)
+
+    monkeypatch.setattr(model, "CHUNK_BYTES", 1)  # one replica per slice
+    monkeypatch.setattr(trainer, "first_operand", failing)
+    kept = EvalOperand(ds, layers, FP32_ONLY, 3)
+    with pytest.raises(RuntimeError, match="second slice"):
+        distributed_eval(layers, params, moving, kept, 2, 3)
+    assert kept.operand is None
+    monkeypatch.setattr(trainer, "first_operand", first_operand)
+    assert distributed_eval(layers, params, moving, kept, 2, 3) == plain
 
 
 def test_run_prepares_the_eval_images_once(monkeypatch):

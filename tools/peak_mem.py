@@ -18,17 +18,17 @@ each:
   as `minipod eval` does;
 - eval_pass_1 and eval_pass_2: the first two passes of a training run over
   the same set, which keep its first-layer operand (trainer.EvalOperand):
-  the first builds it, the second reads it. The last line gives the MiB
-  kept between them.
+  the first builds it on the calling thread before it walks, and both read
+  it. The last line gives the MiB kept between them.
 
 For each it prints the wall time, the tracemalloc peak during the call and
 what was already allocated when the call began (the train set, for every
 phase after the first). The first two peaks repeat exactly. The step and the
 eval passes walk chunks on several threads (model.map_chunks), so their
 peaks depend on how the threads' chunks overlap: on 2 cores at b5 1024x8 1
-fp32 16384 --eval-examples 50000, two runs read 52.7 and 53.4 MiB for the
+fp32 16384 --eval-examples 50000, two runs read 52.9 and 52.6 MiB for the
 step (47.0 on one thread), 29.7 MiB for the plain eval pass both times (27.2
-on one thread), and 140.8 and 139.7 MiB for the run's first and second
+on one thread), and 139.8 and 139.7 MiB for the run's first and second
 passes in both runs, which keep 109.9 MiB of patches between them.
 Compare peaks across runs to within a chunk. A time is one call with
 tracemalloc on and BLAS on one thread; under glibc's default policy a first
