@@ -11,11 +11,12 @@ The engine walks the replicas in chunks of whole batch-normalization groups
 (replica_chunks, which sizes distbn.plan_chunks over the [G, S] replica array
 that only distbn reads): as many consecutive groups as keep the chunk's
 largest layer output within CHUNK_BYTES, and at least one. Each chunk runs
-forward, loss and backward on one thread; map_chunks walks the chunks on the
-calling thread and up to MAX_WORKERS - 1 helpers, so up to that many chunks'
-activations are live at a time, and the calling thread writes the results
-in chunk order. No chunk reads another's values and the kernels keep no
-state between calls, so the bytes do not depend on the threads.
+forward, loss and backward on one thread; map_chunks queues the chunks for
+up to MAX_WORKERS - 1 helpers and runs on the calling thread every chunk no
+helper has started, so up to MAX_WORKERS chunks' activations are live at a
+time, and the calling thread writes the results in chunk order. No chunk
+reads another's values and the kernels keep no state between calls, so the
+bytes do not depend on the threads.
 Within a chunk the engine is lockstep: it holds the chunk's activations in
 one array with a leading replica axis, [n, b, ...], and walks the layers
 once, each layer making one call that computes all of the chunk's replicas,
@@ -393,8 +394,19 @@ def replica_chunks(layers: list[LayerSpec], groups: np.ndarray, shape: tuple[int
 # activations and, under glibc, its own malloc arena, so the cap bounds the
 # pass's peak at a few chunks on any host.
 MAX_WORKERS = 4
-_pool: ThreadPoolExecutor | None = None
+_pools: dict[int, ThreadPoolExecutor] = {}  # W - 1 helpers for worker_count() W
 _pool_lock = threading.Lock()
+
+
+def _forget_pools():
+    # A forked child inherits the pools but none of their threads, and maybe
+    # a held lock, so it starts its own helpers on first use.
+    global _pools, _pool_lock
+    _pools, _pool_lock = {}, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX only
+    os.register_at_fork(after_in_child=_forget_pools)
 
 
 def worker_count() -> int:
@@ -407,57 +419,44 @@ def worker_count() -> int:
     return min(cores, MAX_WORKERS)
 
 
-def _helpers() -> ThreadPoolExecutor:
-    """The one pool of helper threads, created on first use."""
-    global _pool
+def _helpers(n: int) -> ThreadPoolExecutor:
+    """The pool of n helper threads, created on first use."""
     with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(worker_count() - 1, 1),
-                                       thread_name_prefix="minipod-chunk")
-        return _pool
+        if n not in _pools:
+            _pools[n] = ThreadPoolExecutor(n, thread_name_prefix="minipod-chunk")
+        return _pools[n]
 
 
 def map_chunks(fn: Callable, items: list) -> list:
     """[fn(item) for item in items], in order.
 
-    The calling thread and W - 1 helper threads take items from one shared
-    queue, where W is worker_count() and at most len(items); one item or one
-    core is a plain loop. numpy releases the interpreter lock inside its
-    kernels, so independent chunks overlap. Each helper runs in a copy of the
-    caller's context, so numpy's error state (np.errstate) holds in it as in
-    the caller. The first exception stops further items and reaches the
-    caller once every helper is done.
+    Every item goes on the queue of a pool of W - 1 helper threads, where W
+    is worker_count(); one item or one core is a plain loop. The helpers take
+    items from the first, while the calling thread walks them from the last
+    and runs each one no helper has started, so W threads hold at most W
+    chunks, and a call made inside an item (on any thread) runs whatever its
+    helpers cannot start itself. numpy releases the interpreter lock inside
+    its kernels, so independent chunks overlap. Each helper runs in a copy of
+    the caller's context, so numpy's error state (np.errstate) holds in it as
+    in the caller. An exception reaches the caller once no item is still
+    running; one raised on the calling thread leaves unrun every item no
+    helper has started.
     """
-    workers = min(worker_count(), len(items))
-    if workers <= 1:
+    w = worker_count()
+    if min(w, len(items)) <= 1:
         return [fn(item) for item in items]
-    todo, lock = iter(range(len(items))), threading.Lock()  # the shared queue
+    pool = _helpers(w - 1)
+    futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
     results = [None] * len(items)
-
-    def drain():
-        while True:
-            with lock:
-                i = next(todo, None)
-            if i is None:
-                return
-            try:
-                results[i] = fn(items[i])
-            except BaseException:
-                with lock:
-                    for _ in todo:  # the other threads stop after their item
-                        pass
-                raise
-
-    pool = _helpers()
-    helpers = [pool.submit(contextvars.copy_context().run, drain)
-               for _ in range(workers - 1)]
     try:
-        drain()  # the caller takes items too, so W chunks are live, not W + 1
+        for i in reversed(range(len(items))):  # the helpers start at the front
+            if futures[i].cancel():
+                results[i] = fn(items[i])
     finally:
-        wait(helpers)
-    for f in helpers:
-        f.result()
-    return results
+        # A cancelled future counts as done only once a helper dequeues it,
+        # so only the started ones are waited on.
+        wait([f for f in futures if not f.cancel()])
+    return [r if f.cancelled() else f.result() for r, f in zip(results, futures)]
 
 
 def _fill(out, key, size, at, part):

@@ -1,14 +1,19 @@
 """Chunks of the step and the eval pass walked on helper threads.
 
-model.map_chunks runs a pass's independent chunks on the calling thread and
-its helpers. Every test here forces two workers, so it runs the threaded path
-on a one-core host too.
+model.map_chunks runs a pass's independent chunks on its helpers and on the
+calling thread. Every test here forces two workers, so it runs the threaded
+path on a one-core host too.
 """
 
 import math
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +25,7 @@ from minipod.model import build_model, distributed_forward_backward, init_params
 from minipod.precision import FP32_ONLY, MIXED_BF16_CONV
 from minipod.trainer import EvalOperand, NonFiniteLossError, TrainConfig, distributed_eval
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 WAIT_S = 30  # a bound on every wait, so a broken pool fails instead of hanging
 
 
@@ -70,6 +76,76 @@ def test_map_chunks_raises_a_helpers_exception_in_the_caller(workers):
 
     with pytest.raises(ValueError, match=r"chunk [01] failed on a helper thread"):
         map_chunks(fail_on_helper, [0, 1])
+
+
+def test_map_chunks_leaves_unstarted_items_unrun_when_the_caller_raises(workers):
+    # The helper holds item 0 while the caller raises on item 5, the first it
+    # walks; items 1-4 were started by no thread and never run.
+    caller = threading.get_ident()
+    started, raised, ran = threading.Event(), threading.Event(), []
+
+    def item(i):
+        if threading.get_ident() == caller:
+            assert started.wait(WAIT_S)
+            raised.set()
+            raise ValueError(f"chunk {i} failed on the calling thread")
+        started.set()
+        assert raised.wait(WAIT_S)
+        time.sleep(0.5)  # still running as the caller's exception unwinds
+        ran.append(i)
+
+    with pytest.raises(ValueError, match="chunk 5 failed on the calling thread"):
+        map_chunks(item, list(range(6)))
+    assert ran == [0]  # finished before map_chunks raised
+
+
+# Two workers; four outer items each map three inner items.
+NESTED = """
+from minipod import model
+model.worker_count = lambda: 2
+print(model.map_chunks(lambda i: model.map_chunks(lambda j: (i, j), [0, 1, 2]), [0, 1, 2, 3]))
+"""
+
+
+def test_map_chunks_inside_an_item_returns_the_nested_results():
+    # An outer item on the one helper queues its inner items behind itself,
+    # so its own thread must run them. The probe has a process of its own,
+    # so a deadlock ends with it.
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", NESTED],
+                          env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=WAIT_S)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[[(i, j) for j in range(3)] for i in range(4)]}\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_helpers(monkeypatch, workers):
+    # The parent's pass starts the pool's helper; a child inherits the pool
+    # but not the thread, and its pass must not wait on it.
+    layers, params, _, _ = _b5_step_inputs(25)
+    moving = model.init_bn_moving(layers, (8, 8, 1))
+    ds = gen_synthetic(10, 50, 8, 8, 1, seed=26)
+    monkeypatch.setattr(model, "CHUNK_BYTES", 1)  # one replica per chunk
+    top1 = distributed_eval(layers, params, moving, ds, 4, 4)
+    with warnings.catch_warnings():
+        # Python 3.12+ warns that a child forked from a threaded process may
+        # deadlock; that is the case under test.
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child exits 0 only with the parent's top-1
+        code = 1
+        try:
+            code = 0 if distributed_eval(layers, params, moving, ds, 4, 4) == top1 else 2
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + WAIT_S
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail(f"the forked child's pass did not end within {WAIT_S} s")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def _b5_step_inputs(seed):
