@@ -11,10 +11,10 @@ The engine walks the replicas in chunks of whole batch-normalization groups
 (replica_chunks, which sizes distbn.plan_chunks over the [G, S] replica array
 that only distbn reads): as many consecutive groups as keep the chunk's
 largest layer output within CHUNK_BYTES, and at least one. Each chunk runs
-forward, loss and backward on one thread; map_chunks queues the chunks for
-up to MAX_WORKERS - 1 helpers and runs on the calling thread every chunk no
-helper has started, so up to MAX_WORKERS chunks' activations are live at a
-time, and the calling thread writes the results in chunk order. No chunk
+forward, loss and backward on one thread; map_chunks puts the chunks on one
+deque for the calling thread and up to MAX_WORKERS - 1 helper tasks on one
+pool, so up to MAX_WORKERS chunks' activations are live at a time, and the
+calling thread writes the results in chunk order. No chunk
 reads another's values and the kernels keep no state between calls, so the
 bytes do not depend on the threads.
 Within a chunk the engine is lockstep: it holds the chunk's activations in
@@ -57,7 +57,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -394,19 +394,18 @@ def replica_chunks(layers: list[LayerSpec], groups: np.ndarray, shape: tuple[int
 # activations and, under glibc, its own malloc arena, so the cap bounds the
 # pass's peak at a few chunks on any host.
 MAX_WORKERS = 4
-_pools: dict[int, ThreadPoolExecutor] = {}  # W - 1 helpers for worker_count() W
-_pool_lock = threading.Lock()
 
 
-def _forget_pools():
-    # A forked child inherits the pools but none of their threads, and maybe
-    # a held lock, so it starts its own helpers on first use.
-    global _pools, _pool_lock
-    _pools, _pool_lock = {}, threading.Lock()
+def _new_pool():
+    # The helpers of every map_chunks call, made at import and in a forked
+    # child, which inherits none of the threads; none starts before a submit.
+    global _pool
+    _pool = ThreadPoolExecutor(MAX_WORKERS - 1, thread_name_prefix="minipod-chunk")
 
 
+_new_pool()
 if hasattr(os, "register_at_fork"):  # POSIX only
-    os.register_at_fork(after_in_child=_forget_pools)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def worker_count() -> int:
@@ -419,44 +418,45 @@ def worker_count() -> int:
     return min(cores, MAX_WORKERS)
 
 
-def _helpers(n: int) -> ThreadPoolExecutor:
-    """The pool of n helper threads, created on first use."""
-    with _pool_lock:
-        if n not in _pools:
-            _pools[n] = ThreadPoolExecutor(n, thread_name_prefix="minipod-chunk")
-        return _pools[n]
-
-
 def map_chunks(fn: Callable, items: list) -> list:
     """[fn(item) for item in items], in order.
 
-    Every item goes on the queue of a pool of W - 1 helper threads, where W
-    is worker_count(); one item or one core is a plain loop. The helpers take
-    items from the first, while the calling thread walks them from the last
-    and runs each one no helper has started, so W threads hold at most W
-    chunks, and a call made inside an item (on any thread) runs whatever its
-    helpers cannot start itself. numpy releases the interpreter lock inside
-    its kernels, so independent chunks overlap. Each helper runs in a copy of
-    the caller's context, so numpy's error state (np.errstate) holds in it as
-    in the caller. An exception reaches the caller once no item is still
-    running; one raised on the calling thread leaves unrun every item no
-    helper has started.
+    The calling thread takes items from the back of one deque and W - 1
+    helper tasks on the module's pool, where W is worker_count(), take them
+    from the front, so W threads hold at most W chunks; one item or one core
+    is a plain loop. A call made inside an item runs on its own thread every
+    item no helper takes, so it returns even when every pool thread is busy.
+    numpy releases the interpreter lock inside its kernels, so independent
+    chunks overlap. Each helper runs in a copy of the caller's context, so
+    np.errstate holds in it as in the caller. An exception reaches the caller
+    once no item is still running. One raised on the calling thread leaves
+    unrun every item no thread has taken; after one raised on a helper, the
+    other threads run every other item.
     """
-    w = worker_count()
-    if min(w, len(items)) <= 1:
+    w = min(worker_count(), len(items))
+    if w <= 1:
         return [fn(item) for item in items]
-    pool = _helpers(w - 1)
-    futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
-    results = [None] * len(items)
+    todo, results = deque(enumerate(items)), [None] * len(items)
+
+    def walk(take):
+        while True:
+            try:
+                i, item = take()
+            except IndexError:  # no item left
+                return
+            results[i] = fn(item)
+
+    tasks = [_pool.submit(contextvars.copy_context().run, walk, todo.popleft)
+             for _ in range(w - 1)]
     try:
-        for i in reversed(range(len(items))):  # the helpers start at the front
-            if futures[i].cancel():
-                results[i] = fn(items[i])
+        walk(todo.pop)
     finally:
-        # A cancelled future counts as done only once a helper dequeues it,
-        # so only the started ones are waited on.
-        wait([f for f in futures if not f.cancel()])
-    return [r if f.cancelled() else f.result() for r, f in zip(results, futures)]
+        todo.clear()
+        # A cancelled task is done only once a pool thread dequeues it.
+        wait(started := [t for t in tasks if not t.cancel()])
+    for t in started:
+        t.result()  # raises a helper's exception
+    return results
 
 
 def _fill(out, key, size, at, part):

@@ -13,6 +13,7 @@ import sys
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,55 @@ def test_map_chunks_raises_a_helpers_exception_in_the_caller(workers):
 
     with pytest.raises(ValueError, match=r"chunk [01] failed on a helper thread"):
         map_chunks(fail_on_helper, [0, 1])
+
+
+def test_map_chunks_runs_every_other_item_after_a_helpers_exception(workers):
+    # Every other item waits until a thread has taken item 0, the first at
+    # the front, so the helper takes it while the caller waits on item 7.
+    taken, ran = threading.Event(), []
+
+    def item(i):
+        if i == 0:
+            taken.set()
+            raise ValueError(f"chunk 0 failed on thread {threading.get_ident()}")
+        assert taken.wait(WAIT_S)
+        ran.append(i)
+
+    with pytest.raises(ValueError, match="chunk 0 failed") as exc_info:
+        map_chunks(item, list(range(8)))
+    assert str(threading.get_ident()) not in str(exc_info.value)
+    assert sorted(ran) == list(range(1, 8))  # all finished before the raise
+
+
+def test_map_chunks_submits_at_most_one_task_per_helper(monkeypatch, workers):
+    submitted, submit = [], ThreadPoolExecutor.submit
+
+    def counted(pool, *args, **kwargs):
+        submitted.append(pool)
+        return submit(pool, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+    assert map_chunks(lambda i: i, list(range(8))) == list(range(8))
+    assert len(submitted) <= 1  # W - 1 at W = 2
+
+
+def test_map_chunks_after_a_wider_call_runs_on_at_most_its_own_threads(workers):
+    # A three-worker call whose items wait for each other leaves two pool
+    # threads; a two-worker call after it must still use one helper only.
+    three = threading.Barrier(3, timeout=WAIT_S)
+
+    def together(i):
+        three.wait()
+        return threading.get_ident()
+
+    def where(i):
+        time.sleep(0.01)  # long enough for every idle pool thread to wake
+        return threading.get_ident()
+
+    workers(3)
+    assert len(set(map_chunks(together, [0, 1, 2]))) == 3
+    workers(2)
+    assert len(set(map_chunks(where, list(range(8))))) <= 2
 
 
 def test_map_chunks_leaves_unstarted_items_unrun_when_the_caller_raises(workers):

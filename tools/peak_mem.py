@@ -26,9 +26,9 @@ what was already allocated when the call began (the train set, for every
 phase after the first). The first two peaks repeat exactly. The step and the
 eval passes walk chunks on several threads (model.map_chunks), so their
 peaks depend on how the threads' chunks overlap: on 2 cores at b5 1024x8 1
-fp32 16384 --eval-examples 50000, two runs read 53.2 and 53.5 MiB for the
-step (47.0 on one thread), 30.1 MiB for the plain eval pass both times (27.2
-on one thread), and 140.2 and 140.0 MiB for the run's first and second
+fp32 16384 --eval-examples 50000, two runs read 52.2 and 51.8 MiB for the
+step (47.0 on one thread), 29.7 MiB for the plain eval pass both times (27.2
+on one thread), and 139.8 and 139.7 MiB for the run's first and second
 passes in both runs, which keep 109.9 MiB of patches between them.
 Compare peaks across runs to within a chunk. A time is one call with
 tracemalloc on and BLAS on one thread; under glibc's default policy a first
