@@ -67,6 +67,8 @@ def _cmd_train(args) -> int:
     config = _read_config(args.config)
     # Checked before any data is read, so a bad path fails before training.
     for flag, path in (("--out", args.out), ("--weights-out", args.weights_out)):
+        if path is not None and path.is_dir():
+            raise ValueError(f"{flag} {path} is a directory")
         if path is not None and not path.parent.is_dir():
             raise ValueError(f"{flag} {path}: directory {path.parent} does not exist")
     records, state = trainer.run(config)

@@ -38,11 +38,11 @@ Evaluation (eval_forward) is the same forward walk over whatever stacked
 statistics; the trainer's eval pass sizes its calls with replica_chunks on
 groups of one. BN's epsilon is the fixed distbn.DEFAULT_EPS in both walks.
 A conv2d entry is an input-only stage (rounding, padding and im2col) and a
-GEMM. first_operand runs the first layer's input-only stage alone, and
-eval_forward(..., prepared=True) starts at that layer's GEMM, so a caller
-that evaluates the same inputs again can keep the patch matrix instead of
-rebuilding it; it costs kh*kw / stride^2 times the inputs' bytes, 2.25x for
-the 3x3 stride-2 first conv of toy_cnn, b2 and b5.
+GEMM; a conv2d_gemm entry is the GEMM alone and only evaluates.
+prepare_first_conv builds a set's first-layer patches once, for the model
+whose first conv2d becomes a conv2d_gemm; they cost kh*kw / stride^2 times
+the inputs' bytes, 2.25x for the 3x3 stride-2 first conv of toy_cnn, b2 and
+b5.
 
 Under the mixed-precision policy the conv and depthwise entries round their
 operands to bfloat16: the shared kernel once per chunk and the stacked
@@ -55,6 +55,7 @@ time, so a wrapper installed on a module attribute sees every call.
 from __future__ import annotations
 
 import contextvars
+import dataclasses
 import math
 import os
 from collections import deque
@@ -233,8 +234,8 @@ def _bn_params(l, shape, seed):
 
 # A conv2d layer is an input-only stage and a GEMM: _conv2d_patches rounds
 # the input (under the mixed policy) and builds its padded patch matrix,
-# _conv2d_gemm multiplies that by the (rounded) kernel. eval_forward can start
-# at the GEMM of a first layer whose patches were prepared beforehand.
+# _conv2d_gemm multiplies that by the (rounded) kernel. A conv2d_gemm layer
+# is the GEMM alone, reading patches prepare_first_conv built beforehand.
 
 
 def _conv2d_patches(l, run, x):
@@ -252,6 +253,19 @@ def _conv2d_forward(l, run, x):
     patches = _conv2d_patches(l, run, x)
     y, k = _conv2d_gemm(l, run, patches)
     return y, (patches, k, x.shape)
+
+
+def _gemm_shape(l, shape):  # (Ho, Wo, kh*kw*C) patches in
+    return _hwc(l, shape, "conv GEMM")[:2] + (l.out_channels,)
+
+
+def _gemm_params(l, shape, seed):
+    # The conv2d's kernel: same name, shape and init stream.
+    return _conv2d_params(l, shape[:2] + (shape[2] // math.prod(l.kernel_hw),), seed)
+
+
+def _gemm_backward(l, run, saved, gy):
+    raise ValueError(f"{l.name}: a conv2d_gemm layer is for evaluation only")
 
 
 def _conv2d_backward(l, run, saved, gy):
@@ -338,6 +352,8 @@ def _no_params(l, shape, seed):
 LAYER_OPS: dict[str, LayerOps] = {
     "conv2d": LayerOps(
         _conv_shape, _conv2d_params, None, _conv2d_forward, _conv2d_backward),
+    "conv2d_gemm": LayerOps(
+        _gemm_shape, _gemm_params, None, _conv2d_gemm, _gemm_backward),
     "depthwise_conv2d": LayerOps(
         _conv_shape, _depthwise_params, None, _depthwise_forward, _depthwise_backward),
     "dense": LayerOps(
@@ -525,27 +541,30 @@ def _walk(layers, run, x, labels, forward_only):
     return losses
 
 
-def _first_conv(layers):
-    l = layers[0]
-    if l.kind != "conv2d":
-        raise ValueError(f"{l.name}: only a conv2d first layer has a prepared "
-                         f"operand, not a {l.kind} one")
-    return l
-
-
-def first_operand(
+def prepare_first_conv(
     layers: list[LayerSpec],
     params: list[Parameter],
-    x: np.ndarray,
+    images: np.ndarray,
     policy: precision.PrecisionPolicy = precision.FP32_ONLY,
-) -> np.ndarray:
-    """The operand the first layer, a conv2d, builds from stacked [N, b, H, W,
-    C] inputs alone: their padded patch matrix, [N, b, Ho, Wo, kh*kw*C], from
-    inputs rounded to bfloat16 under the mixed policy. It depends on the
-    kernel's shape but not on its values, so one operand serves every set of
-    weights; eval_forward(..., prepared=True) starts from it."""
-    return _conv2d_patches(_first_conv(layers),
-                           _Pass({p.name: p for p in params}, policy, None), x)
+) -> tuple[list[LayerSpec], np.ndarray]:
+    """The model with its first layer, a conv2d, swapped for a conv2d_gemm,
+    and that layer's patches of the [n, H, W, C] images, [n, Ho, Wo,
+    kh*kw*C], rounded to bfloat16 under the mixed policy. For the same
+    policy the prepared model gives the model's bytes on them, with any
+    weights. They are built on the calling thread, at most CHUNK_BYTES at a
+    time, into one array."""
+    l = layers[0]
+    if l.kind != "conv2d":
+        raise ValueError(f"{l.name}: only a conv2d first layer can be prepared, "
+                         f"not a {l.kind} one")
+    run = _Pass({p.name: p for p in params}, policy, None)
+    ho, wo, _ = _conv_shape(l, images.shape[1:])
+    per_image = ho * wo * math.prod(l.kernel_hw) * images.shape[3] * images.itemsize
+    step, out = max(1, CHUNK_BYTES // per_image), {}
+    for lo in range(0, len(images), step):  # no block outlives its copy
+        _fill(out, "patches", len(images), slice(lo, lo + step),
+              _conv2d_patches(l, run, images[None, lo:lo + step])[0])
+    return [dataclasses.replace(l, kind="conv2d_gemm")] + layers[1:], out["patches"]
 
 
 def eval_forward(
@@ -554,17 +573,11 @@ def eval_forward(
     bn_moving: dict[str, tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,
     policy: precision.PrecisionPolicy = precision.FP32_ONLY,
-    prepared: bool = False,
 ) -> np.ndarray:
     """Inference pass over stacked [N, b, ...] inputs; BN uses moving
-    statistics. Returns the last layer's output, logits [N, b, K].
-
-    With prepared, x is first_operand of the inputs for the same policy,
-    and the first layer runs only its GEMM."""
+    statistics. Returns the last layer's output, logits [N, b, K]."""
     validate_model(layers)
     run = _Pass({p.name: p for p in params}, policy, None, bn_moving)
-    if prepared:
-        x, layers = _conv2d_gemm(_first_conv(layers), run, x)[0], layers[1:]
     for layer in layers:  # what a layer saves for backward is dropped at once
         x = LAYER_OPS[layer.kind].forward(layer, run, x)[0]
     return x

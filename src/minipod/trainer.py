@@ -20,18 +20,17 @@ Evaluation shards the eval set across all replicas in rounds of
 num_replicas * eval_batch examples, and all-reduces integer counts of hits
 among the real examples, so the result is exact and independent of the
 replica count. A round is walked in the engine's chunks of consecutive
-replicas, each one forward call on a slice of the set or of the run's kept
-operand, never a gather, walked on the engine's worker threads
-(model.map_chunks); only the last row of the set is finished with dummies,
-and a replica with dummies alone computes nothing. The eval batch is the
-per-core batch, capped at one replica's share of the eval set
-(TrainConfig.eval_batch_for). A run keeps its eval set's first-layer operand
-(EvalOperand), built on the calling thread before its first eval pass
-walks, so every pass starts each slice at the first GEMM. It costs 2.25x the
-eval images for the 3x3 stride-2 first conv of toy_cnn, b2 and b5: 4.5 MiB
-at 2,048 examples, 110 MiB at 50,000 (9x for toy_cnn_pool's stride 1). The
-train set's patches are not kept: they would cost 2.25x the train set, and
-building them before the first step would lengthen the set-up.
+replicas, each one forward call on a slice of the set, never a gather,
+walked on the engine's worker threads (model.map_chunks); only the last row
+of the set is finished with dummies, and a replica with dummies alone
+computes nothing. The eval batch is the per-core batch, capped at one
+replica's share of the eval set (TrainConfig.eval_batch_for). A run's first
+evaluation prepares its model and eval set (model.prepare_first_conv), so
+every pass reads the eval images' first-layer patches: 2.25x the images for
+the 3x3 stride-2 first conv of toy_cnn, b2 and b5, 4.5 MiB at 2,048 examples
+and 110 MiB at 50,000 (9x for toy_cnn_pool's stride 1). The train set's
+patches are not kept: they would cost 2.25x the train set, and building them
+before the first step would lengthen the set-up.
 
 Records carry modeled timing from the cost model; elapsed_s is cumulative
 *modeled* seconds so that metric streams are bitwise reproducible (wall clock
@@ -56,10 +55,10 @@ from .model import (
     build_model,
     distributed_forward_backward,
     eval_forward,
-    first_operand,
     init_bn_moving,
     init_params,
     map_chunks,
+    prepare_first_conv,
     replica_chunks,
 )
 from .nn import DTYPE, Parameter
@@ -140,15 +139,15 @@ class TrainConfig:
         elif self.bn_grouping == "2d":
             if self.tile_rows is None or self.tile_cols is None:
                 raise ValueError("2d grouping requires tile_rows and tile_cols")
+            # Tiles of the most-square replica grid, checked before the size.
+            self.bn_groups = distbn.assign_groups_2d(
+                self.num_replicas, (self.tile_rows, self.tile_cols))
             tile_area = self.tile_rows * self.tile_cols
             if self.bn_group_size not in (1, tile_area):
                 raise ValueError(
                     f"bn_group_size {self.bn_group_size} contradicts the "
                     f"{self.tile_rows}x{self.tile_cols} tile ({tile_area} replicas)"
                 )
-            # Tiles of the most-square replica grid.
-            self.bn_groups = distbn.assign_groups_2d(
-                self.num_replicas, (self.tile_rows, self.tile_cols))
         else:
             raise ValueError(f"bn_grouping must be 1d or 2d, got {self.bn_grouping!r}")
         # Evaluation runs only at epoch ends, so a fractional period cannot be met.
@@ -329,47 +328,11 @@ def train_step(state: TrainState, batches, lr: float) -> float:
 # distributed evaluation
 
 
-class EvalOperand:
-    """An eval set and its first layer's operand, kept by one run.
-
-    The operand is model.first_operand of the set cut into rows of `batch`
-    examples, the last row finished with zero images, as distributed_eval
-    cuts it: [rows, batch, Ho, Wo, kh*kw*C]. For the 3x3 stride-2 first conv
-    of toy_cnn, b2 and b5 it is 2.25 times the images' bytes: 4.5 MiB at
-    2,048 examples, 110 MiB at 50,000. The first pass builds it on its
-    calling thread before it walks the slices, and keeps it only once every
-    slice is in; every pass then reads the kept rows and starts each slice
-    at the first GEMM. The operand holds for the model, precision policy and
-    eval batch given here, and a pass with any other raises ValueError.
-    len() is the set's real examples.
-    """
-
-    def __init__(self, dataset: Dataset, layers: list[LayerSpec],
-                 policy: PrecisionPolicy, batch: int):
-        self.dataset, self.layers, self.policy, self.batch = (
-            dataset, list(layers), policy, batch)
-        self.operand = None  # [rows, batch, ...], built by the first pass
-
-    def __len__(self) -> int:
-        return len(self.dataset)
-
-    def check(self, layers, policy, batch) -> None:
-        """Raises ValueError unless a pass's model, policy and batch are the
-        operand's."""
-        if list(layers) != self.layers:
-            raise ValueError("the eval operand was kept for another model")
-        for what, kept, given in (("precision", self.policy.mode, policy.mode),
-                                  ("eval batch", self.batch, batch)):
-            if given != kept:
-                raise ValueError(
-                    f"the eval operand was kept for {what} {kept}, not {given}")
-
-
 def distributed_eval(
     layers: list[LayerSpec],
     params: list[Parameter],
     bn_moving: dict,
-    dataset: Dataset | EvalOperand,
+    dataset: Dataset,
     num_replicas: int,
     eval_batch: int,
     policy: PrecisionPolicy = FP32_ONLY,
@@ -388,21 +351,12 @@ def distributed_eval(
     integers; the all-reduced counts give hits / n, which counts exactly the
     real examples, is the correctly rounded quotient at any eval-set size,
     and depends neither on the replica count, nor on the chunking, nor on
-    the threads.
-
-    Given an EvalOperand, each slice reads its rows of the kept first-layer
-    operand, and its eval_forward call starts at the first GEMM; the first
-    pass builds the operand on this thread, one first_operand call per
-    slice, before the walk. Given a Dataset, each slice reads its images,
-    and nothing is kept between calls.
+    the threads. The images may be patches for a model.prepare_first_conv
+    model; a dummy's patches are zeros, as a zero image's are.
     """
     for name, value in (("num_replicas", num_replicas), ("eval_batch", eval_batch)):
         if value < 1:
             raise ValueError(f"distributed_eval {name} must be >= 1, got {value}")
-    kept = None
-    if isinstance(dataset, EvalOperand):
-        dataset.check(layers, policy, eval_batch)
-        kept, dataset = dataset, dataset.dataset
     n, b = len(dataset), eval_batch
     rows = math.ceil(n / b)  # the rows that hold a real example
     chunks = replica_chunks(layers, distbn.assign_groups_1d(num_replicas, 1),
@@ -417,25 +371,12 @@ def distributed_eval(
     def shaped(a, lo, hi):  # rows lo:hi of the set, [hi - lo, b, ...]
         return _rows(a, lo * b, hi * b).reshape((hi - lo, b) + a.shape[1:])
 
-    if kept is not None and kept.operand is None:
-        operand = None
-        for lo, hi, _ in slices:
-            part = first_operand(layers, params, shaped(dataset.images, lo, hi), policy)
-            if operand is None:
-                operand = np.empty((rows,) + part.shape[1:], part.dtype)
-            operand[lo:hi] = part
-        kept.operand = operand  # kept only once every slice is in
-
     def count(piece):  # [hi - lo, 2] hits and real examples of one slice
         lo, hi, _ = piece
         y = shaped(dataset.labels, lo, hi)
         real = (np.arange(lo * b, hi * b) < n).reshape(hi - lo, b)
-        if kept is None:
-            logits = eval_forward(layers, params, bn_moving,
-                                  shaped(dataset.images, lo, hi), policy)
-        else:
-            logits = eval_forward(layers, params, bn_moving, kept.operand[lo:hi], policy,
-                                  prepared=True)
+        logits = eval_forward(layers, params, bn_moving,
+                              shaped(dataset.images, lo, hi), policy)
         hit = (logits.argmax(axis=2) == y) & real
         return np.stack([hit.sum(axis=1), real.sum(axis=1)], axis=1)
 
@@ -514,13 +455,16 @@ def run(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState]:
     ar_frac = perfmodel.allreduce_fraction(
         config.per_core_batch, config.num_replicas, cost)
     eval_batch = config.eval_batch_for(len(eval_ds))
-    # The eval images' first-layer operand, built by the first pass and read
-    # by every pass; it lives as long as this run.
-    eval_in = EvalOperand(eval_ds, state.layers, config.policy, eval_batch)
+    prepared = None  # (model, eval set) that every pass reads, made by the first
 
     def evaluate() -> float:
+        nonlocal prepared
+        if prepared is None:
+            layers, patches = prepare_first_conv(
+                state.layers, state.params, eval_ds.images, config.policy)
+            prepared = layers, Dataset(patches, eval_ds.labels, eval_ds.num_classes)
         return distributed_eval(
-            state.layers, state.params, state.bn_moving, eval_in,
+            prepared[0], state.params, state.bn_moving, prepared[1],
             config.num_replicas, eval_batch, config.policy)
 
     records: list[MetricsRecord] = []
@@ -564,8 +508,10 @@ def _weights_arrays(params: list[Parameter], bn_moving: dict) -> dict:
 
 
 def save_weights(state: TrainState, path) -> None:
-    """Final-weights dump: parameters plus BN moving statistics (npz)."""
-    np.savez(path, **_weights_arrays(state.params, state.bn_moving))
+    """Final-weights dump: parameters plus BN moving statistics, an npz
+    archive at `path` as given (np.savez would add .npz to a path)."""
+    with open(path, "wb") as f:
+        np.savez(f, **_weights_arrays(state.params, state.bn_moving))
 
 
 def load_weights(

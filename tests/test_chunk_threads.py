@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 from minipod import model, trainer
-from minipod.data import gen_synthetic
+from minipod.data import Dataset, gen_synthetic
 from minipod.distbn import assign_groups_1d, assign_groups_2d
 from minipod.model import build_model, distributed_forward_backward, init_params, map_chunks
 from minipod.precision import FP32_ONLY, MIXED_BF16_CONV
-from minipod.trainer import EvalOperand, NonFiniteLossError, TrainConfig, distributed_eval
+from minipod.trainer import NonFiniteLossError, TrainConfig, distributed_eval
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 WAIT_S = 30  # a bound on every wait, so a broken pool fails instead of hanging
@@ -260,18 +260,22 @@ def test_eval_pass_gives_the_same_counts_on_one_and_two_workers(monkeypatch, wor
 @pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
 def test_kept_eval_operand_is_filled_the_same_on_one_and_two_workers(monkeypatch, workers,
                                                                      policy):
-    # As above, one replica per slice: the helper reads some of the 13 rows.
+    # As above, one replica per slice: the helper reads some of the 13 rows
+    # of the prepared set, built one example per block.
     layers, params, _, _ = _b5_step_inputs(19)
     moving = model.init_bn_moving(layers, (8, 8, 1))
     ds = gen_synthetic(10, 50, 8, 8, 1, seed=20)
     monkeypatch.setattr(model, "CHUNK_BYTES", 1)
-    kept = [EvalOperand(ds, layers, policy, 4) for _ in range(2)]
-    top1 = [distributed_eval(layers, params, moving, kept[0], 4, 4, policy)]
-    top1.append(distributed_eval(layers, params, moving, kept[0], 4, 4, policy))
-    workers(1)
-    top1.append(distributed_eval(layers, params, moving, kept[1], 4, 4, policy))
-    assert top1 == [distributed_eval(layers, params, moving, ds, 4, 4, policy)] * 3
-    assert kept[0].operand.tobytes() == kept[1].operand.tobytes()
+    built, top1 = [], []
+    for _ in range(2):
+        prepared, patches = model.prepare_first_conv(layers, params, ds.images, policy)
+        kept = Dataset(patches, ds.labels, ds.num_classes)
+        built.append(patches.tobytes())
+        top1 += [distributed_eval(prepared, params, moving, kept, 4, 4, policy)
+                 for _ in range(2)]
+        workers(1)
+    assert top1 == [distributed_eval(layers, params, moving, ds, 4, 4, policy)] * 4
+    assert built[0] == built[1]
 
 
 def test_engine_called_from_several_threads_matches_sequential_calls(monkeypatch,

@@ -317,6 +317,21 @@ def test_cli_train_eval_cycle(tmp_path, capsys):
     assert "top1" in capsys.readouterr().out
 
 
+def test_cli_weights_out_writes_the_path_it_is_given(tmp_path, capsys):
+    # np.savez given a path would write w.bin.npz; eval reads w.bin back.
+    cfg = write_config(tmp_path, "preset = toy-rmsprop-512\ndataset = synthetic\n"
+                                 "total_epochs = 2\n")
+    out_csv, weights = tmp_path / "m.csv", tmp_path / "w.bin"
+    assert main(["train", "--config", str(cfg), "--out", str(out_csv),
+                 "--weights-out", str(weights)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "m.csv", "w.bin"]
+    capsys.readouterr()
+    assert main(["eval", "--weights", str(weights), "--config", str(cfg)]) == 0
+    # The run's passes read the prepared set, eval's the images: one top-1.
+    top1 = float(out_csv.read_text().splitlines()[-1].split(",")[4])
+    assert capsys.readouterr().out == f"top1 {top1:.6f} over 2048 examples on 8 replicas\n"
+
+
 def test_cli_train_bad_config_runtime_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "nonsense = 1\n")
     assert main(["train", "--config", str(cfg), "--out",
@@ -643,6 +658,13 @@ def _out_in_missing_directory(flag):
     return argv
 
 
+def _out_is_a_directory(flag):
+    def argv(tmp_path):
+        (tmp_path / "d").mkdir()
+        return _toy("")(tmp_path) + [flag, str(tmp_path / "d")]
+    return argv
+
+
 def _idx_of_zero_images(tmp_path):
     images, labels = tmp_path / "i.idx", tmp_path / "l.idx"
     write_idx(np.zeros((0, 8, 8, 1), np.uint8), np.zeros(0, np.uint8), images, labels)
@@ -763,6 +785,13 @@ _TABLE = [  # argv builder, exit code, pattern of the error line
                  id="bn-momentum-nan"),
     pytest.param(_out_in_missing_directory("--weights-out"), 2, "does not exist",
                  id="weights-out-nodir"),
+    # Caught before training, which would otherwise run to its end first.
+    pytest.param(_out_is_a_directory("--out"), 2, "--out .*/d is a directory",
+                 id="out-is-a-directory"),
+    pytest.param(_out_is_a_directory("--weights-out"), 2, "--weights-out .*/d is a directory",
+                 id="weights-out-is-a-directory"),
+    pytest.param(_toy("bn_grouping = 2d\ntile_rows = 0\ntile_cols = 8"), 2,
+                 "^error: tile 0x8 must evenly divide grid 2x4", id="tile_rows-0-2d"),
     pytest.param(_eval_weights_of_another_model, 2, "conv2/kernel", id="eval-other-model"),
     pytest.param(_eval_weights_file("w.npz", b"not an archive\n"), 2, "is not an npz archive",
                  id="eval-not-npz"),

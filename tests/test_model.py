@@ -19,12 +19,12 @@ from minipod.model import (
     dense,
     distributed_forward_backward,
     eval_forward,
-    first_operand,
     global_avg_pool,
     grad_check,
     infer_shapes,
     init_bn_moving,
     init_params,
+    prepare_first_conv,
     swish,
 )
 
@@ -274,7 +274,7 @@ def test_engine_loss_is_softmax_xent_of_eval_logits(small_data):
 
 
 def test_layer_ops_map_activations_only():
-    assert sorted(model.LAYER_OPS) == ["batchnorm", "conv2d", "dense",
+    assert sorted(model.LAYER_OPS) == ["batchnorm", "conv2d", "conv2d_gemm", "dense",
                                        "depthwise_conv2d", "global_avg_pool", "swish"]
     with pytest.raises(ValueError, match="at least one layer"):
         infer_shapes([], (8, 8, 1))
@@ -345,25 +345,53 @@ def test_eval_forward_per_sample_independent_of_batch(small_data):
 def test_eval_forward_from_the_prepared_operand_gives_the_same_logits(small_data, name,
                                                                        policy):
     x, _ = small_data
-    x = x.reshape(2, 4, *x.shape[1:])
     layers = build_model(name, 4)
-    params = init_params(layers, x.shape[2:], seed=11)
-    moving = init_bn_moving(layers, x.shape[2:])
-    patches = first_operand(layers, params, x, policy)
-    assert patches.shape[-1] == math.prod(layers[0].kernel_hw) * x.shape[-1]
-    plain = eval_forward(layers, params, moving, x, policy)
-    prepared = eval_forward(layers, params, moving, patches, policy, prepared=True)
-    assert prepared.tobytes() == plain.tobytes()
+    params = init_params(layers, x.shape[1:], seed=11)
+    moving = init_bn_moving(layers, x.shape[1:])
+    prepared, patches = prepare_first_conv(layers, params, x, policy)
+    assert prepared[0].kind == "conv2d_gemm" and prepared[1:] == layers[1:]
+    ho, wo, _ = infer_shapes(layers, x.shape[1:])[0]
+    assert patches.shape == (len(x), ho, wo, math.prod(layers[0].kernel_hw) * x.shape[-1])
+    plain = eval_forward(layers, params, moving, x.reshape(2, 4, *x.shape[1:]), policy)
+    from_patches = eval_forward(prepared, params, moving,
+                                patches.reshape(2, 4, *patches.shape[1:]), policy)
+    assert from_patches.tobytes() == plain.tobytes()
+    # The model itself rejects the patches: they have kh*kw times its channels.
+    with pytest.raises(ValueError, match="channel mismatch"):
+        eval_forward(layers, params, moving, patches[None], policy)
+
+
+@pytest.mark.parametrize("name", sorted(model.MODELS))
+def test_a_prepared_model_inits_the_models_params(name):
+    layers = build_model(name, 4)
+    prepared, patches = prepare_first_conv(
+        layers, init_params(layers, (8, 8, 1), seed=0), np.zeros((1, 8, 8, 1), np.float32))
+    assert not patches.any()  # a zero image has zero patches
+    want = init_params(layers, (8, 8, 1), seed=13)
+    got = init_params(prepared, patches.shape[1:], seed=13)
+    assert [(p.name, p.tag, p.value.tobytes()) for p in got] == [
+        (p.name, p.tag, p.value.tobytes()) for p in want]
+    assert infer_shapes(prepared, patches.shape[1:]) == infer_shapes(layers, (8, 8, 1))
+
+
+def test_training_a_conv2d_gemm_layer_raises(small_data):
+    x, labels = small_data
+    layers = build_model("toy_cnn", 4)
+    params = init_params(layers, x.shape[1:], seed=14)
+    prepared, patches = prepare_first_conv(layers, params, x)
+    step = (prepared, params, patches.reshape(2, 4, *patches.shape[1:]),
+            labels.reshape(2, 4), assign_groups_1d(2, 1))
+    assert np.isfinite(distributed_forward_backward(*step, forward_only=True).mean_loss)
+    with pytest.raises(ValueError, match="conv1: a conv2d_gemm layer is for evaluation"):
+        distributed_forward_backward(*step)
 
 
 def test_only_a_conv2d_first_layer_has_a_prepared_operand(small_data):
     x, _ = small_data
     layers = [dense("fc", 4)]
     params = init_params(layers, x.shape[1:], seed=12)
-    with pytest.raises(ValueError, match="fc: only a conv2d first layer"):
-        first_operand(layers, params, x[None])
-    with pytest.raises(ValueError, match="fc: only a conv2d first layer"):
-        eval_forward(layers, params, {}, x[None], prepared=True)
+    with pytest.raises(ValueError, match="fc: only a conv2d first layer can be prepared"):
+        prepare_first_conv(layers, params, x)
 
 
 def test_model_registry():

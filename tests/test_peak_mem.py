@@ -1,5 +1,5 @@
 """tools/peak_mem.py on a tiny case: one row per phase, each with its figures,
-and what the run keeps between its eval passes."""
+and what the run's prepared eval set holds."""
 
 import subprocess
 import sys
@@ -23,16 +23,18 @@ def test_peak_mem_reports_every_phase():
                         "examples, 2048 eval examples in rows of 8")
     rows = {line.split()[0]: [float(v) for v in line.split()[1:]] for line in lines[2:-1]}
     assert list(rows) == ["gen_synthetic", "shard_train_data", "train_step",
-                          "distributed_eval", "eval_pass_1", "eval_pass_2"]
+                          "distributed_eval", "prepare_eval", "eval_pass_1",
+                          "eval_pass_2"]
     seconds, peak, held = zip(*rows.values())
     assert all(s >= 0 for s in seconds)
     assert held[0] == 0.0 and all(p >= h > 0 for p, h in zip(peak[1:], held[1:]))
     # 100 examples of 16x16x1 float32 and their int64 labels, about 0.1 MiB.
     assert 0.09 < held[1] < 0.2
-    # Between the run's two passes it keeps the 2,048 examples' 8x8x9 patches.
+    # The prepared set holds the 2,048 examples' 8x8x9 patches for both passes.
     kept = 2048 * 8 * 8 * 9 * 4 / 2 ** 20
-    assert lines[-1] == f"kept between the passes: {kept:.1f} MiB"
+    assert lines[-1] == f"kept for the passes: {kept:.1f} MiB"
     assert held[5] - held[4] == pytest.approx(kept, abs=0.15)
+    assert held[6] == pytest.approx(held[5], abs=0.15)
 
 
 def test_peak_mem_eval_examples_sets_the_eval_set():
@@ -40,5 +42,5 @@ def test_peak_mem_eval_examples_sets_the_eval_set():
     # per-core batch of 8.
     lines = peak_mem("toy_cnn", "4x8", "2", "fp32", "100", "--eval-examples", "18")
     assert lines[0].endswith(", 18 eval examples in rows of 5")
-    assert [line.split()[0] for line in lines[-4:-1]] == [
-        "distributed_eval", "eval_pass_1", "eval_pass_2"]
+    assert [line.split()[0] for line in lines[-5:-1]] == [
+        "distributed_eval", "prepare_eval", "eval_pass_1", "eval_pass_2"]

@@ -13,17 +13,16 @@ from minipod.model import (
     MODELS,
     build_model,
     eval_forward,
-    first_operand,
     infer_shapes,
     init_bn_moving,
     init_params,
+    prepare_first_conv,
 )
 from minipod.optim import LarsConfig, RmsPropConfig, lr_at
 from minipod.precision import FP32_ONLY, MIXED_BF16_CONV
 from minipod.rng import stream
 from minipod.trainer import (
     METRICS_HEADER,
-    EvalOperand,
     MetricsRecord,
     NonFiniteLossError,
     TrainConfig,
@@ -343,65 +342,53 @@ def test_distributed_eval_peak_is_a_small_part_of_the_set():
 
 
 # ---------------------------------------------------------------------------
-# the kept first-layer operand
+# the kept first-layer operand: a prepared model and eval set
 
 
 @pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
 @pytest.mark.parametrize("num_replicas", [1, 2, 8])
-def test_kept_operand_gives_the_plain_passes_top1(num_replicas, policy):
+def test_kept_operand_gives_the_plain_passes_top1(monkeypatch, num_replicas, policy):
     layers, params, moving, ds = _eval_case()
     plain = distributed_eval(layers, params, moving, ds, num_replicas, 3, policy)
-    kept = EvalOperand(ds, layers, policy, 3)
-    filling = distributed_eval(layers, params, moving, kept, num_replicas, 3, policy)
-    assert kept.operand is not None
-    reading = distributed_eval(layers, params, moving, kept, num_replicas, 3, policy)
-    # perfbench's invariance check reruns a pass on one replica, same operand.
-    single = distributed_eval(layers, params, moving, kept, 1, 3, policy)
-    assert filling == reading == single == plain
-    # 13 rows of 3: the set, then two zero images finishing the last row.
+    prepared, patches = prepare_first_conv(layers, params, ds.images, policy)
+    kept = Dataset(patches, ds.labels, ds.num_classes)
+    calls, forward = [], trainer.eval_forward
+
+    def recorded(layers, params, moving, x, policy):
+        calls.append(x)
+        return forward(layers, params, moving, x, policy)
+
+    monkeypatch.setattr(trainer, "eval_forward", recorded)
+    top1 = distributed_eval(prepared, params, moving, kept, num_replicas, 3, policy)
+    # perfbench's invariance check reruns a pass on one replica, same arguments.
+    single = distributed_eval(prepared, params, moving, kept, 1, 3, policy)
+    assert top1 == single == plain
+    # 13 rows of 3: each pass pads the last in patch space, in the one slice
+    # that is a copy, with the patches of two zero images: zeros.
     padded = np.concatenate([ds.images, np.zeros((2, 8, 8, 1), ds.images.dtype)])
-    built = first_operand(layers, params, padded.reshape(13, 3, 8, 8, 1), policy)
-    assert kept.operand.tobytes() == built.tobytes()
+    want = prepare_first_conv(layers, params, padded, policy)[1][-3:]
+    copies = [x for x in calls if not np.shares_memory(x, kept.images)]
+    assert [x[-1].tobytes() for x in copies] == [want.tobytes()] * 2
+    assert not want[1:].any()
 
 
-def test_first_pass_builds_the_operand_on_its_calling_thread(monkeypatch):
-    # One replica per slice on two workers: the walk of the 13 rows is split
-    # between the threads, but every row's patches are built on this one.
-    layers, params, moving, ds = _eval_case()
+def test_a_build_of_one_block_per_example_is_the_default_build(monkeypatch):
+    # Two workers and a one-byte budget: the build still runs on this thread
+    # alone, one im2col call per example.
+    layers, params, _, ds = _eval_case()
+    whole = prepare_first_conv(layers, params, ds.images, MIXED_BF16_CONV)[1]
     monkeypatch.setattr(model, "worker_count", lambda: 2)
     monkeypatch.setattr(model, "CHUNK_BYTES", 1)
     im2col, threads = model.nn.im2col, []
 
     def recorded(x, *rest):
-        if x.shape[2:] == ds.images.shape[1:]:  # the first conv's input-only stage
-            threads.append(threading.get_ident())
+        threads.append(threading.get_ident())
         return im2col(x, *rest)
 
     monkeypatch.setattr(model.nn, "im2col", recorded)
-    kept = EvalOperand(ds, layers, FP32_ONLY, 3)
-    distributed_eval(layers, params, moving, kept, 8, 3)
-    assert threads == [threading.get_ident()] * 13
-
-
-def test_a_first_pass_that_raises_keeps_nothing(monkeypatch):
-    layers, params, moving, ds = _eval_case()
-    plain = distributed_eval(layers, params, moving, ds, 2, 3)
-    calls = []
-
-    def failing(*args):
-        calls.append(None)
-        if len(calls) == 2:
-            raise RuntimeError("second slice")
-        return first_operand(*args)
-
-    monkeypatch.setattr(model, "CHUNK_BYTES", 1)  # one replica per slice
-    monkeypatch.setattr(trainer, "first_operand", failing)
-    kept = EvalOperand(ds, layers, FP32_ONLY, 3)
-    with pytest.raises(RuntimeError, match="second slice"):
-        distributed_eval(layers, params, moving, kept, 2, 3)
-    assert kept.operand is None
-    monkeypatch.setattr(trainer, "first_operand", first_operand)
-    assert distributed_eval(layers, params, moving, kept, 2, 3) == plain
+    blocks = prepare_first_conv(layers, params, ds.images, MIXED_BF16_CONV)[1]
+    assert blocks.tobytes() == whole.tobytes()
+    assert threads == [threading.get_ident()] * 37
 
 
 def test_run_prepares_the_eval_images_once(monkeypatch):
@@ -409,18 +396,26 @@ def test_run_prepares_the_eval_images_once(monkeypatch):
     # replicas. toy_cnn's one conv reads the model input, so every im2col
     # and every rounding of a 5-D array in a pass is its input-only stage.
     cfg = tiny_config(global_batch=512, total_epochs=3.0, precision="mixed_bf16")
-    passes, in_pass, prepared = [], [], {"im2col": 0, "to_bf16": 0}
+    passes, events, in_pass = [], [], []
+    prepared = {"im2col": 0, "to_bf16": 0}  # examples an eval pass prepares
     calls = {name: getattr(mod, name) for mod, name in
-             ((trainer, "distributed_eval"), (model.nn, "im2col"),
+             ((trainer, "distributed_eval"), (trainer, "prepare_first_conv"),
+              (trainer, "train_step"), (model.nn, "im2col"),
               (model.precision, "to_bf16"))}
 
     def eval_pass(*args):
-        passes.append(args[3])
+        passes.append(args[:4])
         in_pass.append(True)
         try:
             return calls["distributed_eval"](*args)
         finally:
             in_pass.pop()
+
+    def logged(name):
+        def fn(*args):
+            events.append(name)
+            return calls[name](*args)
+        return fn
 
     def counted(name):
         def fn(x, *rest):
@@ -430,31 +425,23 @@ def test_run_prepares_the_eval_images_once(monkeypatch):
         return fn
 
     monkeypatch.setattr(trainer, "distributed_eval", eval_pass)
+    monkeypatch.setattr(trainer, "prepare_first_conv", logged("prepare_first_conv"))
+    monkeypatch.setattr(trainer, "train_step", logged("train_step"))
     monkeypatch.setattr(model.nn, "im2col", counted("im2col"))
     monkeypatch.setattr(model.precision, "to_bf16", counted("to_bf16"))
     records, state = run(cfg)
-    assert len(passes) == 3 and all(p is passes[0] for p in passes)
+    # Built once, after the first epoch's 16 steps, before the first pass.
+    assert events == ["train_step"] * 16 + ["prepare_first_conv"] + ["train_step"] * 32
+    assert len(passes) == 3
+    assert all(p[0] is passes[0][0] and p[3] is passes[0][3] for p in passes)
+    assert passes[0][0][0].kind == "conv2d_gemm" and passes[0][3].images.shape[1:] == (8, 8, 9)
+    assert prepared == {"im2col": 0, "to_bf16": 0}
+    # A plain pass over the images prepares them in the pass.
+    eval_ds = build_datasets(cfg)[1]
+    plain = eval_pass(state.layers, state.params, state.bn_moving, eval_ds, 2, 256,
+                      cfg.policy)
     assert prepared == {"im2col": 2048, "to_bf16": 2048}
-    # A plain Dataset pass prepares its images again.
-    plain = eval_pass(state.layers, state.params, state.bn_moving,
-                      passes[0].dataset, 2, 256, cfg.policy)
-    assert prepared == {"im2col": 4096, "to_bf16": 4096}
     assert plain == records[-1].eval_top1
-
-
-def test_kept_operand_rejects_another_policy_model_or_batch():
-    layers, params, moving, ds = _eval_case()
-    kept = EvalOperand(ds, layers, FP32_ONLY, 3)
-    distributed_eval(layers, params, moving, kept, 2, 3)
-    with pytest.raises(ValueError, match="kept for precision fp32, not mixed_bf16"):
-        distributed_eval(layers, params, moving, kept, 2, 3, MIXED_BF16_CONV)
-    # b2 starts with b5's first conv, but it is another model all the same.
-    b2 = build_model("b2", 4)
-    with pytest.raises(ValueError, match="kept for another model"):
-        distributed_eval(b2, init_params(b2, (8, 8, 1), seed=5),
-                         init_bn_moving(b2, (8, 8, 1)), kept, 2, 3)
-    with pytest.raises(ValueError, match="kept for eval batch 3, not 4"):
-        distributed_eval(layers, params, moving, kept, 2, 4)
 
 
 @pytest.mark.parametrize("replicas,global_batch,n_eval,eval_batch", [

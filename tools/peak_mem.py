@@ -16,20 +16,24 @@ each:
 - distributed_eval: one pass over a synthetic eval set of E examples
   (default 2,048, the run's), made before tracing starts, keeping nothing,
   as `minipod eval` does;
-- eval_pass_1 and eval_pass_2: the first two passes of a training run over
-  the same set, which keep its first-layer operand (trainer.EvalOperand):
-  the first builds it on the calling thread before it walks, and both read
-  it. The last line gives the MiB kept between them.
+- prepare_eval: what a training run does at its first evaluation, building
+  the model and eval set its passes read (model.prepare_first_conv): the
+  set's first-layer patches, on the calling thread;
+- eval_pass_1 and eval_pass_2: the run's first two passes, over the
+  prepared set. The last line gives the MiB the prepared set holds.
 
 For each it prints the wall time, the tracemalloc peak during the call and
 what was already allocated when the call began (the train set, for every
 phase after the first). The first two peaks repeat exactly. The step and the
 eval passes walk chunks on several threads (model.map_chunks), so their
 peaks depend on how the threads' chunks overlap: on 2 cores at b5 1024x8 1
-fp32 16384 --eval-examples 50000, two runs read 52.2 and 51.8 MiB for the
+fp32 16384 --eval-examples 50000, two runs read 52.8 and 53.4 MiB for the
 step (47.0 on one thread), 29.7 MiB for the plain eval pass both times (27.2
-on one thread), and 139.8 and 139.7 MiB for the run's first and second
-passes in both runs, which keep 109.9 MiB of patches between them.
+on one thread), and 139.7 MiB for the run's first and second passes in both
+runs, which read the 109.9 MiB of patches prepare_eval keeps. prepare_eval
+runs on one thread and peaks at 135.5 MiB both times, 110.6 MiB above what
+it began with: the patches and one block of at most CHUNK_BYTES in the
+making.
 Compare peaks across runs to within a chunk. A time is one call with
 tracemalloc on and BLAS on one thread; under glibc's default policy a first
 train step's time also depends on the sizes freed before it, which set the
@@ -58,8 +62,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from minipod import trainer  # noqa: E402
-from minipod.data import gen_synthetic  # noqa: E402
+from minipod import model, trainer  # noqa: E402
+from minipod.data import Dataset, gen_synthetic  # noqa: E402
 from minipod.optim import lr_at  # noqa: E402
 
 MIB = 1 << 20
@@ -126,18 +130,23 @@ def main(argv=None) -> int:
         measure("train_step", lambda: trainer.train_step(state, first, lr))
         eval_batch = cfg.eval_batch_for(len(evalset))
 
-        def eval_pass(dataset):
+        def eval_pass(layers, dataset):
             return lambda: trainer.distributed_eval(
-                state.layers, state.params, state.bn_moving, dataset,
+                layers, state.params, state.bn_moving, dataset,
                 cfg.num_replicas, eval_batch, cfg.policy)
 
-        measure("distributed_eval", eval_pass(evalset))
-        kept = trainer.EvalOperand(evalset, state.layers, cfg.policy, eval_batch)
+        def prepare_eval():
+            layers, patches = model.prepare_first_conv(
+                state.layers, state.params, evalset.images, cfg.policy)
+            return layers, Dataset(patches, evalset.labels, evalset.num_classes)
+
+        measure("distributed_eval", eval_pass(state.layers, evalset))
         before = tracemalloc.get_traced_memory()[0]
-        measure("eval_pass_1", eval_pass(kept))
-        between = tracemalloc.get_traced_memory()[0] - before
-        measure("eval_pass_2", eval_pass(kept))
-        print(f"kept between the passes: {between / MIB:.1f} MiB")
+        prepared = measure("prepare_eval", prepare_eval)
+        kept = tracemalloc.get_traced_memory()[0] - before
+        measure("eval_pass_1", eval_pass(*prepared))
+        measure("eval_pass_2", eval_pass(*prepared))
+        print(f"kept for the passes: {kept / MIB:.1f} MiB")
     finally:
         tracemalloc.stop()
     return 0

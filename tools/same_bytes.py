@@ -14,10 +14,14 @@ replicas x 16 for 2 epochs, whose eval set of 2,048 examples is smaller than
 one round of per-core batches (4,096), and b5 in bf16 on 16 replicas with
 2x2 BN tiles for 1 epoch, the one config whose step walks chunks of replicas
 that are not one contiguous range ({0, 1, 4, 5}, ...). Each metrics CSV and
-``--weights-out`` archive is compared byte for byte. For each file it prints
-"identical", or the first differing CSV row and the largest relative
-difference per column (per array for the weights). Exit status: 0 when every
-file is identical, 1 on any difference, 2 when a run fails on either tree.
+``--weights-out`` archive is compared byte for byte. Both trees also run
+``minipod eval`` on the base's toy-rmsprop-512 weights, whose pass reads the
+eval images themselves (a training run's passes read its prepared eval set),
+and their output lines are compared. For each file it prints "identical",
+or the first differing CSV row and the largest relative difference per
+column (per array for the weights), or both eval lines. Exit status: 0 when
+every file is identical, 1 on any difference, 2 when a run fails on either
+tree.
 
 Both trees run here, on one host and one numpy, so BLAS and CPU differences
 cancel. BLAS runs one thread in every training.
@@ -59,6 +63,8 @@ CONFIGS = {
         "total_epochs = 1\ndataset = synthetic\n"),
 }
 OUTPUTS = ("metrics.csv", "weights.npz")
+EVALUATED = "toy-rmsprop-512"  # the config whose weights `minipod eval` reads
+EVAL_OUT = "eval.txt"
 
 
 def export(rev: str, dest: Path) -> None:
@@ -69,17 +75,30 @@ def export(rev: str, dest: Path) -> None:
         t.extractall(dest, filter="data")
 
 
+def minipod(tree: Path, name: str, out: Path, *args: str) -> str:
+    """stdout of `minipod ARGS` run from `tree` in the directory `out`."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "minipod.cli", *args],
+                          cwd=out, env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{name} {args[0]} on {tree} exited {proc.returncode}:\n"
+                           f"{proc.stderr}")
+    return proc.stdout
+
+
 def train(tree: Path, name: str, out: Path) -> None:
     out.mkdir(parents=True)
     (out / "exp.cfg").write_text(CONFIGS[name], encoding="utf-8")
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-m", "minipod.cli", "train", "--config", "exp.cfg",
-         "--out", OUTPUTS[0], "--weights-out", OUTPUTS[1]],
-        cwd=out, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{name} on {tree} exited {proc.returncode}:\n{proc.stderr}")
+    minipod(tree, name, out, "train", "--config", "exp.cfg",
+            "--out", OUTPUTS[0], "--weights-out", OUTPUTS[1])
+
+
+def evaluate(tree: Path, out: Path, weights: Path) -> None:
+    """Writes the EVALUATED config's `minipod eval` output on `weights`."""
+    (out / EVAL_OUT).write_text(
+        minipod(tree, EVALUATED, out, "eval", "--weights", str(weights),
+                "--config", "exp.cfg"), encoding="utf-8")
 
 
 def rel_diff(a: float, b: float) -> float:
@@ -146,20 +165,28 @@ def main(argv: list[str] | None = None) -> int:
             for name in CONFIGS:
                 for side, tree in (("base", tmp / "base"), ("change", ROOT)):
                     train(tree, name, tmp / "out" / side / name)
+            weights = tmp / "out" / "base" / EVALUATED / OUTPUTS[1]
+            for side, tree in (("base", tmp / "base"), ("change", ROOT)):
+                evaluate(tree, tmp / "out" / side / EVALUATED, weights)
         except (subprocess.CalledProcessError, RuntimeError) as e:
             detail = e.stderr.decode() if isinstance(e, subprocess.CalledProcessError) else ""
             print(f"error: {e}\n{detail}".rstrip(), file=sys.stderr)
             return 2
         for name in CONFIGS:
-            for fname in OUTPUTS:
+            for fname in OUTPUTS + ((EVAL_OUT,) if name == EVALUATED else ()):
                 a, b = (tmp / "out" / side / name / fname for side in ("base", "change"))
                 if a.read_bytes() == b.read_bytes():
                     print(f"{name} {fname}: identical")
                     continue
                 differ = True
                 print(f"{name} {fname}: DIFFERENT")
-                report = (csv_report(a.read_text(), b.read_text())
-                          if fname.endswith(".csv") else npz_report(a, b))
+                if fname == EVAL_OUT:
+                    report = [f"base   {a.read_text().strip()}",
+                              f"change {b.read_text().strip()}"]
+                elif fname.endswith(".csv"):
+                    report = csv_report(a.read_text(), b.read_text())
+                else:
+                    report = npz_report(a, b)
                 for line in report:
                     print(f"  {line}")
     return 1 if differ else 0
