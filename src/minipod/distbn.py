@@ -35,9 +35,10 @@ shares is the sum over groups. Per-channel values are applied over wide rows,
 [N, b*H, W*C], with the [C] values tiled across W.
 
 Because only distbn maps replicas to groups, it also plans how the engine
-splits a step: plan_chunks cuts the [G, S] array into runs of consecutive
-whole groups that fit a byte budget, and gives each chunk its replicas as
-an ascending index array and its groups renumbered from 0 within the chunk.
+splits a step, and an eval pass its rows as groups of one row: plan_chunks
+cuts the [G, S] array into runs of consecutive whole groups that fit a byte
+budget, and gives each chunk its replicas as an ascending index array and
+its groups renumbered from 0 within the chunk.
 A kernel call on a chunk then sees an N of the chunk's replicas and a G of
 its groups, so the engine makes one all-reduce per pass and chunk; each
 group still adds its members in ascending replica order, so its statistics
@@ -239,8 +240,8 @@ def update_moving_stats(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Blend one layer's [G, C] group statistics into its moving statistics.
 
-    The groups are averaged in ascending group id; then
-    moving <- momentum * moving + (1 - momentum) * average. Groups are of
+    The groups are averaged in ascending group id, by one all-reduce mean;
+    then moving <- momentum * moving + (1 - momentum) * average. Groups are of
     equal size, so the averaged mean is that of the whole replica set. The
     averaged variance is not: it is the mean of the within-group variances
     and leaves out the spread of the group means, so with more than one
@@ -251,14 +252,7 @@ def update_moving_stats(
         raise ValueError(
             f"saved stats shapes {means.shape}, {variances.shape} do not match "
             f"[G, {moving_mean.shape[0]}]")
-    mean = means[0].copy()
-    var = variances[0].copy()
-    for mu, v in zip(means[1:], variances[1:]):
-        mean += mu
-        var += v
-    k = mean.dtype.type(len(means))
-    mean /= k
-    var /= k
+    mean, var = all_reduce(np.stack([means, variances], axis=1), "mean")
     return ((momentum * moving_mean + (1.0 - momentum) * mean).astype(moving_mean.dtype),
             (momentum * moving_var + (1.0 - momentum) * var).astype(moving_var.dtype))
 

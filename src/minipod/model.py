@@ -35,8 +35,8 @@ update to the same all-reduced gradient, so their weights are equal by
 construction.
 Evaluation (eval_forward) is the same forward walk over whatever stacked
 [n, b, ...] inputs it is given, with BN normalizing by the moving
-statistics; the trainer's eval pass sizes its calls with replica_chunks on
-groups of one. BN's epsilon is the fixed distbn.DEFAULT_EPS in both walks.
+statistics; the trainer's eval pass walks replica_chunks' chunks of the
+eval set's rows, groups of one row, on map_chunks as the step does. BN's epsilon is the fixed distbn.DEFAULT_EPS in both walks.
 A conv2d entry is an input-only stage (rounding, padding and im2col) and a
 GEMM; a conv2d_gemm entry is the GEMM alone and only evaluates.
 prepare_first_conv builds a set's first-layer patches once, for the model
@@ -383,11 +383,13 @@ class EngineResult:
 
     @property
     def mean_loss(self) -> float:
-        # Ascending-index sum: the scalar equivalent of an all-reduce mean.
+        # sum() of floats adds in ascending index before Python 3.12 and is
+        # compensated from 3.12 on. An all-reduce mean would give -0.0 where
+        # sum(), which starts from the integer 0, gives 0.0.
         return sum(self.losses) / len(self.losses)
 
 
-# The largest layer output one chunk of a step or an eval round may hold, so
+# The largest layer output one chunk of a step or an eval pass may hold, so
 # the live activations (one chunk per map_chunks thread) do not grow with the
 # replica count. Packing small groups up to this budget walks fewer, larger
 # chunks than one group per chunk; CHANGES.md has the budget sweeps that

@@ -16,14 +16,13 @@ Every step: forward/backward of all replicas stacked on one leading axis
 gradients, then one optimizer step. Synchronous replicas apply the same
 update to the same reduced gradient, so the state holds a single copy of the
 parameters, optimizer slots and BN moving statistics.
-Evaluation shards the eval set across all replicas in rounds of
-num_replicas * eval_batch examples, and all-reduces integer counts of hits
-among the real examples, so the result is exact and independent of the
-replica count. A round is walked in the engine's chunks of consecutive
-replicas, each one forward call on a slice of the set, never a gather,
-walked on the engine's worker threads (model.map_chunks); only the last row
-of the set is finished with dummies, and a replica with dummies alone
-computes nothing. The eval batch is the per-core batch, capped at one
+Evaluation cuts the eval set into rows of eval_batch examples, gives row k to
+replica k mod num_replicas, and all-reduces integer counts of hits among the
+real examples, so the result is exact and independent of the replica count.
+The rows are walked in the engine's chunks of consecutive rows
+(model.replica_chunks on groups of one row), each one forward call on a
+slice of the set, never a gather, on the engine's worker threads
+(model.map_chunks); only the last row is finished with dummies. The eval batch is the per-core batch, capped at one
 replica's share of the eval set (TrainConfig.eval_batch_for). A run's first
 evaluation prepares its model and eval set (model.prepare_first_conv), so
 every pass reads the eval images' first-layer patches: 2.25x the images for
@@ -340,14 +339,12 @@ def distributed_eval(
     """Top-1 accuracy over the dataset, sharded across all replicas.
 
     The eval set is cut into rows of eval_batch consecutive examples, and
-    round k gives replica r row k * num_replicas + r. Dummy examples finish
-    the last row and fill the rounds to num_replicas rows, but only the last
-    row's dummies are computed: a round is walked in chunks of consecutive
-    replicas (model.replica_chunks on groups of one, as BN reads moving
-    statistics and nothing couples replicas), each one eval_forward call on
-    a slice of the set, and a row of dummies alone is skipped. The slices of
-    all rounds run on model.map_chunks's threads, and this thread adds their
-    counts in order. Each replica counts its hits and its real examples as
+    row k goes to replica k mod num_replicas; dummy examples finish the last
+    row. The rows are walked in chunks of consecutive rows
+    (model.replica_chunks on groups of one row, as BN reads moving
+    statistics and nothing couples rows), each one eval_forward call on a
+    slice of the set. The chunks run on model.map_chunks's threads, and this
+    thread adds each row's counts to its replica in chunk order. Each replica counts its hits and its real examples as
     integers; the all-reduced counts give hits / n, which counts exactly the
     real examples, is the correctly rounded quotient at any eval-set size,
     and depends neither on the replica count, nor on the chunking, nor on
@@ -359,20 +356,14 @@ def distributed_eval(
             raise ValueError(f"distributed_eval {name} must be >= 1, got {value}")
     n, b = len(dataset), eval_batch
     rows = math.ceil(n / b)  # the rows that hold a real example
-    chunks = replica_chunks(layers, distbn.assign_groups_1d(num_replicas, 1),
-                            (num_replicas, b) + dataset.images.shape[1:],
-                            dataset.images.dtype)
-    # Each round's chunks that hold a real row, as (rows lo:hi of the set,
-    # first replica); with groups of one, group rows are replicas.
-    slices = [(first + c.rows.start, min(first + c.rows.stop, rows), c.rows.start)
-              for first in range(0, rows, num_replicas) for c in chunks
-              if first + c.rows.start < rows]
+    chunks = replica_chunks(layers, distbn.assign_groups_1d(rows, 1),
+                            (rows, b) + dataset.images.shape[1:], dataset.images.dtype)
 
     def shaped(a, lo, hi):  # rows lo:hi of the set, [hi - lo, b, ...]
         return _rows(a, lo * b, hi * b).reshape((hi - lo, b) + a.shape[1:])
 
-    def count(piece):  # [hi - lo, 2] hits and real examples of one slice
-        lo, hi, _ = piece
+    def count(chunk):  # [hi - lo, 2] hits and real examples of one chunk's rows
+        lo, hi = chunk.rows.start, chunk.rows.stop
         y = shaped(dataset.labels, lo, hi)
         real = (np.arange(lo * b, hi * b) < n).reshape(hi - lo, b)
         logits = eval_forward(layers, params, bn_moving,
@@ -381,8 +372,10 @@ def distributed_eval(
         return np.stack([hit.sum(axis=1), real.sum(axis=1)], axis=1)
 
     counts = np.zeros((num_replicas, 2), dtype=np.int64)  # hits, real examples
-    for (lo, hi, r0), c in zip(slices, map_chunks(count, slices)):
-        counts[r0:r0 + hi - lo] += c
+    for chunk, c in zip(chunks, map_chunks(count, chunks)):
+        # A chunk may hold more rows than there are replicas, so a replica
+        # can repeat in it; np.add.at adds every occurrence.
+        np.add.at(counts, chunk.replicas % num_replicas, c)
     hits, total = all_reduce(counts, "sum")
     return int(hits) / int(total)
 
@@ -458,11 +451,12 @@ def run(config: TrainConfig) -> tuple[list[MetricsRecord], TrainState]:
     prepared = None  # (model, eval set) that every pass reads, made by the first
 
     def evaluate() -> float:
-        nonlocal prepared
+        nonlocal prepared, eval_ds
         if prepared is None:
             layers, patches = prepare_first_conv(
                 state.layers, state.params, eval_ds.images, config.policy)
             prepared = layers, Dataset(patches, eval_ds.labels, eval_ds.num_classes)
+            eval_ds = None  # the passes read only the patches and labels
         return distributed_eval(
             prepared[0], state.params, state.bn_moving, prepared[1],
             config.num_replicas, eval_batch, config.policy)

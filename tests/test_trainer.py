@@ -3,6 +3,7 @@
 import math
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -294,10 +295,12 @@ def test_distributed_eval_chunking_changes_no_count(monkeypatch, num_replicas, p
 
 
 # b5's largest layer output on 8x8x1 inputs is its first conv's, 4x4x8
-# floats, so a replica of 3 examples holds 3 * 4 * 4 * 8 * 4 bytes.
-@pytest.mark.parametrize("budget", [1, 3 * (3 * 4 * 4 * 8 * 4), 2 ** 40],
-                         ids=["one-replica", "three-replicas", "whole-round"])
-def test_distributed_eval_calls_read_each_real_row_once_in_order(monkeypatch, budget):
+# floats, so a row of 3 examples holds 3 * 4 * 4 * 8 * 4 bytes. The 13 rows
+# are cut into chunks of the budget's rows, not into rounds of 8 replicas.
+@pytest.mark.parametrize("budget,rows", [
+    (1, [1] * 13), (3 * (3 * 4 * 4 * 8 * 4), [3, 3, 3, 3, 1]), (2 ** 40, [13])],
+    ids=["one-replica", "three-replicas", "whole-set"])
+def test_distributed_eval_calls_read_each_real_row_once_in_order(monkeypatch, budget, rows):
     layers, params, moving, ds = _eval_case()
     calls = []
 
@@ -308,9 +311,10 @@ def test_distributed_eval_calls_read_each_real_row_once_in_order(monkeypatch, bu
     monkeypatch.setattr(trainer, "eval_forward", recorded)
     monkeypatch.setattr(model, "CHUNK_BYTES", budget)
     # Calls are recorded in the order threads start them, so one thread walks
-    # the slices in order; tests/test_chunk_threads.py covers the threads.
+    # the chunks in order; tests/test_chunk_threads.py covers the threads.
     monkeypatch.setattr(model, "worker_count", lambda: 1)
     distributed_eval(layers, params, moving, ds, 8, 3)
+    assert [len(x) for x in calls] == rows
     largest = max(map(math.prod, infer_shapes(layers, (8, 8, 1))))
     for x in calls:
         assert x.shape[1:] == (3, 8, 8, 1)
@@ -322,6 +326,33 @@ def test_distributed_eval_calls_read_each_real_row_once_in_order(monkeypatch, bu
     # Only the call that finishes the last row with dummies copies the set.
     views = [np.shares_memory(x, ds.images) for x in calls]
     assert views == [True] * (len(calls) - 1) + [False]
+
+
+# Three rows per chunk, so no chunk repeats a replica at 6 or 8; one chunk of
+# all 13 rows gives replicas 0-4 of 8 two rows each.
+@pytest.mark.parametrize("num_replicas,budget", [
+    (8, 3 * (3 * 4 * 4 * 8 * 4)), (6, 3 * (3 * 4 * 4 * 8 * 4)), (8, 2 ** 40)],
+    ids=["8-three-rows", "6-three-rows", "8-whole-set"])
+def test_distributed_eval_gives_each_replica_the_counts_of_its_rows(
+        monkeypatch, num_replicas, budget):
+    layers, params, moving, ds = _eval_case()
+    whole = eval_forward(layers, params, moving, ds.images[None])
+    hit = whole[0].argmax(axis=1) == ds.labels
+    replica = (np.arange(len(ds)) // 3) % num_replicas  # rows r, r + N, ...
+    want = np.stack([np.bincount(replica, hit, num_replicas),
+                     np.bincount(replica, minlength=num_replicas)], axis=1)
+    reduced, reduce = [], trainer.all_reduce
+
+    def recorded(per_replica, op):
+        reduced.append(per_replica.copy())
+        return reduce(per_replica, op)
+
+    monkeypatch.setattr(trainer, "all_reduce", recorded)
+    monkeypatch.setattr(model, "CHUNK_BYTES", budget)
+    distributed_eval(layers, params, moving, ds, num_replicas, 3)
+    assert len(reduced) == 1 and reduced[0].shape == (num_replicas, 2)
+    assert reduced[0].tolist() == want.astype(np.int64).tolist()
+    assert 0 < want[:, 0].sum() < len(ds)
 
 
 def test_distributed_eval_peak_is_a_small_part_of_the_set():
@@ -442,6 +473,27 @@ def test_run_prepares_the_eval_images_once(monkeypatch):
                       cfg.policy)
     assert prepared == {"im2col": 2048, "to_bf16": 2048}
     assert plain == records[-1].eval_top1
+
+
+def test_run_drops_the_eval_images_once_they_are_prepared(monkeypatch):
+    # Three evals of toy_cnn on 2 replicas: every pass reads the patches and
+    # labels, so the images handed to prepare_first_conv are freed before it.
+    cfg = tiny_config(global_batch=512, total_epochs=3.0)
+    images, alive = [], []
+    prepare, eval_pass = trainer.prepare_first_conv, trainer.distributed_eval
+
+    def kept(layers, params, x, policy):
+        images.append(weakref.ref(x))
+        return prepare(layers, params, x, policy)
+
+    def checked(*args):
+        alive.append(images[0]() is not None)
+        return eval_pass(*args)
+
+    monkeypatch.setattr(trainer, "prepare_first_conv", kept)
+    monkeypatch.setattr(trainer, "distributed_eval", checked)
+    run(cfg)
+    assert len(images) == 1 and alive == [False] * 3
 
 
 @pytest.mark.parametrize("replicas,global_batch,n_eval,eval_batch", [
