@@ -36,7 +36,8 @@ construction.
 Evaluation (eval_forward) is the same forward walk over whatever stacked
 [n, b, ...] inputs it is given, with BN normalizing by the moving
 statistics; the trainer's eval pass walks replica_chunks' chunks of the
-eval set's rows, groups of one row, on map_chunks as the step does. BN's epsilon is the fixed distbn.DEFAULT_EPS in both walks.
+eval set's rows, groups of one row, on map_chunks as the step does. BN's
+epsilon is the fixed distbn.DEFAULT_EPS in both walks.
 A conv2d entry is an input-only stage (rounding, padding and im2col) and a
 GEMM; a conv2d_gemm entry is the GEMM alone and only evaluates.
 prepare_first_conv builds a set's first-layer patches once, for the model
@@ -383,9 +384,8 @@ class EngineResult:
 
     @property
     def mean_loss(self) -> float:
-        # sum() of floats adds in ascending index before Python 3.12 and is
-        # compensated from 3.12 on. An all-reduce mean would give -0.0 where
-        # sum(), which starts from the integer 0, gives 0.0.
+        # Compensated from Python 3.12 on, ascending before. An all-reduce
+        # mean would give -0.0 where sum(), starting from int 0, gives 0.0.
         return sum(self.losses) / len(self.losses)
 
 

@@ -22,12 +22,13 @@ real examples, so the result is exact and independent of the replica count.
 The rows are walked in the engine's chunks of consecutive rows
 (model.replica_chunks on groups of one row), each one forward call on a
 slice of the set, never a gather, on the engine's worker threads
-(model.map_chunks); only the last row is finished with dummies. The eval batch is the per-core batch, capped at one
-replica's share of the eval set (TrainConfig.eval_batch_for). A run's first
-evaluation prepares its model and eval set (model.prepare_first_conv), so
-every pass reads the eval images' first-layer patches: 2.25x the images for
-the 3x3 stride-2 first conv of toy_cnn, b2 and b5, 4.5 MiB at 2,048 examples
-and 110 MiB at 50,000 (9x for toy_cnn_pool's stride 1). The train set's
+(model.map_chunks); only the last row is finished with dummies. The eval
+batch is the per-core batch, capped at one replica's share of the eval set
+(TrainConfig.eval_batch_for). A run's first evaluation prepares its model
+and eval set (model.prepare_first_conv) and drops the images, so every pass
+reads the eval images' first-layer patches: 2.25x the images for the 3x3
+stride-2 first conv of toy_cnn, b2 and b5, 4.5 MiB at 2,048 examples and
+110 MiB at 50,000 (9x for toy_cnn_pool's stride 1). The train set's
 patches are not kept: they would cost 2.25x the train set, and building them
 before the first step would lengthen the set-up.
 
@@ -344,10 +345,11 @@ def distributed_eval(
     (model.replica_chunks on groups of one row, as BN reads moving
     statistics and nothing couples rows), each one eval_forward call on a
     slice of the set. The chunks run on model.map_chunks's threads, and this
-    thread adds each row's counts to its replica in chunk order. Each replica counts its hits and its real examples as
-    integers; the all-reduced counts give hits / n, which counts exactly the
-    real examples, is the correctly rounded quotient at any eval-set size,
-    and depends neither on the replica count, nor on the chunking, nor on
+    thread adds each row's counts to its replica in chunk order. Each
+    replica counts its hits and its real examples as integers; the
+    all-reduced counts give hits / n, which counts exactly the real
+    examples, is the correctly rounded quotient at any eval-set size, and
+    depends neither on the replica count, nor on the chunking, nor on
     the threads. The images may be patches for a model.prepare_first_conv
     model; a dummy's patches are zeros, as a zero image's are.
     """
@@ -373,8 +375,7 @@ def distributed_eval(
 
     counts = np.zeros((num_replicas, 2), dtype=np.int64)  # hits, real examples
     for chunk, c in zip(chunks, map_chunks(count, chunks)):
-        # A chunk may hold more rows than there are replicas, so a replica
-        # can repeat in it; np.add.at adds every occurrence.
+        # A chunk of more rows than replicas repeats one; np.add.at adds each.
         np.add.at(counts, chunk.replicas % num_replicas, c)
     hits, total = all_reduce(counts, "sum")
     return int(hits) / int(total)

@@ -238,8 +238,9 @@ def test_step_gives_the_same_bytes_on_one_and_two_workers(monkeypatch, workers, 
 @pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
 def test_eval_pass_gives_the_same_counts_on_one_and_two_workers(monkeypatch, workers,
                                                                 policy):
-    # 50 examples in rows of 4 on 4 replicas: 13 rows in 4 rounds, the last
-    # row finished with dummies; a budget of one byte walks each replica alone.
+    # 50 examples in rows of 4 on 4 replicas: 13 rows, replica 0 holding 4,
+    # the last row finished with dummies; a budget of one byte walks each row
+    # alone.
     layers, params, _, _ = _b5_step_inputs(17)
     moving = model.init_bn_moving(layers, (8, 8, 1))
     ds = gen_synthetic(10, 50, 8, 8, 1, seed=18)

@@ -273,8 +273,7 @@ def test_distributed_eval_rejects_no_replicas_or_an_empty_batch(num_replicas, ev
 
 def _eval_case():
     # 37 examples in rows of 3: the last row holds one real example and two
-    # dummies, and rounds of 2, 4 or 8 replicas leave replicas with dummies
-    # alone (14, 16 and 16 row slots for 13 rows).
+    # dummies, and the 13 rows do not divide among 2, 4 or 8 replicas.
     layers = build_model("b5", 4)
     params = init_params(layers, (8, 8, 1), seed=5)
     return layers, params, init_bn_moving(layers, (8, 8, 1)), toy_dataset(37, 4, seed=5)
@@ -288,7 +287,7 @@ def test_distributed_eval_chunking_changes_no_count(monkeypatch, num_replicas, p
     hits = int((whole[0].argmax(axis=1) == ds.labels).sum())
     assert 0 < hits < len(ds)
     top1 = []
-    for budget in (1, 2 ** 40):  # one replica per chunk; one chunk per round
+    for budget in (1, 2 ** 40):  # one row per chunk; one chunk of every row
         monkeypatch.setattr(model, "CHUNK_BYTES", budget)
         top1.append(distributed_eval(layers, params, moving, ds, num_replicas, 3, policy))
     assert top1 == [hits / len(ds)] * 2
@@ -358,7 +357,7 @@ def test_distributed_eval_gives_each_replica_the_counts_of_its_rows(
 def test_distributed_eval_peak_is_a_small_part_of_the_set():
     # 16,389 examples of 16x16x1 float32 (16 MiB) on 64 replicas: rows of
     # 257, the last one finished with 59 dummies. A padded copy of the set,
-    # or a walk of the whole round at once, peaks above half of it.
+    # or a walk of every row at once, peaks above half of it.
     ds = gen_synthetic(10, 16389, 16, 16, 1, seed=6)
     layers = build_model("toy_cnn", 10)
     params = init_params(layers, (16, 16, 1), seed=6)
