@@ -14,7 +14,7 @@ from .config import (
     preset_config,
     serialize_config,
 )
-from .data import Dataset, gen_synthetic, load_idx, write_idx
+from .data import Dataset, as_float32, gen_synthetic, load_idx, write_idx
 from .distbn import (
     assign_groups_1d,
     assign_groups_2d,

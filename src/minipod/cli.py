@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import perfmodel, trainer
 from .config import ConfigError, parse_config, presets_table
+from .data import as_float32
 from .model import build_model, grad_check, init_params
 from .rng import stream
 
@@ -107,7 +108,7 @@ def _cmd_gradcheck(args) -> int:
     # A small slice keeps the element-by-element perturbation affordable.
     rng = stream(config.seed, "gradcheck")
     idx = rng.choice(len(train_ds), size=min(4, len(train_ds)), replace=False)
-    x = train_ds.images[idx]
+    x = as_float32(train_ds.images[idx])
     labels = train_ds.labels[idx]
     params = init_params(layers, x.shape[1:], config.seed)
     err = grad_check(layers, params, x, labels, eps=args.eps)

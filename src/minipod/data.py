@@ -1,5 +1,14 @@
 """Dataset ingestion: IDX image files and deterministic synthetic generators.
 
+A set's images are either the u8 pixels of an IDX file, held as a read-only
+view of the bytes read, or float32 values. as_float32 is the one rule that
+reads them: a u8 pixel p is float32(p) / float32(255), a uint16 holds the
+high 16 bits of a bfloat16 value (model.prepare_first_conv's patches under
+the mixed policy), and float32 values are read as they are. The rule works
+element by element, so it gives the same bytes before or after a gather or
+a slice, and it runs only where values are read: a step's gather, an eval
+chunk's rows, a block of first-layer patches. A zero pixel reads as 0.0.
+
 The synthetic generator draws its float64 noise one block of rows at a time
 (NOISE_BLOCK_BYTES) and writes float32 pixels into one preallocated array, so
 it holds the set plus one block, never a float64 copy of the whole set.
@@ -28,9 +37,11 @@ class IdxFormatError(ValueError):
 
 @dataclass
 class Dataset:
-    """Images scaled to [0,1] plus integer labels."""
+    """Images plus integer labels. The images are an IDX file's u8 pixels
+    or float32 values in [0, 1] (or a prepared eval set's patches, float32
+    or bf16 bits); as_float32 gives the values any of them hold."""
 
-    images: np.ndarray  # [n, H, W, C] float32
+    images: np.ndarray  # [n, H, W, C] uint8, float32 or bf16-high uint16
     labels: np.ndarray  # [n] int64
     num_classes: int
 
@@ -63,7 +74,10 @@ def _read_exact(f, nbytes: int, path, what: str) -> bytes:
 
 
 def load_idx(images_path, labels_path) -> Dataset:
-    """Load a big-endian IDX image/label file pair (u8 pixels, u8 labels)."""
+    """Load a big-endian IDX image/label file pair (u8 pixels, u8 labels).
+
+    The images stay the file's u8 pixels, a read-only view of the bytes
+    read; as_float32 scales them where they are read."""
     images_path, labels_path = Path(images_path), Path(labels_path)
     with open(images_path, "rb") as f:
         magic, n, rows, cols = struct.unpack(
@@ -94,13 +108,27 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"count mismatch: {n} images in {images_path} but "
             f"{n_labels} labels in {labels_path}"
         )
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows, cols, 1)
     labels = np.frombuffer(label_raw, dtype=np.uint8).astype(np.int64)
     return Dataset(
-        images=images.astype(np.float32) / np.float32(255.0),
+        images=np.frombuffer(raw, dtype=np.uint8).reshape(n, rows, cols, 1),
         labels=labels,
         num_classes=int(labels.max()) + 1,
     )
+
+
+def as_float32(a: np.ndarray) -> np.ndarray:
+    """The values a set's images hold: float32(p) / float32(255) for u8
+    pixels p, the bfloat16 value whose high 16 bits a uint16 holds, and any
+    other array as it is."""
+    if a.dtype == np.uint8:
+        out = a.astype(np.float32)
+        out /= np.float32(255.0)
+        return out
+    if a.dtype == np.uint16:
+        out = a.astype(np.uint32)
+        out <<= np.uint32(16)
+        return out.view(np.float32)
+    return a
 
 
 def write_idx(images: np.ndarray, labels: np.ndarray, images_path, labels_path) -> None:

@@ -42,8 +42,10 @@ A conv2d entry is an input-only stage (rounding, padding and im2col) and a
 GEMM; a conv2d_gemm entry is the GEMM alone and only evaluates.
 prepare_first_conv builds a set's first-layer patches once, for the model
 whose first conv2d becomes a conv2d_gemm; they cost kh*kw / stride^2 times
-the inputs' bytes, 2.25x for the 3x3 stride-2 first conv of toy_cnn, b2 and
-b5.
+the inputs' float32 bytes, 2.25x for the 3x3 stride-2 first conv of
+toy_cnn, b2 and b5, and half that under the mixed policy, which keeps them
+as their 16 bfloat16 bits. The eval pass reads its inputs, images or
+patches, with data.as_float32, and sizes its chunks by the values it reads.
 
 Under the mixed-precision policy the conv and depthwise entries round their
 operands to bfloat16: the shared kernel once per chunk and the stacked
@@ -57,7 +59,9 @@ from __future__ import annotations
 
 import contextvars
 import dataclasses
+import functools
 import math
+import operator
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -68,6 +72,7 @@ import numpy as np
 
 from . import distbn, nn, precision
 from .collectives import all_reduce
+from .data import as_float32
 from .nn import Parameter
 from .rng import stream, truncated_normal
 
@@ -384,9 +389,9 @@ class EngineResult:
 
     @property
     def mean_loss(self) -> float:
-        # Compensated from Python 3.12 on, ascending before. An all-reduce
-        # mean would give -0.0 where sum(), starting from int 0, gives 0.0.
-        return sum(self.losses) / len(self.losses)
+        # Added left to right from 0.0 on every Python: sum() is compensated
+        # from 3.12 on. An all-reduce mean would give -0.0 where this gives 0.0.
+        return functools.reduce(operator.add, self.losses, 0.0) / len(self.losses)
 
 
 # The largest layer output one chunk of a step or an eval pass may hold, so
@@ -551,21 +556,25 @@ def prepare_first_conv(
 ) -> tuple[list[LayerSpec], np.ndarray]:
     """The model with its first layer, a conv2d, swapped for a conv2d_gemm,
     and that layer's patches of the [n, H, W, C] images, [n, Ho, Wo,
-    kh*kw*C], rounded to bfloat16 under the mixed policy. For the same
-    policy the prepared model gives the model's bytes on them, with any
-    weights. They are built on the calling thread, at most CHUNK_BYTES at a
-    time, into one array."""
+    kh*kw*C], as data.as_float32 reads them. Under the mixed policy the
+    patches are bfloat16 values, kept as their high 16 bits
+    (precision.bf16_bits). For the same policy the prepared model gives the
+    model's bytes on them, with any weights. They are built on the calling
+    thread, from at most CHUNK_BYTES of read values at a time, into one
+    array."""
     l = layers[0]
     if l.kind != "conv2d":
         raise ValueError(f"{l.name}: only a conv2d first layer can be prepared, "
                          f"not a {l.kind} one")
     run = _Pass({p.name: p for p in params}, policy, None)
     ho, wo, _ = _conv_shape(l, images.shape[1:])
-    per_image = ho * wo * math.prod(l.kernel_hw) * images.shape[3] * images.itemsize
+    read = as_float32(images[:0])  # the dtype the read rule gives
+    per_image = ho * wo * math.prod(l.kernel_hw) * images.shape[3] * read.itemsize
     step, out = max(1, CHUNK_BYTES // per_image), {}
     for lo in range(0, len(images), step):  # no block outlives its copy
+        patches = _conv2d_patches(l, run, as_float32(images[None, lo:lo + step]))[0]
         _fill(out, "patches", len(images), slice(lo, lo + step),
-              _conv2d_patches(l, run, images[None, lo:lo + step])[0])
+              precision.bf16_bits(patches) if policy.rounds_conv else patches)
     return [dataclasses.replace(l, kind="conv2d_gemm")] + layers[1:], out["patches"]
 
 

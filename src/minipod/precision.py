@@ -3,8 +3,10 @@
 A policy's mode is the config's ``precision`` value: ``fp32``, or
 ``mixed_bf16``, which rounds convolution operands (inputs and kernels) to the
 nearest bfloat16-representable value and accumulates in fp32; every non-conv
-operation stays fp32. Values are stored as fp32 throughout -- the emulation is
-numerical, not a memory-layout change. The conv and depthwise entries of
+operation stays fp32. Values are computed as fp32 throughout -- the emulation
+is numerical; only a prepared eval set's first-layer patches are stored as
+their high 16 bits (bf16_bits), which data.as_float32 widens where a pass
+reads them. The conv and depthwise entries of
 ``model.LAYER_OPS`` apply the policy: they round the shared kernel once per
 engine call and each replica's input once in forward, and backward reuses
 those rounded operands.
@@ -63,3 +65,18 @@ def to_bf16(x) -> np.ndarray:
     if nan.any():
         out[nan] = flat[nan]
     return out.reshape(arr.shape)
+
+
+_QUIET = np.uint16(0x0040)
+
+
+def bf16_bits(x: np.ndarray) -> np.ndarray:
+    """The high 16 bits of fp32 values that to_bf16 gave, as uint16; widened
+    back by data.as_float32 they are the same values. A NaN stays NaN with
+    its sign: to_bf16 keeps its payload, which may lie in the low bits
+    alone and would truncate to an infinity, so its quiet bit is set."""
+    hi = (np.ascontiguousarray(x, np.float32).view(np.uint32) >> _SIXTEEN).astype(np.uint16)
+    nan = np.isnan(x)
+    if nan.any():
+        hi[nan] |= _QUIET
+    return hi

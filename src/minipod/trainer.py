@@ -10,6 +10,10 @@ epsilon are distbn.DEFAULT_MOMENTUM and DEFAULT_EPS. The run loop goes
 over whole epochs and evaluates every eval_every_epochs of them and after the
 last step. An epoch is a shuffled [steps, N, b] index array; each step's
 examples are gathered from the one copy of the train set as the loop reads it.
+An IDX set stays the file's u8 pixels, 1 byte per pixel, and no float32 copy
+of a whole set is made: data.as_float32 scales a step's gathered examples,
+each eval chunk's rows and each block of first-layer patches as they are
+read. Synthetic sets are float32 values and are read as they are.
 
 Every step: forward/backward of all replicas stacked on one leading axis
 (group BN, optional bf16 convs), all-reduce mean of the per-replica
@@ -26,11 +30,12 @@ slice of the set, never a gather, on the engine's worker threads
 batch is the per-core batch, capped at one replica's share of the eval set
 (TrainConfig.eval_batch_for). A run's first evaluation prepares its model
 and eval set (model.prepare_first_conv) and drops the images, so every pass
-reads the eval images' first-layer patches: 2.25x the images for the 3x3
-stride-2 first conv of toy_cnn, b2 and b5, 4.5 MiB at 2,048 examples and
-110 MiB at 50,000 (9x for toy_cnn_pool's stride 1). The train set's
-patches are not kept: they would cost 2.25x the train set, and building them
-before the first step would lengthen the set-up.
+reads the eval images' first-layer patches: 2.25x the images' float32 bytes
+for the 3x3 stride-2 first conv of toy_cnn, b2 and b5, 4.5 MiB at 2,048
+examples and 110 MiB at 50,000 (9x for toy_cnn_pool's stride 1), and half
+that under mixed_bf16, whose patches are kept as their 16 bf16 bits. The
+train set's patches are not kept: they would cost 2.25x the train set, and
+building them before the first step would lengthen the set-up.
 
 Records carry modeled timing from the cost model; elapsed_s is cumulative
 *modeled* seconds so that metric streams are bitwise reproducible (wall clock
@@ -49,7 +54,7 @@ import numpy as np
 
 from . import distbn, perfmodel
 from .collectives import all_reduce
-from .data import Dataset, gen_synthetic, load_idx
+from .data import Dataset, as_float32, gen_synthetic, load_idx
 from .model import (
     LayerSpec,
     build_model,
@@ -257,8 +262,10 @@ class EpochSteps(Sequence):
     """One epoch's steps over the `[steps, N, b]` example indices `idx`.
 
     Reading step t gathers it: a list of one (images, labels) pair per
-    replica, views of one fancy-indexed array. A slice is the same kind of
-    sequence, and the steps can be read any number of times.
+    replica, views of one fancy-indexed array whose images data.as_float32
+    has read (IDX pixels are scaled here, for the step's examples only). A
+    slice is the same kind of sequence, and the steps can be read any number
+    of times.
     """
 
     def __init__(self, dataset: Dataset, idx: np.ndarray):
@@ -272,7 +279,7 @@ class EpochSteps(Sequence):
         if isinstance(t, slice):
             return EpochSteps(self.dataset, self.idx[t])
         idx = self.idx[t]
-        return list(zip(self.dataset.images[idx], self.dataset.labels[idx]))
+        return list(zip(as_float32(self.dataset.images[idx]), self.dataset.labels[idx]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +357,19 @@ def distributed_eval(
     all-reduced counts give hits / n, which counts exactly the real
     examples, is the correctly rounded quotient at any eval-set size, and
     depends neither on the replica count, nor on the chunking, nor on
-    the threads. The images may be patches for a model.prepare_first_conv
-    model; a dummy's patches are zeros, as a zero image's are.
+    the threads. Each chunk reads its rows with data.as_float32, and the
+    chunks are sized by what it reads. The images may be patches for a
+    model.prepare_first_conv model; a dummy's patches are zeros, as a zero
+    image's are.
     """
     for name, value in (("num_replicas", num_replicas), ("eval_batch", eval_batch)):
         if value < 1:
             raise ValueError(f"distributed_eval {name} must be >= 1, got {value}")
     n, b = len(dataset), eval_batch
     rows = math.ceil(n / b)  # the rows that hold a real example
+    read = as_float32(dataset.images[:0])  # the dtype the read rule gives
     chunks = replica_chunks(layers, distbn.assign_groups_1d(rows, 1),
-                            (rows, b) + dataset.images.shape[1:], dataset.images.dtype)
+                            (rows, b) + dataset.images.shape[1:], read.dtype)
 
     def shaped(a, lo, hi):  # rows lo:hi of the set, [hi - lo, b, ...]
         return _rows(a, lo * b, hi * b).reshape((hi - lo, b) + a.shape[1:])
@@ -369,7 +379,7 @@ def distributed_eval(
         y = shaped(dataset.labels, lo, hi)
         real = (np.arange(lo * b, hi * b) < n).reshape(hi - lo, b)
         logits = eval_forward(layers, params, bn_moving,
-                              shaped(dataset.images, lo, hi), policy)
+                              as_float32(shaped(dataset.images, lo, hi)), policy)
         hit = (logits.argmax(axis=2) == y) & real
         return np.stack([hit.sum(axis=1), real.sum(axis=1)], axis=1)
 

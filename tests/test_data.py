@@ -10,6 +10,7 @@ from minipod import data
 from minipod.data import (
     Dataset,
     IdxFormatError,
+    as_float32,
     class_templates,
     gen_synthetic,
     load_idx,
@@ -31,15 +32,22 @@ def idx_pair(tmp_path):
 def test_load_idx_roundtrip(idx_pair):
     images, labels, ip, lp = idx_pair
     ds = load_idx(ip, lp)
+    # The file's pixels, held as they are read: a read-only u8 view.
     assert ds.images.shape == (2, 5, 4, 1)
-    assert ds.images.dtype == np.float32
+    assert ds.images.dtype == np.uint8 and not ds.images.flags.writeable
+    assert ds.images.tobytes() == images.tobytes()
     np.testing.assert_array_equal(ds.labels, labels.astype(np.int64))
-    np.testing.assert_allclose(ds.images, images.astype(np.float32) / 255.0)
-    # byte-level inverse: rewriting what was loaded reproduces the files
+    # The values they read as are the float32 quotients p / 255.
+    values = as_float32(ds.images)
+    assert values.dtype == np.float32
+    assert values.tobytes() == (images.astype(np.float32) / np.float32(255.0)).tobytes()
+    # byte-level inverse: rewriting what was loaded, or the pixels its values
+    # round back to, reproduces the files
     out_i, out_l = ip.parent / "i2.idx", ip.parent / "l2.idx"
-    write_idx((ds.images * 255.0).round().astype(np.uint8), ds.labels, out_i, out_l)
-    assert out_i.read_bytes() == ip.read_bytes()
-    assert out_l.read_bytes() == lp.read_bytes()
+    for pixels in (ds.images, np.rint(values * np.float32(255.0))):
+        write_idx(pixels, ds.labels, out_i, out_l)
+        assert out_i.read_bytes() == ip.read_bytes()
+        assert out_l.read_bytes() == lp.read_bytes()
 
 
 @pytest.mark.parametrize("pixels,labels,message", [
@@ -72,8 +80,10 @@ def test_write_idx_takes_whole_floats_from_quantized_images(tmp_path):
     ip, lp = tmp_path / "imgs.idx", tmp_path / "lbls.idx"
     write_idx(np.rint(ds.images * 255.0), ds.labels, ip, lp)
     back = load_idx(ip, lp)
-    np.testing.assert_array_equal(np.rint(back.images * np.float32(255.0)),
-                                  np.rint(ds.images * 255.0))
+    pixels = np.rint(ds.images * 255.0)
+    assert back.images.tobytes() == pixels.astype(np.uint8).tobytes()
+    assert as_float32(back.images).tobytes() == (
+        pixels.astype(np.float32) / np.float32(255.0)).tobytes()
     np.testing.assert_array_equal(back.labels, ds.labels)
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from minipod import model
-from minipod.data import gen_synthetic
+from minipod.data import as_float32, gen_synthetic
 from minipod.distbn import assign_groups_1d, assign_groups_2d
 from minipod.precision import FP32_ONLY, MIXED_BF16_CONV
 from minipod.model import (
@@ -352,6 +352,9 @@ def test_eval_forward_from_the_prepared_operand_gives_the_same_logits(small_data
     assert prepared[0].kind == "conv2d_gemm" and prepared[1:] == layers[1:]
     ho, wo, _ = infer_shapes(layers, x.shape[1:])[0]
     assert patches.shape == (len(x), ho, wo, math.prod(layers[0].kernel_hw) * x.shape[-1])
+    # bf16 patches are kept as their high 16 bits, half the float32 bytes.
+    assert patches.dtype == (np.uint16 if policy.rounds_conv else np.float32)
+    patches = as_float32(patches)
     plain = eval_forward(layers, params, moving, x.reshape(2, 4, *x.shape[1:]), policy)
     from_patches = eval_forward(prepared, params, moving,
                                 patches.reshape(2, 4, *patches.shape[1:]), policy)

@@ -4,7 +4,7 @@
     python3 tools/same_bytes.py BASE_REV
 
 Exports BASE_REV of this repository with ``git archive`` into a temporary
-directory, then trains six configs with ``minipod train`` on that tree and
+directory, then trains seven configs with ``minipod train`` on that tree and
 on the working tree this script sits in: toy-rmsprop-512 at seed 1,
 toy-lars-2048 for 2 epochs, the b5 / 64-replica / bf16 config of the
 train-64x8-bf16 benchmark workload on the synthetic set, toy-rmsprop-512
@@ -13,11 +13,16 @@ conv layer's input gradient (b2's second conv), toy-lars-2048 on 256
 replicas x 16 for 2 epochs, whose eval set of 2,048 examples is smaller than
 one round of per-core batches (4,096), and b5 in bf16 on 16 replicas with
 2x2 BN tiles for 1 epoch, the one config whose step walks chunks of replicas
-that are not one contiguous range ({0, 1, 4, 5}, ...). Each metrics CSV and
-``--weights-out`` archive is compared byte for byte. Both trees also run
-``minipod eval`` on the base's toy-rmsprop-512 weights, whose pass reads the
-eval images themselves (a training run's passes read its prepared eval set),
-and their output lines are compared. For each file it prints "identical",
+that are not one contiguous range ({0, 1, 4, 5}, ...). A seventh config,
+train-64x8-bf16-idx, trains the train-64x8-bf16 config on IDX files, the
+one config whose sets are u8 pixels: a train and an eval pair of 4,096 and
+2,000 examples written with this tree's data.write_idx from the synthetic
+set at seed 0, as perfbench writes the benchmark workload's. Each metrics
+CSV and ``--weights-out`` archive is compared byte for byte. Both trees also
+run ``minipod eval`` on the base's toy-rmsprop-512 and train-64x8-bf16-idx
+weights, whose passes read the eval images themselves (a training run's
+passes read its prepared eval set), synthetic and IDX, and their output
+lines are compared. For each file it prints "identical",
 or the first differing CSV row and the largest relative difference per
 column (per array for the weights), or both eval lines. Exit status: 0 when
 every file is identical, 1 on any difference, 2 when a run fails on either
@@ -62,8 +67,12 @@ CONFIGS = {
         "tile_rows = 2\ntile_cols = 2\nbn_group_size = 4\nprecision = mixed_bf16\n"
         "total_epochs = 1\ndataset = synthetic\n"),
 }
+CONFIGS["train-64x8-bf16-idx"] = CONFIGS["train-64x8-bf16"].replace(
+    "dataset = synthetic", "dataset = {idx}")
+IDX_EXAMPLES = {"train": 4096, "eval": 2000}
 OUTPUTS = ("metrics.csv", "weights.npz")
-EVALUATED = "toy-rmsprop-512"  # the config whose weights `minipod eval` reads
+# The configs whose weights `minipod eval` reads: a synthetic and an IDX eval set.
+EVALUATED = ("toy-rmsprop-512", "train-64x8-bf16-idx")
 EVAL_OUT = "eval.txt"
 
 
@@ -73,6 +82,23 @@ def export(rev: str, dest: Path) -> None:
                          capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as t:
         t.extractall(dest, filter="data")
+
+
+def write_idx_set(dest: Path) -> str:
+    """The dataset spec of an IDX train and eval pair written under dest:
+    the synthetic set's templates and noise at seed 0 (noise stream 0 for
+    train, 1 for eval), rounded to u8 pixels."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from minipod import data
+
+    dest.mkdir(parents=True)
+    paths = []
+    for stream, (split, n) in enumerate(IDX_EXAMPLES.items()):
+        ds = data.gen_synthetic(10, n, 16, 16, 1, seed=0, noise_stream=stream)
+        images, labels = dest / f"{split}-images.idx", dest / f"{split}-labels.idx"
+        data.write_idx(np.rint(ds.images * 255.0), ds.labels, images, labels)
+        paths += [str(images), str(labels)]
+    return "idx:" + ",".join(paths)
 
 
 def minipod(tree: Path, name: str, out: Path, *args: str) -> str:
@@ -87,17 +113,18 @@ def minipod(tree: Path, name: str, out: Path, *args: str) -> str:
     return proc.stdout
 
 
-def train(tree: Path, name: str, out: Path) -> None:
+def train(tree: Path, name: str, out: Path, idx: str) -> None:
+    """Trains config `name`; `idx` is the dataset spec of its IDX files."""
     out.mkdir(parents=True)
-    (out / "exp.cfg").write_text(CONFIGS[name], encoding="utf-8")
+    (out / "exp.cfg").write_text(CONFIGS[name].format(idx=idx), encoding="utf-8")
     minipod(tree, name, out, "train", "--config", "exp.cfg",
             "--out", OUTPUTS[0], "--weights-out", OUTPUTS[1])
 
 
-def evaluate(tree: Path, out: Path, weights: Path) -> None:
-    """Writes the EVALUATED config's `minipod eval` output on `weights`."""
+def evaluate(tree: Path, name: str, out: Path, weights: Path) -> None:
+    """Writes config `name`'s `minipod eval` output on `weights`."""
     (out / EVAL_OUT).write_text(
-        minipod(tree, EVALUATED, out, "eval", "--weights", str(weights),
+        minipod(tree, name, out, "eval", "--weights", str(weights),
                 "--config", "exp.cfg"), encoding="utf-8")
 
 
@@ -162,18 +189,20 @@ def main(argv: list[str] | None = None) -> int:
         tmp = Path(tmp)
         try:
             export(args.base_rev, tmp / "base")
+            idx = write_idx_set(tmp / "idx")
             for name in CONFIGS:
                 for side, tree in (("base", tmp / "base"), ("change", ROOT)):
-                    train(tree, name, tmp / "out" / side / name)
-            weights = tmp / "out" / "base" / EVALUATED / OUTPUTS[1]
-            for side, tree in (("base", tmp / "base"), ("change", ROOT)):
-                evaluate(tree, tmp / "out" / side / EVALUATED, weights)
+                    train(tree, name, tmp / "out" / side / name, idx)
+            for name in EVALUATED:
+                weights = tmp / "out" / "base" / name / OUTPUTS[1]
+                for side, tree in (("base", tmp / "base"), ("change", ROOT)):
+                    evaluate(tree, name, tmp / "out" / side / name, weights)
         except (subprocess.CalledProcessError, RuntimeError) as e:
             detail = e.stderr.decode() if isinstance(e, subprocess.CalledProcessError) else ""
             print(f"error: {e}\n{detail}".rstrip(), file=sys.stderr)
             return 2
         for name in CONFIGS:
-            for fname in OUTPUTS + ((EVAL_OUT,) if name == EVALUATED else ()):
+            for fname in OUTPUTS + ((EVAL_OUT,) if name in EVALUATED else ()):
                 a, b = (tmp / "out" / side / name / fname for side in ("base", "change"))
                 if a.read_bytes() == b.read_bytes():
                     print(f"{name} {fname}: identical")
