@@ -23,6 +23,7 @@ from minipod.config import (
     serialize_config,
 )
 from minipod.data import gen_synthetic, write_idx
+from minipod.rng import stream
 from minipod.trainer import TrainConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -294,6 +295,21 @@ def test_cli_gradcheck_passes(tmp_path, capsys):
     cfg = write_config(tmp_path, GRADCHECK_CONFIG)
     assert main(["gradcheck", "--config", str(cfg)]) == 0
     assert "max relative error" in capsys.readouterr().out
+
+
+def test_cli_gradcheck_reads_idx_pixels_as_their_values(tmp_path, monkeypatch):
+    # The sample is the four drawn examples' float32 values, not their pixels.
+    spec = idx_split(tmp_path, "t", 4, seed=0)
+    checked = []
+    monkeypatch.setattr(cli, "grad_check", lambda layers, params, x, labels, eps:
+                        checked.append(x) or 0.0)
+    cfg = write_config(tmp_path, GRADCHECK_CONFIG.replace("synthetic", f"idx:{spec}"))
+    assert main(["gradcheck", "--config", str(cfg)]) == 0
+    pixels = np.frombuffer((tmp_path / "ti.idx").read_bytes()[16:], np.uint8)
+    idx = stream(0, "gradcheck").choice(64, size=4, replace=False)
+    want = pixels.reshape(64, 8, 8, 1)[idx].astype(np.float32) / np.float32(255.0)
+    assert len(checked) == 1 and checked[0].dtype == np.float32
+    assert checked[0].tobytes() == want.tobytes()
 
 
 def test_cli_train_eval_cycle(tmp_path, capsys):

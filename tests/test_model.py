@@ -11,12 +11,13 @@ import pytest
 from minipod import model
 from minipod.data import as_float32, gen_synthetic
 from minipod.distbn import assign_groups_1d, assign_groups_2d
-from minipod.precision import FP32_ONLY, MIXED_BF16_CONV
+from minipod.precision import FP32_ONLY, MIXED_BF16_CONV, to_bf16
 from minipod.model import (
     batchnorm,
     build_model,
     conv2d,
     dense,
+    EngineResult,
     distributed_forward_backward,
     eval_forward,
     global_avg_pool,
@@ -75,6 +76,15 @@ def test_init_independent_of_param_order_stream():
     pa = {p.name: p for p in init_params(small, (8, 8, 1), seed=7)}
     pb = {p.name: p for p in init_params(big, (8, 8, 1), seed=7)}
     assert pa["conv1/kernel"].value.tobytes() == pb["conv1/kernel"].value.tobytes()
+
+
+def test_mean_loss_adds_the_losses_left_to_right_from_zero():
+    # Python 3.12's compensated sum() gives 1.0 for ten 0.1s; the plain
+    # ascending sum of 3.10 and 3.11, which the metrics keep, gives
+    # 0.9999999999999999.
+    assert EngineResult([0.1] * 10, None, {}).mean_loss == 0.9999999999999999 / 10
+    zero = EngineResult([-0.0, -0.0], None, {}).mean_loss
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
 
 
 def test_engine_mean_loss_matches_replica_mean(small_data):
@@ -362,6 +372,31 @@ def test_eval_forward_from_the_prepared_operand_gives_the_same_logits(small_data
     # The model itself rejects the patches: they have kh*kw times its channels.
     with pytest.raises(ValueError, match="channel mismatch"):
         eval_forward(layers, params, moving, patches[None], policy)
+
+
+def test_a_nan_pixel_reads_as_nan_from_bf16_patches(small_data):
+    # NaNs whose payload lies in the low 16 bits alone: to_bf16 keeps them,
+    # and their high 16 bits alone would read as infinities.
+    x = small_data[0].copy()
+    x.view(np.uint32)[0, 3, 3, 0] = 0x7F800001
+    x.view(np.uint32)[5, 1, 2, 0] = 0xFF800001
+    layers = build_model("b5", 4)
+    params = init_params(layers, x.shape[1:], seed=4)
+    moving = init_bn_moving(layers, x.shape[1:])
+    fp32 = prepare_first_conv(layers, params, x, FP32_ONLY)[1]
+    prepared, bits = prepare_first_conv(layers, params, x, MIXED_BF16_CONV)
+    patches, want = as_float32(bits), to_bf16(fp32)
+    nan = np.isnan(want)
+    assert nan.any() and (np.isnan(patches) == nan).all()
+    assert (np.signbit(patches) == np.signbit(want)).all()
+    assert patches[~nan].tobytes() == want[~nan].tobytes()
+    with np.errstate(invalid="ignore"):  # NaN in the GEMMs
+        plain = eval_forward(layers, params, moving, x[None], MIXED_BF16_CONV)
+        from_patches = eval_forward(prepared, params, moving, patches[None],
+                                    MIXED_BF16_CONV)
+    assert np.isnan(plain[0, [0, 5]]).all()
+    assert (np.isnan(from_patches) == np.isnan(plain)).all()
+    assert from_patches[~np.isnan(plain)].tobytes() == plain[~np.isnan(plain)].tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(model.MODELS))

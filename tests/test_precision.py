@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minipod import nn, precision
-from minipod.data import gen_synthetic
+from minipod.data import as_float32, gen_synthetic
 from minipod.distbn import assign_groups_1d
 from minipod.model import (
     build_model,
@@ -19,6 +19,7 @@ from minipod.precision import (
     FP32_ONLY,
     MIXED_BF16_CONV,
     PrecisionPolicy,
+    bf16_bits,
     to_bf16,
 )
 
@@ -47,6 +48,27 @@ def test_exhaustive_roundtrip_all_patterns():
     pats = all_bf16_patterns()
     out = to_bf16(pats)
     assert out.view(np.uint32).tobytes() == pats.view(np.uint32).tobytes()
+
+
+def test_bf16_bits_widen_to_the_rounded_values():
+    # Every bf16 pattern, random fp32 bits rounded, and NaNs whose payload
+    # lies in the low 16 bits alone, which a plain truncation turns into an
+    # infinity of the same sign.
+    rng = np.random.default_rng(1)
+    random = rng.integers(0, 2**32, size=100_000, dtype=np.uint64).astype(np.uint32)
+    low_nans = np.array([0x7F800001, 0xFF800001, 0x7F80FFFF], np.uint32)
+    x = np.concatenate([all_bf16_patterns().view(np.uint32), random, low_nans])
+    r = to_bf16(x.view(np.float32))
+    bits = bf16_bits(r)
+    assert bits.dtype == np.uint16 and bits.shape == r.shape
+    back = as_float32(bits)
+    assert back.dtype == np.float32
+    truncated = as_float32((r.view(np.uint32) >> np.uint32(16)).astype(np.uint16))
+    assert np.isnan(r[-3:]).all() and truncated[-3:].tolist() == [np.inf, -np.inf, np.inf]
+    nan = np.isnan(r)
+    assert (np.isnan(back) == nan).all()
+    assert (np.signbit(back) == np.signbit(r)).all()
+    assert back[~nan].tobytes() == r[~nan].tobytes()
 
 
 def test_idempotent_and_monotone_on_random_samples():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from minipod import distbn, model, optim, trainer
-from minipod.data import Dataset, as_float32, gen_synthetic, write_idx
+from minipod.data import Dataset, as_float32, gen_synthetic, load_idx, write_idx
 from minipod.model import (
     MODELS,
     build_model,
@@ -53,6 +53,18 @@ def tiny_config(**kw):
 
 def toy_dataset(n=32, num_classes=4, seed=0):
     return gen_synthetic(num_classes, n, 8, 8, 1, seed=seed)
+
+
+def idx_dataset(tmp_path, n, num_classes=4, seed=0):
+    """toy_dataset's images rounded to u8 pixels, written as an IDX pair and
+    loaded back, and the set as load_idx once converted all of it: float32
+    p / 255 of every pixel p."""
+    ds = toy_dataset(n, num_classes, seed)
+    ip, lp = tmp_path / f"{n}-images.idx", tmp_path / f"{n}-labels.idx"
+    write_idx(np.rint(ds.images * 255.0), ds.labels, ip, lp)
+    u8 = load_idx(ip, lp)
+    whole = u8.images.astype(np.float32) / np.float32(255.0)
+    return u8, Dataset(whole, u8.labels, u8.num_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +142,39 @@ def test_epoch_steps_gather_the_listed_steps(n, num_replicas, b):
         assert step_bytes(steps[cut]) == step_bytes(ref[cut])
     with pytest.raises(IndexError):
         steps[len(ref)]
+
+
+def test_epoch_steps_read_u8_pixels_as_the_whole_set_converted(tmp_path):
+    u8, whole = idx_dataset(tmp_path, 40)
+    assert u8.images.dtype == np.uint8
+    steps = shard_train_data(u8, 2, 4, seed=7, epoch=3)
+    ref = listed_epoch(whole, 2, 4, seed=7, epoch=3)
+    assert all(x.dtype == np.float32 for step in steps for x, _ in step)
+    assert step_bytes(steps) == step_bytes(ref)
+
+
+def test_build_datasets_holds_idx_sets_at_one_byte_per_pixel(tmp_path):
+    # A train and an eval pair of 16x16 pixels. Converting a whole set to
+    # float32 would hold 4 bytes per pixel and peak at 8.
+    paths = []
+    for split, n, stream_id in (("t", 512, 0), ("e", 256, 1)):
+        ds = gen_synthetic(10, n, 16, 16, 1, seed=2, noise_stream=stream_id)
+        images, labels = tmp_path / f"{split}i.idx", tmp_path / f"{split}l.idx"
+        write_idx(np.rint(ds.images * 255.0), ds.labels, images, labels)
+        paths += [str(images), str(labels)]
+    cfg = tiny_config(dataset="idx:" + ",".join(paths))
+    tracemalloc.start()
+    try:
+        train, evalset = build_datasets(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pixels = (512 + 256) * 16 * 16
+    assert train.images.dtype == evalset.images.dtype == np.uint8
+    assert train.images.nbytes + evalset.images.nbytes == pixels
+    # Beyond the pixels: 6 KiB of int64 labels, the label files' bytes and
+    # small objects.
+    assert peak < pixels + 16 * 1024, (peak, pixels)
 
 
 def test_epoch_steps_hold_two_steps_at_a_time():
@@ -354,6 +399,28 @@ def test_distributed_eval_gives_each_replica_the_counts_of_its_rows(
     assert 0 < want[:, 0].sum() < len(ds)
 
 
+@pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
+@pytest.mark.parametrize("num_replicas", [1, 8])
+def test_distributed_eval_of_u8_pixels_is_a_pass_over_their_values(
+        monkeypatch, tmp_path, num_replicas, policy):
+    # Chunks of three rows of 3 float32 examples (see above): a chunk sized
+    # by the u8 pixels' bytes would hold four times the rows.
+    layers, params, moving, _ = _eval_case()
+    u8, whole = idx_dataset(tmp_path, 37, seed=5)
+    monkeypatch.setattr(model, "CHUNK_BYTES", 3 * (3 * 4 * 4 * 8 * 4))
+    calls, forward = [], trainer.eval_forward
+
+    def recorded(layers, params, moving, x, policy):
+        calls.append((len(x), x.dtype))
+        return forward(layers, params, moving, x, policy)
+
+    monkeypatch.setattr(trainer, "eval_forward", recorded)
+    top1 = [distributed_eval(layers, params, moving, ds, num_replicas, 3, policy)
+            for ds in (u8, whole)]
+    assert top1[0] == top1[1] and 0 < top1[0] < 1
+    assert sorted(calls) == sorted([(3, np.float32)] * 8 + [(1, np.float32)] * 2)
+
+
 def test_distributed_eval_peak_is_a_small_part_of_the_set():
     # 16,389 examples of 16x16x1 float32 (16 MiB) on 64 replicas: rows of
     # 257, the last one finished with 59 dummies. A padded copy of the set,
@@ -402,6 +469,26 @@ def test_kept_operand_gives_the_plain_passes_top1(monkeypatch, num_replicas, pol
     assert [x[-1].tobytes() for x in calls if not x[-1, 1:].any()] == [want.tobytes()] * 2
     copies = [x for x in calls if not np.shares_memory(x, kept.images)]
     assert len(copies) == (len(calls) if policy.rounds_conv else 2)
+
+
+@pytest.mark.parametrize("policy", [FP32_ONLY, MIXED_BF16_CONV], ids=lambda p: p.mode)
+def test_patches_of_u8_pixels_are_the_patches_of_their_values(monkeypatch, tmp_path,
+                                                              policy):
+    # Blocks of five examples' float32 patches (4x4 positions of 3x3 taps): a
+    # block sized by the u8 pixels' bytes would hold four times the examples.
+    layers, params, _, _ = _eval_case()
+    u8, whole = idx_dataset(tmp_path, 37, seed=5)
+    monkeypatch.setattr(model, "CHUNK_BYTES", 5 * (4 * 4 * 9 * 4))
+    im2col, blocks = model.nn.im2col, []
+
+    def recorded(x, *rest):
+        blocks.append(x.shape[1])
+        return im2col(x, *rest)
+
+    monkeypatch.setattr(model.nn, "im2col", recorded)
+    got = [prepare_first_conv(layers, params, ds.images, policy)[1] for ds in (u8, whole)]
+    assert got[0].dtype == got[1].dtype and got[0].tobytes() == got[1].tobytes()
+    assert blocks == ([5] * 7 + [2]) * 2
 
 
 def test_a_build_of_one_block_per_example_is_the_default_build(monkeypatch):

@@ -4,7 +4,7 @@
     python3 tools/same_bytes.py BASE_REV
 
 Exports BASE_REV of this repository with ``git archive`` into a temporary
-directory, then trains seven configs with ``minipod train`` on that tree and
+directory, then trains eight configs with ``minipod train`` on that tree and
 on the working tree this script sits in: toy-rmsprop-512 at seed 1,
 toy-lars-2048 for 2 epochs, the b5 / 64-replica / bf16 config of the
 train-64x8-bf16 benchmark workload on the synthetic set, toy-rmsprop-512
@@ -13,20 +13,22 @@ conv layer's input gradient (b2's second conv), toy-lars-2048 on 256
 replicas x 16 for 2 epochs, whose eval set of 2,048 examples is smaller than
 one round of per-core batches (4,096), and b5 in bf16 on 16 replicas with
 2x2 BN tiles for 1 epoch, the one config whose step walks chunks of replicas
-that are not one contiguous range ({0, 1, 4, 5}, ...). A seventh config,
-train-64x8-bf16-idx, trains the train-64x8-bf16 config on IDX files, the
-one config whose sets are u8 pixels: a train and an eval pair of 4,096 and
-2,000 examples written with this tree's data.write_idx from the synthetic
-set at seed 0, as perfbench writes the benchmark workload's. Each metrics
-CSV and ``--weights-out`` archive is compared byte for byte. Both trees also
-run ``minipod eval`` on the base's toy-rmsprop-512 and train-64x8-bf16-idx
-weights, whose passes read the eval images themselves (a training run's
-passes read its prepared eval set), synthetic and IDX, and their output
-lines are compared. For each file it prints "identical",
-or the first differing CSV row and the largest relative difference per
-column (per array for the weights), or both eval lines. Exit status: 0 when
-every file is identical, 1 on any difference, 2 when a run fails on either
-tree.
+that are not one contiguous range ({0, 1, 4, 5}, ...). Two configs read
+IDX files, the only sets held as u8 pixels: a train and an eval pair of
+4,096 and 2,000 examples written with this tree's data.write_idx from the
+synthetic set at seed 0, as perfbench writes the benchmark workload's.
+train-64x8-bf16-idx is the train-64x8-bf16 config on them, and
+toy-rmsprop-512-idx is toy-rmsprop-512 for 2 epochs, in fp32, where a
+pixel's value reaches the first conv unrounded (bf16 rounding hides a
+last-bit change in the read rule). Each metrics CSV and ``--weights-out``
+archive is compared byte for byte. Both trees also run ``minipod eval`` on
+the base's toy-rmsprop-512 weights and on both IDX configs' weights, whose
+passes read the eval images themselves (a training run's passes read its
+prepared eval set), and their output lines are compared. For each file it
+prints "identical", or the first differing CSV row and the largest relative
+difference per column (per array for the weights), or both eval lines.
+Exit status: 0 when every file is identical, 1 on any difference, 2 when a
+run fails on either tree.
 
 Both trees run here, on one host and one numpy, so BLAS and CPU differences
 cancel. BLAS runs one thread in every training.
@@ -69,10 +71,12 @@ CONFIGS = {
 }
 CONFIGS["train-64x8-bf16-idx"] = CONFIGS["train-64x8-bf16"].replace(
     "dataset = synthetic", "dataset = {idx}")
+CONFIGS["toy-rmsprop-512-idx"] = (
+    "preset = toy-rmsprop-512\ntotal_epochs = 2\ndataset = {idx}\n")
 IDX_EXAMPLES = {"train": 4096, "eval": 2000}
 OUTPUTS = ("metrics.csv", "weights.npz")
-# The configs whose weights `minipod eval` reads: a synthetic and an IDX eval set.
-EVALUATED = ("toy-rmsprop-512", "train-64x8-bf16-idx")
+# The configs whose weights `minipod eval` reads: a synthetic and two IDX eval sets.
+EVALUATED = ("toy-rmsprop-512", "train-64x8-bf16-idx", "toy-rmsprop-512-idx")
 EVAL_OUT = "eval.txt"
 
 
